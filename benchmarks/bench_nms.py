@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
-"""Benchmark the compiled NMS kernel against the pure numpy fallback.
+"""Time the NMS kernel on one extraction and on a 50-radius sweep.
 
-The greedy suppression loop dominates calibration runtime (a 50-value
-radius sweep per sample), so this compares both backends on a single
-extraction and on a full sweep across heatmap sizes.
+The sweep is what calibration runs per heatmap, so it is timed next to a
+single k=6 extraction for each heatmap size. End-to-end numbers come from
+``perfbench/``.
 
 Usage: python benchmarks/bench_nms.py [--repeats N]
 """
@@ -39,32 +39,19 @@ def main():
     parser.add_argument("--repeats", type=int, default=5)
     args = parser.parse_args()
 
-    backends = kernels.available_backends()
-    if "cython" not in backends:
-        print("note: compiled backend not built; benchmarking the fallback only")
     rng = np.random.default_rng(1)
     sweep = [round(0.1 * i, 10) for i in range(1, 51)]
     sizes = (500, 2_000, 8_000, 20_000)
 
-    print(f"{'cells':>7} {'backend':>8} {'nms k=6 r=1.5':>14} {'50-radius sweep':>16}")
-    speedups = []
+    print(f"{'cells':>7} {'nms k=6 r=1.5':>14} {'50-radius sweep':>16}")
     for n_cells in sizes:
         h = make_heatmap(rng, n_cells)
         xs, ys = h.cell_centers()
-        row = {}
-        for name, mod in sorted(backends.items()):
-            single = time_call(lambda: kernels.nms_kernel(xs, ys, h.prob, 1.5, 6, impl=mod), args.repeats)
-            full = time_call(
-                lambda: [kernels.nms_kernel(xs, ys, h.prob, r, 6, impl=mod) for r in sweep],
-                args.repeats,
-            )
-            row[name] = (single, full)
-            print(f"{n_cells:>7} {name:>8} {single * 1e3:>11.3f} ms {full * 1e3:>13.2f} ms")
-        if "cython" in row and "python" in row:
-            speedups.append(row["python"][1] / row["cython"][1])
-    if speedups:
-        print(f"\nsweep speedup (python / cython): "
-              f"{', '.join(f'{s:.1f}x' for s in speedups)}")
+        single = time_call(lambda: kernels.nms_kernel(xs, ys, h.prob, 1.5, 6), args.repeats)
+        full = time_call(
+            lambda: [kernels.nms_kernel(xs, ys, h.prob, r, 6) for r in sweep], args.repeats
+        )
+        print(f"{n_cells:>7} {single * 1e3:>11.3f} ms {full * 1e3:>13.2f} ms")
 
 
 if __name__ == "__main__":

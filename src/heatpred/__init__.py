@@ -22,7 +22,6 @@ from .heatmap import (
     threshold_sparsify,
     uncertainty,
 )
-from .kernels import BACKEND
 from .metrics import (
     AggregateReport,
     EvalRecord,

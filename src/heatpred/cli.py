@@ -73,13 +73,32 @@ class CliError(RuntimeError):
 # config plumbing
 
 
+def _read_object(path: Path) -> dict:
+    """A JSON file whose top level must be an object."""
+    try:
+        obj = read_json(path)
+    except ValueError as e:
+        raise CliError(f"{path}: invalid JSON ({e})") from None
+    if not isinstance(obj, dict):
+        raise CliError(f"{path}: top level must be a JSON object, not {type(obj).__name__}")
+    return obj
+
+
 def _load_config(path: str | None) -> tuple[dict, Path | None]:
     if path is None:
         return {}, None
     p = Path(path)
     if not p.exists():
         raise CliError(f"config file not found: {p}")
-    return read_json(p), p.parent
+    return _read_object(p), p.parent
+
+
+def _as(kind, value, key: str):
+    """``kind(value)``, or a CliError naming the config key the value came from."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise CliError(f"config key {key}: {value!r} is not a valid {kind.__name__}") from None
 
 
 def _merge(defaults: dict, overrides: dict) -> dict:
@@ -107,19 +126,25 @@ SAMPLING_DEFAULTS = {
 }
 
 
+def _adaptive_mode(model_path: Path) -> AdaptiveRadius:
+    if not model_path.exists():
+        raise CliError(f"calibration model not found: {model_path}")
+    return AdaptiveRadius(model_from_dict(read_json(model_path)))
+
+
 def _sampling_config(cfg: dict, base_dir: Path | None) -> SamplingConfig:
-    radius = cfg["radius"]
+    radius = cfg["radius"] if isinstance(cfg["radius"], dict) else {}
     if "fixed" in radius:
-        mode = FixedRadius(float(radius["fixed"]))
+        mode = FixedRadius(_as(float, radius["fixed"], "radius.fixed"))
     elif "adaptive" in radius:
-        model_path = _resolve_path(base_dir, radius["adaptive"])
-        if not model_path.exists():
-            raise CliError(f"calibration model not found: {model_path}")
-        mode = AdaptiveRadius(model_from_dict(read_json(model_path)))
+        mode = _adaptive_mode(_resolve_path(base_dir, str(radius["adaptive"])))
     else:
-        raise CliError('radius config must contain "fixed" or "adaptive"')
+        raise CliError('config key radius: must be an object with "fixed" or "adaptive"')
     return SamplingConfig(
-        k=int(cfg["k"]), radius_mode=mode, r_min=float(cfg["r_min"]), r_max=float(cfg["r_max"])
+        k=_as(int, cfg["k"], "k"),
+        radius_mode=mode,
+        r_min=_as(float, cfg["r_min"], "r_min"),
+        r_max=_as(float, cfg["r_max"], "r_max"),
     )
 
 
@@ -225,9 +250,7 @@ STANDARDIZE_DEFAULTS = {"history_s": 1.0, "horizon_s": 3.0, "rate_hz": 10.0}
 def cmd_standardize(args) -> int:
     cfg_raw, _ = _load_config(args.config)
     cfg = _merge(STANDARDIZE_DEFAULTS, cfg_raw)
-    std = StandardizationConfig(
-        history_s=cfg["history_s"], horizon_s=cfg["horizon_s"], rate_hz=cfg["rate_hz"]
-    )
+    std = StandardizationConfig(**{key: _as(float, cfg[key], key) for key in STANDARDIZE_DEFAULTS})
     out = _out_dir(args)
     cfg_hash = config_hash(cfg)
     n_ok = 0
@@ -259,7 +282,7 @@ def cmd_standardize(args) -> int:
 def cmd_synth(args) -> int:
     cfg_raw, _ = _load_config(args.config)
     n_cfg = cfg_raw.pop("n", None)
-    n = args.n if args.n is not None else (int(n_cfg) if n_cfg is not None else 100)
+    n = args.n if args.n is not None else (_as(int, n_cfg, "n") if n_cfg is not None else 100)
     if args.seed is not None:
         cfg_raw["seed"] = args.seed
     scen = ScenarioConfig.from_dict(cfg_raw)
@@ -302,7 +325,7 @@ def cmd_evaluate(args) -> int:
     cfg_raw, base = _load_config(args.config)
     cfg = _merge(SAMPLING_DEFAULTS, cfg_raw)
     sampling = _sampling_config(cfg, base)
-    threshold = float(cfg["miss_threshold"])
+    threshold = _as(float, cfg["miss_threshold"], "miss_threshold")
     out = _out_dir(args)
     cfg_hash = config_hash(cfg)
     pairs = _load_eval_pairs(Path(args.heatmaps), Path(args.ground_truth))
@@ -371,14 +394,17 @@ def _mixed_pairs(sources: list[dict], n: int, seed: int, base: Path | None):
 def cmd_calibrate(args) -> int:
     cfg_raw, base = _load_config(args.config)
     cfg = _merge(CALIBRATE_DEFAULTS, cfg_raw)
+    k = _as(int, cfg["k"], "k")
+    bin_width = _as(float, cfg["bin_width"], "bin_width")
+    min_count = _as(int, cfg["min_count"], "min_count")
     sweep = RadiusSweepConfig(
-        r_values=tuple(cfg["r_values"]) if cfg["r_values"] else (),
-        l_for_objective=int(cfg["l_for_objective"]),
+        r_values=_as(tuple, cfg["r_values"], "r_values") if cfg["r_values"] else (),
+        l_for_objective=_as(int, cfg["l_for_objective"], "l_for_objective"),
     )
     out = _out_dir(args)
     cfg_hash = config_hash(cfg)
     if cfg["mixed_sources"]:
-        n = int(cfg["mixed_n"] or 0)
+        n = _as(int, cfg["mixed_n"] or 0, "mixed_n")
         if n < 1:
             raise CliError("mixed_sources requires a positive mixed_n")
         pairs = _mixed_pairs(cfg["mixed_sources"], n, args.seed or 0, base)
@@ -386,21 +412,19 @@ def cmd_calibrate(args) -> int:
         if not args.heatmaps or not args.ground_truth:
             raise CliError("calibrate needs HEATMAPS and GROUND_TRUTH (or mixed_sources config)")
         pairs = _load_eval_pairs(Path(args.heatmaps), Path(args.ground_truth))
-    payloads = [(h, gt, int(cfg["k"]), sweep) for _, h, gt in pairs]
+    payloads = [(h, gt, k, sweep) for _, h, gt in pairs]
     spread_radius = _parallel_map(_calib_one, payloads, args.workers)
     model = calibrate(
         (),
-        k=int(cfg["k"]),
+        k=k,
         sweep=sweep,
-        bin_width=float(cfg["bin_width"]),
-        min_count=int(cfg["min_count"]),
+        bin_width=bin_width,
+        min_count=min_count,
         source_dataset=str(cfg["dataset_tag"]),
         spread_radius_pairs=spread_radius,
     )
     write_json(out / "model.json", {**model_to_dict(model), "config_hash": cfg_hash})
-    bins = binned_optimal_radii(
-        spread_radius, bin_width=float(cfg["bin_width"]), min_count=int(cfg["min_count"])
-    )
+    bins = binned_optimal_radii(spread_radius, bin_width=bin_width, min_count=min_count)
     with open(out / "binned_radii.csv", "w", newline="") as f:
         f.write(f"# config_hash={cfg_hash}\n")
         w = csv.writer(f)
@@ -441,7 +465,7 @@ def cmd_cross_eval(args) -> int:
     manifest_path = Path(args.manifest)
     if not manifest_path.exists():
         raise CliError(f"manifest not found: {manifest_path}")
-    manifest = read_json(manifest_path)
+    manifest = _read_object(manifest_path)
     base = manifest_path.parent
     cfg_hash = config_hash(manifest)
     out = _out_dir(args)
@@ -455,27 +479,31 @@ def cmd_cross_eval(args) -> int:
     if len(set(row_tags)) != len(row_tags) or len(set(col_tags)) != len(col_tags):
         raise CliError("model and test set tags must be unique")
 
-    sampling_cfg = _merge(
-        {"k": 6, "r_min": 0.1, "r_max": 10.0, "miss_threshold": 2.0},
-        manifest.get("sampling", {}),
-    )
-    k = int(sampling_cfg["k"])
-    threshold = float(sampling_cfg["miss_threshold"])
-    baseline_r = float(manifest.get("baseline_fixed_radius", 1.5))
+    sampling = manifest.get("sampling", {})
+    if not isinstance(sampling, dict):
+        raise CliError("manifest key sampling: must be an object")
+    # the radius comes from each model row, so the manifest may not set one
+    sampling_cfg = _merge({key: v for key, v in SAMPLING_DEFAULTS.items() if key != "radius"}, sampling)
+    k = _as(int, sampling_cfg["k"], "sampling.k")
+    r_min = _as(float, sampling_cfg["r_min"], "sampling.r_min")
+    r_max = _as(float, sampling_cfg["r_max"], "sampling.r_max")
+    threshold = _as(float, sampling_cfg["miss_threshold"], "sampling.miss_threshold")
+    baseline_r = _as(float, manifest.get("baseline_fixed_radius", 1.5), "baseline_fixed_radius")
+
+    def _config_for(mode) -> SamplingConfig:
+        return SamplingConfig(k=k, radius_mode=mode, r_min=r_min, r_max=r_max)
 
     def _mode_for(model_entry: dict):
         if "calibration" in model_entry and model_entry["calibration"] is not None:
-            path = _resolve_path(base, model_entry["calibration"])
-            if not path.exists():
-                raise CliError(f"calibration model not found: {path}")
-            return AdaptiveRadius(model_from_dict(read_json(path)))
+            return _adaptive_mode(_resolve_path(base, model_entry["calibration"]))
         if "fixed_radius" in model_entry and model_entry["fixed_radius"] is not None:
-            return FixedRadius(float(model_entry["fixed_radius"]))
+            return FixedRadius(_as(float, model_entry["fixed_radius"], "fixed_radius"))
         raise CliError(
             f"model {model_entry.get('train_dataset')}: needs calibration or fixed_radius"
         )
 
-    modes = {tag: _mode_for(m) for tag, m in zip(row_tags, models)}
+    base_cfg = _config_for(FixedRadius(baseline_r))
+    configs = {tag: _config_for(_mode_for(m)) for tag, m in zip(row_tags, models)}
     set_paths = {
         tag: (
             _resolve_path(base, t["heatmaps"]),
@@ -502,10 +530,6 @@ def cmd_cross_eval(args) -> int:
                 n_failed += 1
             baselines[col] = {"status": "failed", "error": str(e)}
             continue
-        base_cfg = SamplingConfig(
-            k=k, radius_mode=FixedRadius(baseline_r),
-            r_min=float(sampling_cfg["r_min"]), r_max=float(sampling_cfg["r_max"]),
-        )
         base_rep = aggregate(_run_evaluation(pairs, base_cfg, threshold, args.workers))
         baselines[col] = {
             "status": "ok", "min_fde": base_rep.min_fde_l[-1], "mr": base_rep.mr_l[-1],
@@ -513,11 +537,7 @@ def cmd_cross_eval(args) -> int:
         }
         for row in row_tags:
             try:
-                cfg = SamplingConfig(
-                    k=k, radius_mode=modes[row],
-                    r_min=float(sampling_cfg["r_min"]), r_max=float(sampling_cfg["r_max"]),
-                )
-                rep = aggregate(_run_evaluation(pairs, cfg, threshold, args.workers))
+                rep = aggregate(_run_evaluation(pairs, configs[row], threshold, args.workers))
                 base_fde = base_rep.min_fde_l[-1]
                 improvement = (
                     (base_fde - rep.min_fde_l[-1]) / base_fde if base_fde > 0 else None
@@ -599,7 +619,9 @@ def cmd_analysis(args) -> int:
         cfg = _merge(ANALYSIS_UNCERTAINTY_DEFAULTS, cfg_raw)
         cfg_hash = config_hash(cfg)
         records = read_records_csv(args.input)
-        bins = bin_by_uncertainty(records, float(cfg["bin_width"]), int(cfg["min_count"]))
+        bins = bin_by_uncertainty(
+            records, _as(float, cfg["bin_width"], "bin_width"), _as(int, cfg["min_count"], "min_count")
+        )
         rows = [(lower, mean, count) for lower, mean, count in bins]
         _write_xy_csv(out / "uncertainty_error.csv", rows, ["bin_lower", "mean_min_fde_1", "count"], cfg_hash)
         if args.svg:
@@ -612,7 +634,8 @@ def cmd_analysis(args) -> int:
         cfg = _merge(ANALYSIS_NOISE_DEFAULTS, cfg_raw)
         cfg_hash = config_hash(cfg)
         kcfg = KalmanConfig(
-            process_accel_std=float(cfg["process_accel_std"]), obs_std=float(cfg["obs_std"])
+            process_accel_std=_as(float, cfg["process_accel_std"], "process_accel_std"),
+            obs_std=_as(float, cfg["obs_std"], "obs_std"),
         )
         noises = []
         for d in read_jsonl(args.input):
@@ -622,7 +645,7 @@ def cmd_analysis(args) -> int:
         if not noises:
             raise CliError(f"{args.input}: no samples")
         _write_xy_csv(out / "noise.csv", noises, ["sample_id", "noise_m"], cfg_hash)
-        hist = floor_histogram([n for _, n in noises], float(cfg["bin_width"]))
+        hist = floor_histogram([n for _, n in noises], _as(float, cfg["bin_width"], "bin_width"))
         write_json(out / "noise_hist.json", {
             "config_hash": cfg_hash,
             "bin_width": cfg["bin_width"],
@@ -637,7 +660,7 @@ def cmd_analysis(args) -> int:
             speeds.append(average_speed(sample_from_dict(d)))
         if not speeds:
             raise CliError(f"{args.input}: no samples")
-        hist = floor_histogram(speeds, float(cfg["bin_width"]))
+        hist = floor_histogram(speeds, _as(float, cfg["bin_width"], "bin_width"))
         rows = [(lo, fr, c) for lo, c, fr in hist]
         _write_xy_csv(out / "speed_hist.csv", rows, ["bin_lower", "fraction", "count"], cfg_hash)
         write_json(out / "speed_hist.json", {
@@ -785,6 +808,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.workers < 1:
+            raise CliError(f"--workers must be at least 1, got {args.workers}")
         return args.func(args)
     except (CliError, ValueError, OSError) as e:
         logger.error("%s", e)

@@ -1,51 +1,58 @@
-"""Kernel selection: compiled extension when available, numpy fallback otherwise.
+"""Greedy peak-suppression kernel over sparse probability grids.
 
-The two backends implement the same contract bit-for-bit (see the module
-docstrings of ``_nms_cy`` / ``_nms_py``). Set ``HEATPRED_FORCE_PYTHON=1``
-before import to force the fallback, e.g. for benchmarking.
+The sampler's numeric contract lives here, and the dense brute-force oracle
+in ``tests/helpers.py`` pins it bit-for-bit:
+
+- the next peak is the largest live probability; ties go to the lowest
+  position (first occurrence of the maximum in ascending cell-index order);
+- a live cell is suppressed when its squared distance to the peak is at most
+  ``r * r``;
+- the peak's score is the Kahan-compensated sum of the live mass it
+  suppresses, accumulated in ascending cell-index order with zero cells
+  skipped.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-from . import _nms_py
-
-if os.environ.get("HEATPRED_FORCE_PYTHON") == "1":
-    _impl = _nms_py
-    BACKEND = "python"
-else:
-    try:
-        from . import _nms_cy as _impl  # type: ignore[no-redef]
-
-        BACKEND = "cython"
-    except ImportError:
-        _impl = _nms_py
-        BACKEND = "python"
+# Name of the kernel implementation, recorded in benchmark reports.
+BACKEND = "python"
 
 
-def nms_kernel(xs, ys, probs, r, k, impl=None):
-    """Run greedy peak suppression on copies of the input arrays.
+def nms_kernel(xs, ys, probs, r, k):
+    """Greedy peak extraction on index-sorted cell centres and probabilities.
 
-    Arrays must be float64 and index-sorted; ``probs`` is copied before the
-    kernel mutates it. Returns (cell indices, scores) in emission order.
+    ``probs`` is copied, never mutated. Returns (array positions of the
+    peaks, scores) in emission order; stops after ``k`` peaks or when no
+    live mass remains.
     """
     work = np.array(probs, dtype=np.float64, copy=True)
     xs = np.ascontiguousarray(xs, dtype=np.float64)
     ys = np.ascontiguousarray(ys, dtype=np.float64)
-    backend = impl if impl is not None else _impl
-    return backend.nms(xs, ys, work, float(r), int(k))
-
-
-def available_backends():
-    """Mapping of backend name to kernel module, for tests and benchmarks."""
-    out = {"python": _nms_py}
-    try:
-        from . import _nms_cy
-
-        out["cython"] = _nms_cy
-    except ImportError:
-        pass
-    return out
+    r2 = float(r) * float(r)
+    k = int(k)
+    idx_out: list[int] = []
+    score_out: list[float] = []
+    while len(idx_out) < k:
+        peak = int(np.argmax(work))
+        if work[peak] <= 0.0:
+            break
+        dx = xs - xs[peak]
+        dy = ys - ys[peak]
+        sel = np.flatnonzero((dx * dx + dy * dy <= r2) & (work > 0.0))
+        s = 0.0
+        c = 0.0
+        for j in sel:
+            p = work[j]
+            y = p - c
+            t = s + y
+            c = (t - s) - y
+            s = t
+        work[sel] = 0.0
+        idx_out.append(peak)
+        score_out.append(s)
+    return (
+        np.asarray(idx_out, dtype=np.int64),
+        np.asarray(score_out, dtype=np.float64),
+    )

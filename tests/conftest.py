@@ -1,15 +1,7 @@
 import numpy as np
 import pytest
 
-from heatpred import kernels
-
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
-
-
-@pytest.fixture(params=sorted(kernels.available_backends()))
-def nms_backend(request):
-    """(name, module) for every kernel backend built in this environment."""
-    return request.param, kernels.available_backends()[request.param]

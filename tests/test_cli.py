@@ -166,6 +166,28 @@ class TestEvaluate:
         assert (out1 / "aggregate.json").read_bytes() == (out2 / "aggregate.json").read_bytes()
 
 
+class TestConfigAndFlags:
+    @pytest.mark.parametrize(
+        "text, named",
+        [("[1,2]", None), ('"x"', None), ('{"radius": 5}', "radius"), ('{"k": null}', "config key k")],
+        ids=["array", "string", "radius-number", "k-null"],
+    )
+    def test_bad_config_fails_naming_file_or_key(self, tmp_path, caplog, text, named):
+        hm, gt = write_pairs(tmp_path, point_mass_pairs(3))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        argv = ["evaluate", str(hm), str(gt), "--config", str(cfg), "--out", str(tmp_path / "out")]
+        assert main(argv) == EXIT_FAILURE
+        assert (named or str(cfg)) in caplog.text
+
+    def test_workers_below_one_rejected(self, tmp_path, caplog):
+        hm, gt = write_pairs(tmp_path, point_mass_pairs(3))
+        out = tmp_path / "out"
+        assert main(["evaluate", str(hm), str(gt), "--out", str(out), "--workers", "-3"]) == EXIT_FAILURE
+        assert "--workers" in caplog.text
+        assert not out.exists()
+
+
 class TestCalibrateCli:
     def test_planted_recovery_and_round_trip(self, tmp_path):
         pairs = planted_calibration_dataset(160)

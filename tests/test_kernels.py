@@ -6,90 +6,65 @@ from heatpred.heatmap import GridSpec, Heatmap, normalize
 from helpers import dense_from_heatmap, dense_nms_oracle, random_heatmap
 
 
-def run_backend(backend, h, r, k):
+def run_kernel(h, r, k):
     xs, ys = h.cell_centers()
-    return kernels.nms_kernel(xs, ys, h.prob, r, k, impl=backend)
+    return kernels.nms_kernel(xs, ys, h.prob, r, k)
 
 
 class TestKernelContract:
-    def test_kernel_does_not_mutate_heatmap(self, rng, nms_backend):
-        _, backend = nms_backend
+    def test_kernel_does_not_mutate_heatmap(self, rng):
         h = random_heatmap(rng, GridSpec(0, 0, 0.5, 16, 16), 60)
         before = h.prob.copy()
-        run_backend(backend, h, 1.0, 6)
+        run_kernel(h, 1.0, 6)
         assert np.array_equal(h.prob, before)
 
-    def test_emission_count_stops_at_k_or_exhaustion(self, rng, nms_backend):
-        _, backend = nms_backend
+    def test_emission_count_stops_at_k_or_exhaustion(self, rng):
         h = random_heatmap(rng, GridSpec(0, 0, 0.5, 16, 16), 40)
-        peaks, scores = run_backend(backend, h, 0.4, 6)
+        peaks, scores = run_kernel(h, 0.4, 6)
         assert 1 <= len(peaks) <= 6
         # huge radius sweeps everything in one step
-        peaks1, scores1 = run_backend(backend, h, 100.0, 6)
+        peaks1, scores1 = run_kernel(h, 100.0, 6)
         assert len(peaks1) == 1
         assert scores1[0] == pytest.approx(1.0, abs=1e-12)
 
-    def test_scores_are_suppressed_mass(self, rng, nms_backend):
-        _, backend = nms_backend
+    def test_scores_are_suppressed_mass(self, rng):
         h = random_heatmap(rng, GridSpec(0, 0, 0.5, 24, 24), 200)
-        _, scores = run_backend(backend, h, 1.5, 6)
+        _, scores = run_kernel(h, 1.5, 6)
         assert float(np.sum(scores)) <= 1.0 + 1e-6
 
 
-class TestBackendsAgreeBitExactly:
-    def test_backends_identical_on_random_heatmaps(self, rng):
-        backends = kernels.available_backends()
-        if len(backends) < 2:
-            pytest.skip("compiled backend not built")
-        for trial in range(200):
-            grid = GridSpec(-6.0, -6.0, 0.5, 32, 32)
-            h = random_heatmap(rng, grid, int(rng.integers(5, 400)))
-            r = float(rng.uniform(0.2, 6.0))
-            k = int(rng.integers(1, 8))
-            results = {
-                name: run_backend(mod, h, r, k) for name, mod in backends.items()
-            }
-            ref_peaks, ref_scores = results["python"]
-            for name, (peaks, scores) in results.items():
-                assert np.array_equal(peaks, ref_peaks), f"{name} trial {trial}"
-                assert np.array_equal(scores, ref_scores), f"{name} trial {trial}"
-
-
 class TestAgainstDenseOracle:
-    def test_matches_dense_oracle_bit_exactly(self, rng, nms_backend):
-        name, backend = nms_backend
+    def test_matches_dense_oracle_bit_exactly(self, rng):
         for trial in range(60):
             grid = GridSpec(-8.0, -8.0, 0.5, 48, 48)
             h = random_heatmap(rng, grid, int(rng.integers(10, 600)))
             r = float(rng.choice([0.5, 1.5, 3.0]))
             k = 6
-            peaks, scores = run_backend(backend, h, r, k)
+            peaks, scores = run_kernel(h, r, k)
             xs, ys = h.cell_centers()
             got = [(float(xs[p]), float(ys[p]), float(s)) for p, s in zip(peaks, scores)]
             order = np.argsort(-scores, kind="stable")
             got = [got[j] for j in order]
             expected = dense_nms_oracle(grid, dense_from_heatmap(h), r, k)
-            assert got == expected, f"{name} trial {trial}"
+            assert got == expected, f"trial {trial}"
 
-    def test_tie_break_lowest_row_major_index(self, nms_backend):
-        _, backend = nms_backend
+    def test_tie_break_lowest_row_major_index(self):
         grid = GridSpec(0.0, 0.0, 1.0, 8, 8)
         h = normalize(Heatmap.from_cells(grid, {10: 1.0, 30: 1.0, 50: 1.0}))
-        peaks, _ = run_backend(backend, h, 0.5, 3)
+        peaks, _ = run_kernel(h, 0.5, 3)
         assert h.idx[peaks[0]] == 10
         assert h.idx[peaks[1]] == 30
         assert h.idx[peaks[2]] == 50
 
 
 class TestStorageOrderIndependence:
-    def test_shuffled_cells_same_result(self, rng, nms_backend):
-        _, backend = nms_backend
+    def test_shuffled_cells_same_result(self, rng):
         grid = GridSpec(0.0, 0.0, 0.5, 32, 32)
         base = random_heatmap(rng, grid, 200)
         perm = rng.permutation(len(base))
         # constructor re-sorts by cell index, so content is bit-identical
         shuffled = Heatmap(grid, base.idx[perm], base.prob[perm])
-        a = run_backend(backend, base, 1.5, 6)
-        b = run_backend(backend, shuffled, 1.5, 6)
+        a = run_kernel(base, 1.5, 6)
+        b = run_kernel(shuffled, 1.5, 6)
         assert np.array_equal(a[0], b[0])
         assert np.array_equal(a[1], b[1])
