@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Time the NMS kernel on one extraction and on a 50-radius sweep.
 
-The sweep is what calibration runs per heatmap, so it is timed next to a
-single k=6 extraction for each heatmap size. End-to-end numbers come from
-``perfbench/``.
+The sweep is what calibration runs per heatmap: one ``kernels.nms_sweep``
+call that shares the probability sort across all 50 radii and skips scores,
+as ``radius_sweep_errors`` does for l >= k. It is timed next to a single k=6
+extraction (``kernels.nms_kernel``, with scores) for each heatmap size.
+End-to-end numbers come from ``perfbench/``.
 
 Usage: python benchmarks/bench_nms.py [--repeats N]
 """
@@ -40,7 +42,7 @@ def main():
     args = parser.parse_args()
 
     rng = np.random.default_rng(1)
-    sweep = [round(0.1 * i, 10) for i in range(1, 51)]
+    sweep = tuple(round(0.1 * i, 10) for i in range(1, 51))
     sizes = (500, 2_000, 8_000, 20_000)
 
     print(f"{'cells':>7} {'nms k=6 r=1.5':>14} {'50-radius sweep':>16}")
@@ -49,7 +51,7 @@ def main():
         xs, ys = h.cell_centers()
         single = time_call(lambda: kernels.nms_kernel(xs, ys, h.prob, 1.5, 6), args.repeats)
         full = time_call(
-            lambda: [kernels.nms_kernel(xs, ys, h.prob, r, 6) for r in sweep], args.repeats
+            lambda: kernels.nms_sweep(xs, ys, h.prob, sweep, 6, scores=False), args.repeats
         )
         print(f"{n_cells:>7} {single * 1e3:>11.3f} ms {full * 1e3:>13.2f} ms")
 

@@ -28,8 +28,8 @@ from .calibration import (
     model_to_dict,
     optimal_radius,
 )
-from .heatmap import Heatmap, heatmap_from_dict, uncertainty
-from .io import canonical_dumps, config_hash, read_json, read_jsonl, write_json
+from .heatmap import Heatmap, UncertaintyEstimate, heatmap_from_dict, uncertainty
+from .io import canonical_dumps, config_hash, jsonl_line_number, read_json, read_jsonl, write_json
 from .metrics import (
     EvalRecord,
     aggregate,
@@ -67,6 +67,10 @@ EXIT_PARTIAL = 2
 
 class CliError(RuntimeError):
     pass
+
+
+# What parsing one malformed JSONL record can raise.
+RECORD_ERRORS = (KeyError, IndexError, TypeError, ValueError)
 
 
 # ---------------------------------------------------------------------------
@@ -161,10 +165,24 @@ def _parallel_map(fn, payloads: list, workers: int) -> list:
         return list(ex.map(fn, payloads, chunksize=chunk))
 
 
+def _record_error(path: Path, index: int, record, e: Exception) -> CliError:
+    """CliError naming ``path:line`` of the index-th record and its sample id, if readable."""
+    where = f"{path}:{jsonl_line_number(path, index)}"
+    if not isinstance(record, dict):
+        return CliError(f"{where}: record must be a JSON object")
+    sid = record.get("sample_id")
+    who = "" if sid is None else f" (sample {sid})"
+    why = f"missing key {e}" if isinstance(e, KeyError) else str(e)
+    return CliError(f"{where}{who}: {why}")
+
+
 def _load_heatmaps(path: Path) -> list[tuple[str, Heatmap]]:
     out = []
-    for d in read_jsonl(path):
-        out.append(heatmap_from_dict(d))
+    for i, d in enumerate(read_jsonl(path)):
+        try:
+            out.append(heatmap_from_dict(d))
+        except RECORD_ERRORS as e:
+            raise _record_error(path, i, d, e) from None
     if not out:
         raise CliError(f"{path}: no heatmaps")
     ids = [sid for sid, _ in out]
@@ -175,11 +193,15 @@ def _load_heatmaps(path: Path) -> list[tuple[str, Heatmap]]:
 
 def _load_ground_truth(path: Path) -> dict[str, tuple[float, float]]:
     gts: dict[str, tuple[float, float]] = {}
-    for d in read_jsonl(path):
-        sid = str(d["sample_id"])
+    for i, d in enumerate(read_jsonl(path)):
+        try:
+            sid = str(d["sample_id"])
+            gt = (float(d["gt"][0]), float(d["gt"][1]))
+        except RECORD_ERRORS as e:
+            raise _record_error(path, i, d, e) from None
         if sid in gts:
             raise CliError(f"{path}: duplicate sample id {sid}")
-        gts[sid] = (float(d["gt"][0]), float(d["gt"][1]))
+        gts[sid] = gt
     if not gts:
         raise CliError(f"{path}: no ground truth entries")
     return gts
@@ -203,8 +225,8 @@ def _load_eval_pairs(
 
 
 def _eval_one(payload) -> EvalRecord:
-    sid, h, gt, cfg, threshold = payload
-    ps = sample_with_uncertainty(h, cfg)
+    sid, h, gt, est, cfg, threshold = payload
+    ps = sample_with_uncertainty(h, cfg, est)
     return make_eval_record(sid, ps, gt, cfg.k, threshold)
 
 
@@ -213,8 +235,12 @@ def _run_evaluation(
     cfg: SamplingConfig,
     threshold: float,
     workers: int,
+    estimates: list[UncertaintyEstimate] | None = None,
 ) -> list[EvalRecord]:
-    payloads = [(sid, h, gt, cfg, threshold) for sid, h, gt in pairs]
+    """Sample and score every pair; ``estimates`` supplies spreads already taken."""
+    if estimates is None:
+        estimates = [None] * len(pairs)
+    payloads = [(sid, h, gt, est, cfg, threshold) for (sid, h, gt), est in zip(pairs, estimates)]
     return _parallel_map(_eval_one, payloads, workers)
 
 
@@ -431,7 +457,12 @@ def cmd_calibrate(args) -> int:
         w.writerow(["bin_center", "mean_optimal_radius", "count"])
         for center, mean_r, count in bins:
             w.writerow([repr(center), repr(mean_r), count])
-    _write_run_meta(out, "calibrate", cfg_hash, n=len(pairs))
+    # optima on the first or last sweep radius suggest the sweep is too narrow
+    n_edge = sum(1 for _, r in spread_radius if r in (sweep.r_values[0], sweep.r_values[-1]))
+    _write_run_meta(
+        out, "calibrate", cfg_hash, n=len(pairs),
+        sweep_edge_count=n_edge, sweep_edge_share=n_edge / len(pairs),
+    )
     logger.info(
         "calibrated %s: r = %.4f * spread + %.4f over %d bins",
         model.source_dataset, model.a, model.b, model.bin_count,
@@ -530,14 +561,18 @@ def cmd_cross_eval(args) -> int:
                 n_failed += 1
             baselines[col] = {"status": "failed", "error": str(e)}
             continue
-        base_rep = aggregate(_run_evaluation(pairs, base_cfg, threshold, args.workers))
+        # one spread per test heatmap, shared by the baseline and every model row
+        estimates = [uncertainty(h) for _, h, _ in pairs]
+        base_rep = aggregate(_run_evaluation(pairs, base_cfg, threshold, args.workers, estimates))
         baselines[col] = {
             "status": "ok", "min_fde": base_rep.min_fde_l[-1], "mr": base_rep.mr_l[-1],
             "count": base_rep.count,
         }
         for row in row_tags:
             try:
-                rep = aggregate(_run_evaluation(pairs, configs[row], threshold, args.workers))
+                rep = aggregate(
+                    _run_evaluation(pairs, configs[row], threshold, args.workers, estimates)
+                )
                 base_fde = base_rep.min_fde_l[-1]
                 improvement = (
                     (base_fde - rep.min_fde_l[-1]) / base_fde if base_fde > 0 else None

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -20,16 +21,26 @@ def config_hash(obj) -> str:
     return hashlib.sha256(canonical_dumps(obj).encode()).hexdigest()[:16]
 
 
-def read_jsonl(path) -> Iterator[dict]:
+def _jsonl_lines(path) -> Iterator[tuple[int, str]]:
+    """(1-based line number, stripped text) of every non-blank line."""
     with open(path) as f:
         for line_no, line in enumerate(f, start=1):
             line = line.strip()
-            if not line:
-                continue
-            try:
-                yield json.loads(line)
-            except json.JSONDecodeError as e:
-                raise ValueError(f"{path}:{line_no}: invalid JSON ({e})") from e
+            if line:
+                yield line_no, line
+
+
+def read_jsonl(path) -> Iterator[dict]:
+    for line_no, line in _jsonl_lines(path):
+        try:
+            yield json.loads(line)
+        except json.JSONDecodeError as e:
+            raise ValueError(f"{path}:{line_no}: invalid JSON ({e})") from e
+
+
+def jsonl_line_number(path, index: int) -> int:
+    """Line number of the record that ``read_jsonl(path)`` yields at 0-based ``index``."""
+    return next(islice(_jsonl_lines(path), index, None))[0]
 
 
 def write_jsonl(path, rows: Iterable[dict]) -> int:

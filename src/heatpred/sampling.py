@@ -111,9 +111,13 @@ def adaptive_radius(
     return float(min(max(model.a * spread + model.b, r_min), r_max))
 
 
-def sample_with_uncertainty(h: Heatmap, cfg: SamplingConfig = SamplingConfig()) -> PredictionSet:
-    """Estimate spread, resolve the radius per config, then run the sampler."""
-    est = uncertainty(h)
+def sample_with_uncertainty(
+    h: Heatmap, cfg: SamplingConfig = SamplingConfig(), est: Optional[UncertaintyEstimate] = None
+) -> PredictionSet:
+    """Estimate spread (unless ``est`` gives it), resolve the radius per config,
+    then run the sampler."""
+    if est is None:
+        est = uncertainty(h)
     if isinstance(cfg.radius_mode, FixedRadius):
         r = cfg.radius_mode.r
     else:

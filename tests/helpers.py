@@ -64,6 +64,32 @@ def random_heatmap(rng: np.random.Generator, grid: GridSpec, n_cells: int) -> He
     return normalize(Heatmap(grid, idx, prob))
 
 
+SWEEP_CASES = ("random", "tied", "fewer_cells_than_k", "prefix_doubles")
+
+
+def sweep_case(name: str, rng: np.random.Generator) -> tuple[Heatmap, int]:
+    """(heatmap, k) inputs that reach each branch of the shared-sort radius sweep."""
+    grid = GridSpec(-8.0, -8.0, 0.5, 48, 48)
+    if name == "random":
+        return random_heatmap(rng, grid, 400), 6
+    if name == "tied":
+        # three cells above 297 equal ones: every radius picks peaks among
+        # ties, and the initial prefix ends inside the tied level
+        idx = rng.choice(grid.n_cells, size=300, replace=False)
+        prob = np.ones(300)
+        prob[:3] = 2.0
+        return normalize(Heatmap(grid, idx, prob)), 6
+    if name == "fewer_cells_than_k":
+        return normalize(Heatmap.from_cells(grid, {5: 0.5, 700: 0.3, 2000: 0.2})), 6
+    if name == "prefix_doubles":
+        # every cell populated around one smooth bump: at large radii the
+        # first peak suppresses more than the initial prefix of sorted cells
+        xs, ys = grid.cell_centers(np.arange(grid.n_cells))
+        prob = np.exp(-(xs * xs + ys * ys) / 50.0) + 1e-3 * rng.random(grid.n_cells)
+        return normalize(Heatmap(grid, np.arange(grid.n_cells), prob)), 6
+    raise ValueError(f"unknown sweep case {name!r}")
+
+
 def covariance_trace_oracle(h: Heatmap):
     """Two-pass covariance of the cell distribution: returns (mean, trace)."""
     xs, ys = h.cell_centers()

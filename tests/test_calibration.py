@@ -25,7 +25,9 @@ from heatpred.heatmap import (
     normalize,
     render_mixture,
 )
-from helpers import planted_calibration_dataset, random_heatmap
+from heatpred.metrics import min_fde
+from heatpred.sampling import nms_sample
+from helpers import SWEEP_CASES, planted_calibration_dataset, random_heatmap, sweep_case
 
 
 class TestOptimalRadius:
@@ -65,6 +67,35 @@ class TestOptimalRadius:
             RadiusSweepConfig(r_values=(1.0, 0.5))
         with pytest.raises(ValueError, match="positive"):
             RadiusSweepConfig(r_values=(-1.0, 0.5))
+
+
+class TestSweepMatchesPerRadiusSampling:
+    """``radius_sweep_errors`` equals one ``nms_sample`` + ``min_fde`` per radius, bit for bit."""
+
+    @pytest.mark.parametrize("l", [6, 3, 1])
+    @pytest.mark.parametrize("case", SWEEP_CASES)
+    def test_bit_equal_to_per_radius_loop(self, rng, case, l):
+        h, k = sweep_case(case, rng)
+        # radii below the 0.5 grid resolution, then up past the prefix-doubling range
+        radii = (0.05, 0.2, 0.45) + RadiusSweepConfig().r_values[4:]
+        sweep = RadiusSweepConfig(r_values=radii, l_for_objective=l)
+        for gt in [(0.3, -1.7), tuple(rng.uniform(-8, 8, 2))]:
+            expected = [min_fde(nms_sample(h, k, r), gt, l) for r in sweep.r_values]
+            got = radius_sweep_errors(h, gt, k, sweep)
+            assert got.tolist() == expected
+
+    def test_random_heatmaps_default_sweep(self, rng):
+        sweep = RadiusSweepConfig()
+        for _ in range(8):
+            h = random_heatmap(rng, GridSpec(-6, -6, 0.5, 24, 24), int(rng.integers(3, 400)))
+            gt = tuple(rng.uniform(-5, 5, 2))
+            expected = [min_fde(nms_sample(h, 6, r), gt, 6) for r in sweep.r_values]
+            assert radius_sweep_errors(h, gt, 6, sweep).tolist() == expected
+
+    def test_rejects_unnormalized_heatmap(self):
+        h = Heatmap.from_cells(GridSpec(0.0, 0.0, 0.5, 8, 8), {3: 2.0})
+        with pytest.raises(ValueError, match="normalized"):
+            radius_sweep_errors(h, (0.0, 0.0), 6, RadiusSweepConfig())
 
 
 class TestBinnedOptimalRadii:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from heatpred.cli import EXIT_FAILURE, EXIT_OK, EXIT_PARTIAL, main
-from heatpred.heatmap import GridSpec, Heatmap, heatmap_to_dict, normalize
+from heatpred.heatmap import GridSpec, Heatmap, heatmap_to_dict, normalize, uncertainty
 from heatpred.io import read_json, write_json, write_jsonl
 from heatpred.metrics import EvalRecord, write_records_csv
 from heatpred.synth import ScenarioConfig, generate_dataset
@@ -254,6 +254,54 @@ class TestCalibrateCli:
         assert model["bin_count"] >= 2
 
 
+    def test_sweep_edge_share_in_run_meta(self, tmp_path):
+        # planted optimal radii lie in 1.2..3.9; a sweep ending at 1.0 leaves
+        # every sample tied across the sweep, so each optimum is its first value
+        pairs = planted_calibration_dataset(20)
+        hm, gt = write_pairs(tmp_path / "data", pairs)
+        for name, r_values, share in (
+            ("narrow", [round(0.1 * i, 10) for i in range(1, 11)], 1.0),
+            ("default", None, 0.0),
+        ):
+            cfg = tmp_path / f"{name}.json"
+            write_json(cfg, {"bin_width": 10.0, "min_count": 1, "r_values": r_values})
+            out = tmp_path / name
+            assert main(["calibrate", str(hm), str(gt), "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+            meta = read_json(out / "run_meta.json")
+            assert meta["sweep_edge_share"] == share
+            assert meta["sweep_edge_count"] == share * len(pairs)
+
+
+class TestMalformedRecord:
+    @pytest.mark.parametrize("command", ["sample", "evaluate", "calibrate", "cross-eval"])
+    def test_error_names_file_line_and_sample(self, tmp_path, caplog, command):
+        hm, gt = write_pairs(tmp_path / "d", point_mass_pairs(2))
+        rows = [json.loads(ln) for ln in hm.read_text().splitlines()]
+        rows[1]["cells"].append([0 if rows[1]["cells"][0][0] else 1, -0.5])
+        write_jsonl(hm, rows)
+        out = tmp_path / "out"
+        if command == "sample":
+            argv = ["sample", str(hm)]
+        elif command == "cross-eval":
+            manifest = tmp_path / "manifest.json"
+            write_json(manifest, {
+                "models": [{"train_dataset": "m0", "fixed_radius": 1.0}],
+                "test_sets": [{"dataset": "t0", "heatmaps": str(hm), "ground_truth": str(gt)}],
+            })
+            argv = ["cross-eval", str(manifest)]
+        else:
+            argv = [command, str(hm), str(gt)]
+        assert main(argv + ["--out", str(out)]) == EXIT_FAILURE
+        assert f"{hm}:2 (sample c0001): probabilities must be non-negative" in caplog.text
+        assert "Traceback" not in caplog.text
+
+    def test_non_object_ground_truth_line(self, tmp_path, caplog):
+        hm, gt = write_pairs(tmp_path / "d", point_mass_pairs(2))
+        gt.write_text(gt.read_text() + "\n[1, 2]\n")
+        assert main(["evaluate", str(hm), str(gt), "--out", str(tmp_path / "o")]) == EXIT_FAILURE
+        assert f"{gt}:4: record must be a JSON object" in caplog.text
+
+
 class TestAnalysis:
     def test_uncertainty_error_table(self, tmp_path):
         recs = []
@@ -372,6 +420,31 @@ class TestCrossEval:
         assert (out / "improvement_minfde6.csv").exists()
         assert (out / "report.md").exists()
         assert (out / "matrices.svg").exists()
+
+    def test_spread_taken_once_per_test_heatmap(self, tmp_path, monkeypatch):
+        from heatpred import cli, sampling
+
+        calls = []
+
+        def counting(h):
+            calls.append(h)
+            return uncertainty(h)
+
+        monkeypatch.setattr(cli, "uncertainty", counting)
+        monkeypatch.setattr(sampling, "uncertainty", counting)
+        pairs = point_mass_pairs(8)
+        hm, gt = write_pairs(tmp_path / "d", pairs)
+        manifest = tmp_path / "manifest.json"
+        write_json(manifest, {
+            "models": [
+                {"train_dataset": "m0", "fixed_radius": 1.0},
+                {"train_dataset": "m1", "calibration": str(tmp_path / "model.json")},
+            ],
+            "test_sets": [{"dataset": "t0", "heatmaps": str(hm), "ground_truth": str(gt)}],
+        })
+        write_json(tmp_path / "model.json", {"a": 0.02, "b": 0.9})
+        assert main(["cross-eval", str(manifest), "--out", str(tmp_path / "xe")]) == EXIT_OK
+        assert len(calls) == len(pairs)
 
     def test_missing_file_fails_cell_not_run(self, tmp_path):
         pairs = point_mass_pairs(6)

@@ -3,7 +3,7 @@ import pytest
 
 from heatpred import kernels
 from heatpred.heatmap import GridSpec, Heatmap, normalize
-from helpers import dense_from_heatmap, dense_nms_oracle, random_heatmap
+from helpers import SWEEP_CASES, dense_from_heatmap, dense_nms_oracle, random_heatmap, sweep_case
 
 
 def run_kernel(h, r, k):
@@ -68,3 +68,56 @@ class TestStorageOrderIndependence:
         b = run_kernel(shuffled, 1.5, 6)
         assert np.array_equal(a[0], b[0])
         assert np.array_equal(a[1], b[1])
+
+
+DEFAULT_SWEEP = [round(0.1 * i, 10) for i in range(1, 51)]
+
+
+class TestSweepAgainstDenseOracle:
+    @pytest.mark.parametrize("case", SWEEP_CASES)
+    def test_every_default_radius_matches_oracle(self, rng, case):
+        # the default sweep starts below the 0.5 grid resolution
+        h, k = sweep_case(case, rng)
+        xs, ys = h.cell_centers()
+        dense = dense_from_heatmap(h)
+        runs = kernels.nms_sweep(xs, ys, h.prob, DEFAULT_SWEEP, k)
+        assert len(runs) == len(DEFAULT_SWEEP)
+        for r, (peaks, scores) in zip(DEFAULT_SWEEP, runs):
+            got = [(float(xs[p]), float(ys[p]), float(s)) for p, s in zip(peaks, scores)]
+            order = np.argsort(-scores, kind="stable")
+            got = [got[j] for j in order]
+            assert got == dense_nms_oracle(h.grid, dense, r, k), f"r={r}"
+            single = kernels.nms_kernel(xs, ys, h.prob, r, k)
+            assert np.array_equal(single[0], peaks) and np.array_equal(single[1], scores)
+
+    @pytest.mark.parametrize("case", SWEEP_CASES)
+    def test_peaks_without_scores_are_the_same(self, rng, case):
+        h, k = sweep_case(case, rng)
+        xs, ys = h.cell_centers()
+        with_scores = kernels.nms_sweep(xs, ys, h.prob, DEFAULT_SWEEP, k)
+        without = kernels.nms_sweep(xs, ys, h.prob, DEFAULT_SWEEP, k, scores=False)
+        for (p1, _), (p2, s2) in zip(with_scores, without):
+            assert np.array_equal(p1, p2)
+            assert s2 is None
+
+    def test_prefix_case_really_doubles(self, rng, monkeypatch):
+        sizes = []
+        real = kernels._sorted_prefix
+
+        def spy(probs, m, n_positive):
+            sizes.append(m)
+            return real(probs, m, n_positive)
+
+        monkeypatch.setattr(kernels, "_sorted_prefix", spy)
+        h, k = sweep_case("prefix_doubles", rng)
+        xs, ys = h.cell_centers()
+        kernels.nms_sweep(xs, ys, h.prob, DEFAULT_SWEEP, k, scores=False)
+        assert sizes[0] == kernels.PREFIX_CELLS
+        assert len(sizes) > 1 and sizes == sorted(sizes)
+
+    def test_fewer_positive_cells_than_k(self, rng):
+        h, k = sweep_case("fewer_cells_than_k", rng)
+        xs, ys = h.cell_centers()
+        for peaks, scores in kernels.nms_sweep(xs, ys, h.prob, DEFAULT_SWEEP, k):
+            assert 1 <= len(peaks) <= len(h) < k
+            assert len(scores) == len(peaks)
