@@ -31,7 +31,7 @@ from .metrics import (
     make_eval_record,
     min_fde,
 )
-from .noise import KalmanConfig, kalman_filter_cv, noise_histogram, perception_noise
+from .noise import KalmanConfig, kalman_filter_cv, perception_noise, sample_noise
 from .sampling import (
     AdaptiveRadius,
     Endpoint,
@@ -46,13 +46,11 @@ from .synth import ScenarioConfig, draw_mixture, generate_dataset, sample_scenar
 from .trajectory import (
     Sample,
     StandardizationConfig,
-    TimedPoint,
     Trajectory,
     average_speed,
     filter_slow_agents,
     resample_trajectory,
     rotate_sample,
-    speed_histogram,
     standardize_sample,
 )
 

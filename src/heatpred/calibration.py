@@ -22,7 +22,7 @@ import numpy as np
 
 from . import kernels
 from .binning import floor_bin_means
-from .heatmap import Heatmap, _require_normalized, uncertainty
+from .heatmap import Heatmap, _require_normalized
 
 __all__ = [
     "CalibrationModel",
@@ -171,27 +171,17 @@ def ols_fit(
 
 
 def calibrate(
-    dataset: Iterable[tuple[Heatmap, tuple[float, float]]],
-    k: int = 6,
-    sweep: RadiusSweepConfig = RadiusSweepConfig(),
+    pairs: Sequence[tuple[float, float]],
     bin_width: float = 1.0,
     min_count: int = 100,
     source_dataset: str = "unknown",
-    spread_radius_pairs: Sequence[tuple[float, float]] | None = None,
 ) -> CalibrationModel:
-    """Fit the affine spread-to-radius model on (heatmap, gt endpoint) pairs.
+    """Fit the affine spread-to-radius model on (spread, optimal radius) pairs.
 
-    Per sample this measures the spread and the sweep-optimal radius, bins
-    the optima by spread, and fits the line through the bin means weighted
-    by bin population. ``spread_radius_pairs`` lets callers supply
-    precomputed (spread, optimal radius) pairs, e.g. from a parallel sweep.
+    Each pair is one sample's heatmap spread and its sweep-optimal radius
+    (``optimal_radius``). The optima are binned by spread and the line is
+    fit through the bin means, weighted by bin population.
     """
-    if spread_radius_pairs is None:
-        pairs = [
-            (uncertainty(h).spread, optimal_radius(h, gt, k, sweep)) for h, gt in dataset
-        ]
-    else:
-        pairs = list(spread_radius_pairs)
     if not pairs:
         raise InsufficientBinsError("calibration dataset is empty")
     bins = binned_optimal_radii(pairs, bin_width=bin_width, min_count=min_count)

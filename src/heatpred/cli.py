@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import logging
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from datetime import datetime, timezone
@@ -29,7 +30,7 @@ from .calibration import (
     optimal_radius,
 )
 from .heatmap import Heatmap, UncertaintyEstimate, heatmap_from_dict, uncertainty
-from .io import canonical_dumps, config_hash, jsonl_line_number, read_json, read_jsonl, write_json
+from .io import canonical_dumps, config_hash, jsonl_line_number, read_json, read_jsonl, write_json, write_jsonl
 from .metrics import (
     EvalRecord,
     aggregate,
@@ -39,7 +40,7 @@ from .metrics import (
     report_to_dict,
     write_records_csv,
 )
-from .noise import KalmanConfig, perception_noise
+from .noise import KalmanConfig, sample_noise
 from .sampling import (
     AdaptiveRadius,
     FixedRadius,
@@ -50,7 +51,6 @@ from .sampling import (
 from .synth import ScenarioConfig, generate_dataset
 from .trajectory import (
     StandardizationConfig,
-    Trajectory,
     average_speed,
     sample_from_dict,
     sample_to_dict,
@@ -105,6 +105,20 @@ def _as(kind, value, key: str):
         raise CliError(f"config key {key}: {value!r} is not a valid {kind.__name__}") from None
 
 
+def _objects(cfg: dict, key: str) -> list[dict]:
+    """The list of JSON objects under config key ``key``; absent or null gives []."""
+    entries = cfg.get(key) or []
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise CliError(f"config key {key}: must be a list of objects")
+    return entries
+
+
+def _required(entry: dict, key: str, where: str):
+    if key not in entry:
+        raise CliError(f"config key {where}: missing key {key}")
+    return entry[key]
+
+
 def _merge(defaults: dict, overrides: dict) -> dict:
     unknown = set(overrides) - set(defaults)
     if unknown:
@@ -130,26 +144,25 @@ SAMPLING_DEFAULTS = {
 }
 
 
-def _adaptive_mode(model_path: Path) -> AdaptiveRadius:
-    if not model_path.exists():
-        raise CliError(f"calibration model not found: {model_path}")
-    return AdaptiveRadius(model_from_dict(read_json(model_path)))
-
-
-def _sampling_config(cfg: dict, base_dir: Path | None) -> SamplingConfig:
+def _sampling_config(cfg: dict, base_dir: Path | None) -> tuple[SamplingConfig, float]:
+    """The sampling config and the miss threshold of a merged SAMPLING_DEFAULTS config."""
     radius = cfg["radius"] if isinstance(cfg["radius"], dict) else {}
     if "fixed" in radius:
         mode = FixedRadius(_as(float, radius["fixed"], "radius.fixed"))
     elif "adaptive" in radius:
-        mode = _adaptive_mode(_resolve_path(base_dir, str(radius["adaptive"])))
+        model_path = _resolve_path(base_dir, str(radius["adaptive"]))
+        if not model_path.exists():
+            raise CliError(f"calibration model not found: {model_path}")
+        mode = AdaptiveRadius(model_from_dict(read_json(model_path)))
     else:
         raise CliError('config key radius: must be an object with "fixed" or "adaptive"')
-    return SamplingConfig(
+    sampling = SamplingConfig(
         k=_as(int, cfg["k"], "k"),
         radius_mode=mode,
         r_min=_as(float, cfg["r_min"], "r_min"),
         r_max=_as(float, cfg["r_max"], "r_max"),
     )
+    return sampling, _as(float, cfg["miss_threshold"], "miss_threshold")
 
 
 # ---------------------------------------------------------------------------
@@ -166,11 +179,11 @@ def _parallel_map(fn, payloads: list, workers: int) -> list:
 
 
 def _record_error(path: Path, index: int, record, e: Exception) -> CliError:
-    """CliError naming ``path:line`` of the index-th record and its sample id, if readable."""
+    """CliError naming ``path:line`` of the index-th record and its sample id (or scene id)."""
     where = f"{path}:{jsonl_line_number(path, index)}"
     if not isinstance(record, dict):
         return CliError(f"{where}: record must be a JSON object")
-    sid = record.get("sample_id")
+    sid = record.get("sample_id", record.get("id"))
     who = "" if sid is None else f" (sample {sid})"
     why = f"missing key {e}" if isinstance(e, KeyError) else str(e)
     return CliError(f"{where}{who}: {why}")
@@ -249,6 +262,16 @@ def _calib_one(payload) -> tuple[float, float]:
     return uncertainty(h).spread, optimal_radius(h, gt, k, sweep)
 
 
+def _write_xy_csv(path: Path, rows: list, header: list[str], cfg_hash: str) -> None:
+    """A CSV table under a config-hash comment line; floats are written by ``repr``."""
+    with open(path, "w", newline="") as f:
+        f.write(f"# config_hash={cfg_hash}\n")
+        w = csv.writer(f)
+        w.writerow(header)
+        for row in rows:
+            w.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
+
+
 def _write_run_meta(out_dir: Path, command: str, cfg_hash: str, **extra) -> None:
     meta = {
         "command": command,
@@ -279,26 +302,24 @@ def cmd_standardize(args) -> int:
     std = StandardizationConfig(**{key: _as(float, cfg[key], key) for key in STANDARDIZE_DEFAULTS})
     out = _out_dir(args)
     cfg_hash = config_hash(cfg)
-    n_ok = 0
-    failures: list[str] = []
+    n_ok = n_failed = 0
     out_path = out / "standardized.jsonl"
     with open(out_path, "w") as f:
-        for d in read_jsonl(args.input):
-            sid = str(d.get("id", "?"))
+        for i, d in enumerate(read_jsonl(args.input)):
             try:
                 s = standardize_sample(sample_from_dict(d), std)
-            except (ValueError, KeyError) as e:
-                logger.warning("skipping sample %s: %s", sid, e)
-                failures.append(sid)
+            except RECORD_ERRORS as e:
+                logger.warning("skipping %s", _record_error(Path(args.input), i, d, e))
+                n_failed += 1
                 continue
             f.write(canonical_dumps(sample_to_dict(s)) + "\n")
             n_ok += 1
-    _write_run_meta(out, "standardize", cfg_hash, n_ok=n_ok, n_failed=len(failures))
+    _write_run_meta(out, "standardize", cfg_hash, n_ok=n_ok, n_failed=n_failed)
     if n_ok == 0:
         logger.error("no sample could be standardized")
         return EXIT_FAILURE
-    logger.info("standardized %d samples (%d failed) -> %s", n_ok, len(failures), out_path)
-    return EXIT_PARTIAL if failures else EXIT_OK
+    logger.info("standardized %d samples (%d failed) -> %s", n_ok, n_failed, out_path)
+    return EXIT_PARTIAL if n_failed else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -326,20 +347,16 @@ def cmd_synth(args) -> int:
 def cmd_sample(args) -> int:
     cfg_raw, base = _load_config(args.config)
     cfg = _merge(SAMPLING_DEFAULTS, cfg_raw)
-    sampling = _sampling_config(cfg, base)
+    sampling, _ = _sampling_config(cfg, base)
     out = _out_dir(args)
     cfg_hash = config_hash(cfg)
     hms = sorted(_load_heatmaps(Path(args.heatmaps)))
-    rows = []
-    for sid, h in hms:
-        ps = sample_with_uncertainty(h, sampling)
-        rows.append(prediction_to_dict(ps, sid))
     out_path = out / "predictions.jsonl"
-    with open(out_path, "w") as f:
-        for row in rows:
-            f.write(canonical_dumps(row) + "\n")
-    _write_run_meta(out, "sample", cfg_hash, n=len(rows))
-    logger.info("sampled %d heatmaps -> %s", len(rows), out_path)
+    n = write_jsonl(
+        out_path, (prediction_to_dict(sample_with_uncertainty(h, sampling), sid) for sid, h in hms)
+    )
+    _write_run_meta(out, "sample", cfg_hash, n=n)
+    logger.info("sampled %d heatmaps -> %s", n, out_path)
     return EXIT_OK
 
 
@@ -350,8 +367,7 @@ def cmd_sample(args) -> int:
 def cmd_evaluate(args) -> int:
     cfg_raw, base = _load_config(args.config)
     cfg = _merge(SAMPLING_DEFAULTS, cfg_raw)
-    sampling = _sampling_config(cfg, base)
-    threshold = _as(float, cfg["miss_threshold"], "miss_threshold")
+    sampling, threshold = _sampling_config(cfg, base)
     out = _out_dir(args)
     cfg_hash = config_hash(cfg)
     pairs = _load_eval_pairs(Path(args.heatmaps), Path(args.ground_truth))
@@ -392,13 +408,19 @@ def _mixed_pairs(sources: list[dict], n: int, seed: int, base: Path | None):
     """
     loaded = []
     weights = []
-    for src in sources:
-        pairs = _load_eval_pairs(
-            _resolve_path(base, src["heatmaps"]), _resolve_path(base, src["ground_truth"])
-        )
-        loaded.append(pairs)
-        weights.append(float(src.get("weight", 1.0)))
+    for i, src in enumerate(sources):
+        where = f"mixed_sources[{i}]"
+        w = _as(float, src.get("weight", 1.0), f"{where}.weight")
+        if not (math.isfinite(w) and w >= 0):
+            raise CliError(f"config key {where}.weight: must be a finite number >= 0, got {w!r}")
+        weights.append(w)
+        loaded.append(_load_eval_pairs(
+            _resolve_path(base, str(_required(src, "heatmaps", where))),
+            _resolve_path(base, str(_required(src, "ground_truth", where))),
+        ))
     total_w = sum(weights)
+    if total_w == 0:
+        raise CliError("config key mixed_sources: weights must not all be 0")
     probs = [w / total_w for w in weights]
     cursors = [0] * len(loaded)
     out = []
@@ -429,11 +451,12 @@ def cmd_calibrate(args) -> int:
     )
     out = _out_dir(args)
     cfg_hash = config_hash(cfg)
-    if cfg["mixed_sources"]:
+    sources = _objects(cfg, "mixed_sources")
+    if sources:
         n = _as(int, cfg["mixed_n"] or 0, "mixed_n")
         if n < 1:
             raise CliError("mixed_sources requires a positive mixed_n")
-        pairs = _mixed_pairs(cfg["mixed_sources"], n, args.seed or 0, base)
+        pairs = _mixed_pairs(sources, n, args.seed or 0, base)
     else:
         if not args.heatmaps or not args.ground_truth:
             raise CliError("calibrate needs HEATMAPS and GROUND_TRUTH (or mixed_sources config)")
@@ -441,22 +464,11 @@ def cmd_calibrate(args) -> int:
     payloads = [(h, gt, k, sweep) for _, h, gt in pairs]
     spread_radius = _parallel_map(_calib_one, payloads, args.workers)
     model = calibrate(
-        (),
-        k=k,
-        sweep=sweep,
-        bin_width=bin_width,
-        min_count=min_count,
-        source_dataset=str(cfg["dataset_tag"]),
-        spread_radius_pairs=spread_radius,
+        spread_radius, bin_width=bin_width, min_count=min_count, source_dataset=str(cfg["dataset_tag"])
     )
     write_json(out / "model.json", {**model_to_dict(model), "config_hash": cfg_hash})
     bins = binned_optimal_radii(spread_radius, bin_width=bin_width, min_count=min_count)
-    with open(out / "binned_radii.csv", "w", newline="") as f:
-        f.write(f"# config_hash={cfg_hash}\n")
-        w = csv.writer(f)
-        w.writerow(["bin_center", "mean_optimal_radius", "count"])
-        for center, mean_r, count in bins:
-            w.writerow([repr(center), repr(mean_r), count])
+    _write_xy_csv(out / "binned_radii.csv", bins, ["bin_center", "mean_optimal_radius", "count"], cfg_hash)
     # optima on the first or last sweep radius suggest the sweep is too narrow
     n_edge = sum(1 for _, r in spread_radius if r in (sweep.r_values[0], sweep.r_values[-1]))
     _write_run_meta(
@@ -474,20 +486,18 @@ def cmd_calibrate(args) -> int:
 # cross-eval
 
 
-def _matrix_csv(path: Path, rows: list[str], cols: list[str], get, cfg_hash: str) -> None:
-    with open(path, "w", newline="") as f:
-        f.write(f"# config_hash={cfg_hash}\n")
-        w = csv.writer(f)
-        w.writerow(["train\\test"] + cols)
-        for r in rows:
-            w.writerow([r] + [get(r, c) for c in cols])
+def _model_radius(i: int, model: dict) -> dict:
+    """The ``radius`` config object of manifest model ``i``; calibration wins over fixed_radius."""
+    if model.get("calibration") is not None:
+        return {"adaptive": model["calibration"]}
+    if model.get("fixed_radius") is not None:
+        return {"fixed": _as(float, model["fixed_radius"], f"models[{i}].fixed_radius")}
+    raise CliError(f"config key models[{i}]: needs calibration or fixed_radius")
 
 
-def _matrix_markdown(rows: list[str], cols: list[str], get, title: str) -> str:
-    lines = [f"### {title}", "", "| train\\test | " + " | ".join(cols) + " |"]
-    lines.append("|" + "---|" * (len(cols) + 1))
-    for r in rows:
-        lines.append("| " + r + " | " + " | ".join(str(get(r, c)) for c in cols) + " |")
+def _matrix_markdown(title: str, header: list[str], table: list[list[str]]) -> str:
+    lines = [f"### {title}", "", "| " + " | ".join(header) + " |", "|" + "---|" * len(header)]
+    lines += ["| " + " | ".join(row) + " |" for row in table]
     lines.append("")
     return "\n".join(lines)
 
@@ -501,12 +511,12 @@ def cmd_cross_eval(args) -> int:
     cfg_hash = config_hash(manifest)
     out = _out_dir(args)
 
-    models = manifest.get("models", [])
-    test_sets = manifest.get("test_sets", [])
+    models = _objects(manifest, "models")
+    test_sets = _objects(manifest, "test_sets")
     if not models or not test_sets:
         raise CliError("manifest needs non-empty models and test_sets")
-    row_tags = [str(m["train_dataset"]) for m in models]
-    col_tags = [str(t["dataset"]) for t in test_sets]
+    row_tags = [str(_required(m, "train_dataset", f"models[{i}]")) for i, m in enumerate(models)]
+    col_tags = [str(_required(t, "dataset", f"test_sets[{i}]")) for i, t in enumerate(test_sets)]
     if len(set(row_tags)) != len(row_tags) or len(set(col_tags)) != len(col_tags):
         raise CliError("model and test set tags must be unique")
 
@@ -514,33 +524,20 @@ def cmd_cross_eval(args) -> int:
     if not isinstance(sampling, dict):
         raise CliError("manifest key sampling: must be an object")
     # the radius comes from each model row, so the manifest may not set one
-    sampling_cfg = _merge({key: v for key, v in SAMPLING_DEFAULTS.items() if key != "radius"}, sampling)
-    k = _as(int, sampling_cfg["k"], "sampling.k")
-    r_min = _as(float, sampling_cfg["r_min"], "sampling.r_min")
-    r_max = _as(float, sampling_cfg["r_max"], "sampling.r_max")
-    threshold = _as(float, sampling_cfg["miss_threshold"], "sampling.miss_threshold")
+    sampling = _merge({key: v for key, v in SAMPLING_DEFAULTS.items() if key != "radius"}, sampling)
     baseline_r = _as(float, manifest.get("baseline_fixed_radius", 1.5), "baseline_fixed_radius")
-
-    def _config_for(mode) -> SamplingConfig:
-        return SamplingConfig(k=k, radius_mode=mode, r_min=r_min, r_max=r_max)
-
-    def _mode_for(model_entry: dict):
-        if "calibration" in model_entry and model_entry["calibration"] is not None:
-            return _adaptive_mode(_resolve_path(base, model_entry["calibration"]))
-        if "fixed_radius" in model_entry and model_entry["fixed_radius"] is not None:
-            return FixedRadius(_as(float, model_entry["fixed_radius"], "fixed_radius"))
-        raise CliError(
-            f"model {model_entry.get('train_dataset')}: needs calibration or fixed_radius"
-        )
-
-    base_cfg = _config_for(FixedRadius(baseline_r))
-    configs = {tag: _config_for(_mode_for(m)) for tag, m in zip(row_tags, models)}
+    base_cfg, threshold = _sampling_config({**sampling, "radius": {"fixed": baseline_r}}, base)
+    k = base_cfg.k
+    configs = {
+        tag: _sampling_config({**sampling, "radius": _model_radius(i, m)}, base)[0]
+        for i, (tag, m) in enumerate(zip(row_tags, models))
+    }
     set_paths = {
         tag: (
-            _resolve_path(base, t["heatmaps"]),
-            _resolve_path(base, t["ground_truth"]),
+            _resolve_path(base, str(_required(t, "heatmaps", f"test_sets[{i}]"))),
+            _resolve_path(base, str(_required(t, "ground_truth", f"test_sets[{i}]"))),
         )
-        for tag, t in zip(col_tags, test_sets)
+        for i, (tag, t) in enumerate(zip(col_tags, test_sets))
     }
     for tag, (hp, gp) in set_paths.items():
         for p in (hp, gp):
@@ -605,21 +602,18 @@ def cmd_cross_eval(args) -> int:
         "baseline": baselines,
     }
     write_json(out / "cross_eval.json", result)
-    _matrix_csv(out / f"minfde{k}.csv", row_tags, col_tags, lambda r, c: _fmt(r, c, "min_fde"), cfg_hash)
-    _matrix_csv(out / f"mr{k}.csv", row_tags, col_tags, lambda r, c: _fmt(r, c, "mr"), cfg_hash)
-    _matrix_csv(
-        out / f"improvement_minfde{k}.csv",
-        row_tags, col_tags, lambda r, c: _fmt(r, c, "improvement_vs_fixed"), cfg_hash,
-    )
-    md = [
-        _matrix_markdown(row_tags, col_tags, lambda r, c: _fmt(r, c, "min_fde"), f"minFDE_{k}"),
-        _matrix_markdown(row_tags, col_tags, lambda r, c: _fmt(r, c, "mr"), f"MR_{k}"),
-        _matrix_markdown(
-            row_tags, col_tags, lambda r, c: _fmt(r, c, "improvement_vs_fixed"),
-            f"Relative minFDE_{k} improvement vs fixed r={baseline_r}",
-        ),
-        f"config_hash: {cfg_hash}",
-    ]
+    header = ["train\\test"] + col_tags
+    md = []
+    for key, stem, title in (
+        ("min_fde", f"minfde{k}", f"minFDE_{k}"),
+        ("mr", f"mr{k}", f"MR_{k}"),
+        ("improvement_vs_fixed", f"improvement_minfde{k}",
+         f"Relative minFDE_{k} improvement vs fixed r={baseline_r}"),
+    ):
+        table = [[row] + [_fmt(row, col, key) for col in col_tags] for row in row_tags]
+        _write_xy_csv(out / f"{stem}.csv", table, header, cfg_hash)
+        md.append(_matrix_markdown(title, header, table))
+    md.append(f"config_hash: {cfg_hash}")
     (out / "report.md").write_text("\n".join(md) + "\n")
     if args.svg:
         (out / "matrices.svg").write_text(_svg_matrix(row_tags, col_tags, cells))
@@ -638,13 +632,26 @@ ANALYSIS_NOISE_DEFAULTS = {"process_accel_std": 1.0, "obs_std": 0.5, "bin_width"
 ANALYSIS_SPEED_DEFAULTS = {"bin_width": 1.0}
 
 
-def _write_xy_csv(path: Path, rows: list[tuple], header: list[str], cfg_hash: str) -> None:
-    with open(path, "w", newline="") as f:
-        f.write(f"# config_hash={cfg_hash}\n")
-        w = csv.writer(f)
-        w.writerow(header)
-        for row in rows:
-            w.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
+def _scene_values(path: Path, fn) -> list[tuple[str, float]]:
+    """(sample id, fn(sample)) for every scene line, in file order."""
+    out = []
+    for i, d in enumerate(read_jsonl(path)):
+        try:
+            s = sample_from_dict(d)
+            out.append((s.id, fn(s)))
+        except RECORD_ERRORS as e:
+            raise _record_error(path, i, d, e) from None
+    if not out:
+        raise CliError(f"{path}: no samples")
+    return out
+
+
+def _write_hist_json(path: Path, hist: list[tuple[float, int, float]], cfg: dict, cfg_hash: str) -> None:
+    write_json(path, {
+        "config_hash": cfg_hash,
+        "bin_width": cfg["bin_width"],
+        "bins": [{"lower": lo, "count": c, "fraction": fr} for lo, c, fr in hist],
+    })
 
 
 def cmd_analysis(args) -> int:
@@ -657,14 +664,13 @@ def cmd_analysis(args) -> int:
         bins = bin_by_uncertainty(
             records, _as(float, cfg["bin_width"], "bin_width"), _as(int, cfg["min_count"], "min_count")
         )
-        rows = [(lower, mean, count) for lower, mean, count in bins]
-        _write_xy_csv(out / "uncertainty_error.csv", rows, ["bin_lower", "mean_min_fde_1", "count"], cfg_hash)
+        _write_xy_csv(out / "uncertainty_error.csv", bins, ["bin_lower", "mean_min_fde_1", "count"], cfg_hash)
         if args.svg:
             (out / "uncertainty_error.svg").write_text(
-                _svg_line_chart([r[0] for r in rows], [r[1] for r in rows],
+                _svg_line_chart([b[0] for b in bins], [b[1] for b in bins],
                                 "uncertainty bin", "mean minFDE_1")
             )
-        _write_run_meta(out, "analysis uncertainty-error", cfg_hash, n_bins=len(rows))
+        _write_run_meta(out, "analysis uncertainty-error", cfg_hash, n_bins=len(bins))
     elif args.analysis_cmd == "noise-report":
         cfg = _merge(ANALYSIS_NOISE_DEFAULTS, cfg_raw)
         cfg_hash = config_hash(cfg)
@@ -672,37 +678,19 @@ def cmd_analysis(args) -> int:
             process_accel_std=_as(float, cfg["process_accel_std"], "process_accel_std"),
             obs_std=_as(float, cfg["obs_std"], "obs_std"),
         )
-        noises = []
-        for d in read_jsonl(args.input):
-            s = sample_from_dict(d)
-            track = Trajectory(np.vstack([s.past.data, s.future.data]))
-            noises.append((s.id, perception_noise(track, kcfg)))
-        if not noises:
-            raise CliError(f"{args.input}: no samples")
+        noises = _scene_values(Path(args.input), lambda s: sample_noise(s, kcfg))
         _write_xy_csv(out / "noise.csv", noises, ["sample_id", "noise_m"], cfg_hash)
         hist = floor_histogram([n for _, n in noises], _as(float, cfg["bin_width"], "bin_width"))
-        write_json(out / "noise_hist.json", {
-            "config_hash": cfg_hash,
-            "bin_width": cfg["bin_width"],
-            "bins": [{"lower": lo, "count": c, "fraction": fr} for lo, c, fr in hist],
-        })
+        _write_hist_json(out / "noise_hist.json", hist, cfg, cfg_hash)
         _write_run_meta(out, "analysis noise-report", cfg_hash, n=len(noises))
     elif args.analysis_cmd == "speed-report":
         cfg = _merge(ANALYSIS_SPEED_DEFAULTS, cfg_raw)
         cfg_hash = config_hash(cfg)
-        speeds = []
-        for d in read_jsonl(args.input):
-            speeds.append(average_speed(sample_from_dict(d)))
-        if not speeds:
-            raise CliError(f"{args.input}: no samples")
+        speeds = [v for _, v in _scene_values(Path(args.input), average_speed)]
         hist = floor_histogram(speeds, _as(float, cfg["bin_width"], "bin_width"))
         rows = [(lo, fr, c) for lo, c, fr in hist]
         _write_xy_csv(out / "speed_hist.csv", rows, ["bin_lower", "fraction", "count"], cfg_hash)
-        write_json(out / "speed_hist.json", {
-            "config_hash": cfg_hash,
-            "bin_width": cfg["bin_width"],
-            "bins": [{"lower": lo, "count": c, "fraction": fr} for lo, c, fr in hist],
-        })
+        _write_hist_json(out / "speed_hist.json", hist, cfg, cfg_hash)
         _write_run_meta(out, "analysis speed-report", cfg_hash, n=len(speeds))
     else:  # pragma: no cover - argparse enforces choices
         raise CliError(f"unknown analysis subcommand {args.analysis_cmd}")

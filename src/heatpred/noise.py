@@ -9,11 +9,9 @@ can be compared across data sources.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .binning import floor_histogram
 from .trajectory import Sample, Trajectory
 
 __all__ = [
@@ -21,7 +19,7 @@ __all__ = [
     "NonUniformSamplingError",
     "kalman_filter_cv",
     "perception_noise",
-    "noise_histogram",
+    "sample_noise",
 ]
 
 
@@ -125,14 +123,6 @@ def perception_noise(traj: Trajectory, cfg: KalmanConfig = KalmanConfig()) -> fl
     return float(np.max(np.hypot(deltas[:, 0], deltas[:, 1])))
 
 
-def noise_histogram(
-    samples: Sequence[Sample], cfg: KalmanConfig = KalmanConfig(), bin_width: float = 0.1
-) -> dict[float, float]:
-    """Fraction of samples per noise bin; past and future form one track."""
-    if not samples:
-        raise ValueError("noise_histogram: no samples")
-    noises = []
-    for s in samples:
-        track = Trajectory(np.vstack([s.past.data, s.future.data]))
-        noises.append(perception_noise(track, cfg))
-    return {lower: frac for lower, _, frac in floor_histogram(noises, bin_width)}
+def sample_noise(s: Sample, cfg: KalmanConfig = KalmanConfig()) -> float:
+    """Perception noise of a sample's past and future taken as one track."""
+    return perception_noise(Trajectory(np.vstack([s.past.data, s.future.data])), cfg)

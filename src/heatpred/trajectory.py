@@ -11,14 +11,11 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .binning import floor_histogram
-
 __all__ = [
-    "TimedPoint",
     "Trajectory",
     "Sample",
     "StandardizationConfig",
@@ -27,7 +24,6 @@ __all__ = [
     "resample_trajectory",
     "standardize_sample",
     "average_speed",
-    "speed_histogram",
     "rotate_sample",
     "filter_slow_agents",
     "sample_to_dict",
@@ -44,12 +40,6 @@ class CoverageError(ValueError):
 
 class DegenerateTrajectoryError(ValueError):
     """Interpolation needs at least two points."""
-
-
-class TimedPoint(NamedTuple):
-    t: float
-    x: float
-    y: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,13 +75,6 @@ class Trajectory:
 
     def __len__(self) -> int:
         return int(self.data.shape[0])
-
-    def point(self, i: int) -> TimedPoint:
-        return TimedPoint(*self.data[i])
-
-    @property
-    def points(self) -> list[TimedPoint]:
-        return [TimedPoint(*row) for row in self.data]
 
 
 @dataclass(eq=False)
@@ -208,17 +191,6 @@ def average_speed(s: Sample) -> float:
     pT = s.future.data[-1, 1:]
     horizon = float(s.future.ts[-1])
     return float(np.hypot(pT[0] - p0[0], pT[1] - p0[1])) / horizon
-
-
-def speed_histogram(samples: Sequence[Sample], bin_width: float = 1.0) -> dict[float, float]:
-    """Fraction of samples per displacement-speed bin of width ``bin_width``.
-
-    Bins are keyed by their lower edge (floor binning); fractions sum to 1.
-    """
-    if not samples:
-        raise ValueError("speed_histogram: no samples")
-    speeds = [average_speed(s) for s in samples]
-    return {lower: frac for lower, _, frac in floor_histogram(speeds, bin_width)}
 
 
 def rotate_sample(s: Sample, angle: float) -> Sample:

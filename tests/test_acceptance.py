@@ -162,10 +162,7 @@ def test_criterion_4_adaptive_radius_beats_best_fixed():
         for i in range(n_cal):
             h, gt, _ = sample_scenario(cfg_cal, i)
             spread_radius.append((uncertainty(h).spread, optimal_radius(h, gt, 6, sweep)))
-        model = calibrate(
-            (), spread_radius_pairs=spread_radius, bin_width=1.0, min_count=10,
-            source_dataset="synth-default",
-        )
+        model = calibrate(spread_radius, bin_width=1.0, min_count=10, source_dataset="synth-default")
 
         errs = np.zeros((n_eval, len(sweep.r_values)))
         adaptive_errs = []

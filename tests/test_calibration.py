@@ -24,6 +24,7 @@ from heatpred.heatmap import (
     MixtureSpec,
     normalize,
     render_mixture,
+    uncertainty,
 )
 from heatpred.metrics import min_fde
 from heatpred.sampling import nms_sample
@@ -169,10 +170,15 @@ class TestOlsFit:
             ols_fit([(1.0, 2.0), (1.0, 3.0)])
 
 
+def spread_radius(data):
+    """(spread, sweep-optimal radius) of every (heatmap, gt) pair, k=6 and the default sweep."""
+    return [(uncertainty(h).spread, optimal_radius(h, gt)) for h, gt in data]
+
+
 class TestCalibrate:
     def test_planted_affine_recovery(self):
         data = planted_calibration_dataset(240)
-        model = calibrate(data, k=6, bin_width=5.0, min_count=3, source_dataset="plant")
+        model = calibrate(spread_radius(data), bin_width=5.0, min_count=3, source_dataset="plant")
         assert model.a == pytest.approx(0.02, rel=0.05)
         assert model.b == pytest.approx(0.9, rel=0.05)
         assert model.bin_count >= 2
@@ -183,12 +189,13 @@ class TestCalibrate:
         h = normalize(Heatmap.from_cells(g, {27: 1.0}))
         data = [(h, (0.0, 0.0))] * 30
         with pytest.raises(InsufficientBinsError):
-            calibrate(data, k=6, bin_width=1.0, min_count=1)
+            calibrate(spread_radius(data), bin_width=1.0, min_count=1)
 
     def test_deterministic_under_input_order(self):
         data = planted_calibration_dataset(60, u_lo=20.0, u_hi=120.0)
-        m1 = calibrate(data, bin_width=10.0, min_count=1)
-        m2 = calibrate(list(reversed(data)), bin_width=10.0, min_count=1)
+        pairs = spread_radius(data)
+        m1 = calibrate(pairs, bin_width=10.0, min_count=1)
+        m2 = calibrate(list(reversed(pairs)), bin_width=10.0, min_count=1)
         assert m1.a == m2.a and m1.b == m2.b
 
 

@@ -80,6 +80,16 @@ class TestStandardize:
         lines = (out / "standardized.jsonl").read_text().strip().splitlines()
         assert len(lines) == 1
 
+    def test_non_object_line_is_a_failed_record(self, tmp_path, caplog):
+        scenes = tmp_path / "scenes.jsonl"
+        write_scenes(scenes, [straight_sample(5.0, sample_id="ok")])
+        scenes.write_text(scenes.read_text() + "[1, 2]\n")
+        out = tmp_path / "out"
+        assert main(["standardize", str(scenes), "--out", str(out)]) == EXIT_PARTIAL
+        assert f"{scenes}:2: record must be a JSON object" in caplog.text
+        assert len((out / "standardized.jsonl").read_text().splitlines()) == 1
+        assert read_json(out / "run_meta.json")["n_failed"] == 1
+
     def test_empty_file_fails(self, tmp_path):
         scenes = tmp_path / "scenes.jsonl"
         scenes.write_text("")
@@ -179,6 +189,50 @@ class TestConfigAndFlags:
         argv = ["evaluate", str(hm), str(gt), "--config", str(cfg), "--out", str(tmp_path / "out")]
         assert main(argv) == EXIT_FAILURE
         assert (named or str(cfg)) in caplog.text
+
+    @pytest.mark.parametrize(
+        "command, edit, named",
+        [
+            ("cross-eval", lambda m: m["models"][0].pop("train_dataset"),
+             "models[0]: missing key train_dataset"),
+            ("cross-eval", lambda m: m.update(models={"a": 1}), "config key models"),
+            ("cross-eval", lambda m: m["test_sets"][0].pop("dataset"), "test_sets[0]: missing key dataset"),
+            ("cross-eval", lambda m: m["test_sets"][0].pop("heatmaps"), "test_sets[0]: missing key heatmaps"),
+            ("cross-eval", lambda m: m["test_sets"][0].pop("ground_truth"),
+             "test_sets[0]: missing key ground_truth"),
+            ("cross-eval", lambda m: m.update(sampling={"k": None}), "config key k"),
+            ("cross-eval", lambda m: m.update(sampling={"radius": {"fixed": 1}}), "unknown config keys: radius"),
+            ("cross-eval", lambda m: m["models"][0].update(fixed_radius="x"), "config key models[0].fixed_radius"),
+            ("calibrate", lambda c: c["mixed_sources"][0].pop("heatmaps"),
+             "mixed_sources[0]: missing key heatmaps"),
+            ("calibrate", lambda c: [s.update(weight=0) for s in c["mixed_sources"]],
+             "mixed_sources: weights must not all be 0"),
+            ("calibrate", lambda c: c["mixed_sources"][1].update(weight=-1), "config key mixed_sources[1].weight"),
+            ("calibrate", lambda c: c["mixed_sources"][0].update(weight="x"), "config key mixed_sources[0].weight"),
+        ],
+        ids=[
+            "model-no-train_dataset", "models-not-a-list", "test-set-no-dataset", "test-set-no-heatmaps",
+            "test-set-no-ground_truth", "sampling-k-null", "sampling-radius", "fixed_radius-string",
+            "source-no-heatmaps", "weights-all-zero", "weight-negative", "weight-not-a-number",
+        ],
+    )
+    def test_bad_manifest_entry_fails_naming_entry_and_key(self, tmp_path, caplog, command, edit, named):
+        hm, gt = write_pairs(tmp_path, point_mass_pairs(3))
+        files = {"heatmaps": str(hm), "ground_truth": str(gt)}
+        if command == "cross-eval":
+            cfg = {
+                "models": [{"train_dataset": "m0", "fixed_radius": 1.0}],
+                "test_sets": [{"dataset": "t0", **files}],
+            }
+        else:
+            cfg = {"min_count": 1, "mixed_n": 4, "mixed_sources": [dict(files), dict(files)]}
+        edit(cfg)
+        path = tmp_path / "cfg.json"
+        write_json(path, cfg)
+        argv = ["cross-eval", str(path)] if command == "cross-eval" else ["calibrate", "--config", str(path)]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == EXIT_FAILURE
+        assert named in caplog.text
+        assert "Traceback" not in caplog.text
 
     def test_workers_below_one_rejected(self, tmp_path, caplog):
         hm, gt = write_pairs(tmp_path, point_mass_pairs(3))
@@ -328,6 +382,16 @@ class TestAnalysis:
         assert len(rows) == 1
         assert float(rows[0]["bin_lower"]) == 0.0
         assert float(rows[0]["fraction"]) == 1.0
+
+    @pytest.mark.parametrize("report", ["speed-report", "noise-report"])
+    def test_scene_without_past_names_line_and_sample(self, tmp_path, caplog, report):
+        scenes = tmp_path / "scenes.jsonl"
+        rows = [sample_to_dict(straight_sample(1.0, sample_id=f"s{i}")) for i in range(2)]
+        del rows[1]["past"]
+        write_jsonl(scenes, rows)
+        assert main(["analysis", report, str(scenes), "--out", str(tmp_path / "out")]) == EXIT_FAILURE
+        assert f"{scenes}:2 (sample s1): missing key 'past'" in caplog.text
+        assert "Traceback" not in caplog.text
 
     def test_noise_report_noiseless(self, tmp_path):
         scenes = tmp_path / "scenes.jsonl"

@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from heatpred.binning import floor_histogram
 from heatpred.noise import (
     KalmanConfig,
     NonUniformSamplingError,
     _filter_states,
     kalman_filter_cv,
-    noise_histogram,
     perception_noise,
+    sample_noise,
 )
 from heatpred.trajectory import Sample, Trajectory
 from helpers import straight_sample
@@ -114,17 +115,22 @@ class TestPerceptionNoise:
         assert means[0] <= means[1] <= means[2]
 
 
+def noise_fractions(samples, cfg=KalmanConfig(), bin_width=0.1):
+    """{bin lower: fraction} of the samples' perception noise."""
+    return {lo: fr for lo, _, fr in floor_histogram([sample_noise(s, cfg) for s in samples], bin_width)}
+
+
 class TestNoiseHistogram:
     def test_noiseless_set_in_bin_zero(self):
         samples = [straight_sample(v, sample_id=f"s{i}") for i, v in enumerate((0.0, 3.0, 9.0))]
-        hist = noise_histogram(samples, bin_width=0.1)
+        hist = noise_fractions(samples, bin_width=0.1)
         assert hist == {0.0: 1.0}
 
     def test_matches_brute_force_recount(self):
         rng = np.random.default_rng(123)
         samples = [noisy_sample(rng, 0.3, f"m{i}") for i in range(40)]
         cfg = KalmanConfig()
-        hist = noise_histogram(samples, cfg, bin_width=0.1)
+        hist = noise_fractions(samples, cfg, bin_width=0.1)
         # independent recount
         noises = []
         for s in samples:
@@ -139,8 +145,8 @@ class TestNoiseHistogram:
         rng = np.random.default_rng(321)
         lo = [noisy_sample(rng, 0.1, f"a{i}") for i in range(300)]
         hi = [noisy_sample(rng, 0.5, f"b{i}") for i in range(300)]
-        h_lo = noise_histogram(lo, bin_width=0.05)
-        h_hi = noise_histogram(hi, bin_width=0.05)
+        h_lo = noise_fractions(lo, bin_width=0.05)
+        h_hi = noise_fractions(hi, bin_width=0.05)
         edges = sorted(set(h_lo) | set(h_hi))
 
         def cdf(hist):
@@ -157,4 +163,4 @@ class TestNoiseHistogram:
 
     def test_empty_error(self):
         with pytest.raises(ValueError):
-            noise_histogram([], bin_width=0.1)
+            noise_fractions([], bin_width=0.1)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heatpred.binning import floor_histogram
 from heatpred.trajectory import (
     CoverageError,
     DegenerateTrajectoryError,
@@ -17,7 +18,6 @@ from heatpred.trajectory import (
     rotate_sample,
     sample_from_dict,
     sample_to_dict,
-    speed_histogram,
     standardize_sample,
 )
 from helpers import straight_sample
@@ -159,6 +159,11 @@ class TestStandardize:
         assert len(out.neighbors[0]) == 41  # [-1, 3] at 10 Hz
 
 
+def speed_fractions(samples, bin_width):
+    """{bin lower: fraction} of the samples' displacement speeds."""
+    return {lo: fr for lo, _, fr in floor_histogram([average_speed(s) for s in samples], bin_width)}
+
+
 class TestSpeed:
     def test_stationary(self):
         assert average_speed(straight_sample(0.0)) == 0.0
@@ -181,32 +186,32 @@ class TestSpeed:
         assert average_speed(s) == pytest.approx(0.0, abs=1e-9)
 
     def test_histogram_all_stationary(self):
-        hist = speed_histogram([straight_sample(0.0, sample_id=f"s{i}") for i in range(5)], 1.0)
+        hist = speed_fractions([straight_sample(0.0, sample_id=f"s{i}") for i in range(5)], 1.0)
         assert hist == {0.0: 1.0}
 
     def test_histogram_counting(self):
         samples = [straight_sample(v, sample_id=f"s{i}") for i, v in enumerate([0.1, 0.2, 1.1])]
-        hist = speed_histogram(samples, 1.0)
+        hist = speed_fractions(samples, 1.0)
         assert hist[0.0] == pytest.approx(2 / 3)
         assert hist[1.0] == pytest.approx(1 / 3)
 
     def test_histogram_fractions_sum_to_one(self, rng):
         samples = [straight_sample(v, sample_id=f"s{i}") for i, v in enumerate(rng.uniform(0, 20, 200))]
-        hist = speed_histogram(samples, 1.5)
+        hist = speed_fractions(samples, 1.5)
         assert math.fsum(hist.values()) == pytest.approx(1.0, abs=1e-9)
 
     def test_histogram_uniform_speeds(self, rng):
         # law of large numbers: uniform speeds on [0, 10) fill bins evenly
         speeds = rng.uniform(0.0, 10.0, 100_000)
         samples = [straight_sample(v, sample_id=f"s{i}") for i, v in enumerate(speeds)]
-        hist = speed_histogram(samples, 1.0)
+        hist = speed_fractions(samples, 1.0)
         assert set(hist) == {float(b) for b in range(10)}
         for frac in hist.values():
             assert frac == pytest.approx(0.1, abs=0.01)
 
     def test_empty_error(self):
         with pytest.raises(ValueError):
-            speed_histogram([], 1.0)
+            speed_fractions([], 1.0)
 
 
 class TestRotate:
