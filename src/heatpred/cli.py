@@ -29,8 +29,24 @@ from .calibration import (
     model_to_dict,
     optimal_radius,
 )
-from .heatmap import Heatmap, UncertaintyEstimate, heatmap_from_dict, uncertainty
-from .io import canonical_dumps, config_hash, jsonl_line_number, read_json, read_jsonl, write_json, write_jsonl
+from .heatmap import (
+    NORMALIZATION_TOL,
+    Heatmap,
+    UncertaintyEstimate,
+    heatmap_from_dict,
+    normalize_with_mass,
+    uncertainty,
+)
+from .io import (
+    canonical_dumps,
+    config_hash,
+    jsonl_line_number,
+    read_json,
+    read_jsonl,
+    read_jsonl_lenient,
+    write_json,
+    write_jsonl,
+)
 from .metrics import (
     EvalRecord,
     aggregate,
@@ -189,18 +205,29 @@ def _record_error(path: Path, index: int, record, e: Exception) -> CliError:
     return CliError(f"{where}{who}: {why}")
 
 
-def _load_heatmaps(path: Path) -> list[tuple[str, Heatmap]]:
+def _load_heatmaps(path: Path, masses: dict) -> list[tuple[str, Heatmap]]:
+    """Read and renormalize every heatmap of ``path``. ``masses[str(path)]``
+    gets the largest |mass - 1| before renormalization and how many heatmaps
+    were further than ``NORMALIZATION_TOL`` from unit mass."""
     out = []
+    max_error = 0.0
+    n_above_tol = 0
     for i, d in enumerate(read_jsonl(path)):
         try:
-            out.append(heatmap_from_dict(d))
+            sid, h = heatmap_from_dict(d, renormalize=False)
+            h, mass = normalize_with_mass(h)
         except RECORD_ERRORS as e:
             raise _record_error(path, i, d, e) from None
+        error = abs(mass - 1.0)
+        max_error = max(max_error, error)
+        n_above_tol += error > NORMALIZATION_TOL
+        out.append((sid, h))
     if not out:
         raise CliError(f"{path}: no heatmaps")
     ids = [sid for sid, _ in out]
     if len(set(ids)) != len(ids):
         raise CliError(f"{path}: duplicate sample ids")
+    masses[str(path)] = {"max_abs_mass_error": max_error, "n_above_tol": n_above_tol}
     return out
 
 
@@ -221,10 +248,10 @@ def _load_ground_truth(path: Path) -> dict[str, tuple[float, float]]:
 
 
 def _load_eval_pairs(
-    heatmaps_path: Path, gts_path: Path
+    heatmaps_path: Path, gts_path: Path, masses: dict
 ) -> list[tuple[str, Heatmap, tuple[float, float]]]:
     """Match heatmaps to ground truth by id; sorted by id for stable output."""
-    hms = _load_heatmaps(heatmaps_path)
+    hms = _load_heatmaps(heatmaps_path, masses)
     gts = _load_ground_truth(gts_path)
     hm_ids = {sid for sid, _ in hms}
     offenders = sorted(hm_ids.symmetric_difference(gts))
@@ -304,12 +331,16 @@ def cmd_standardize(args) -> int:
     cfg_hash = config_hash(cfg)
     n_ok = n_failed = 0
     out_path = out / "standardized.jsonl"
+    in_path = Path(args.input)
     with open(out_path, "w") as f:
-        for i, d in enumerate(read_jsonl(args.input)):
+        for i, d in enumerate(read_jsonl_lenient(in_path)):
             try:
+                if isinstance(d, ValueError):
+                    raise d
                 s = standardize_sample(sample_from_dict(d), std)
             except RECORD_ERRORS as e:
-                logger.warning("skipping %s", _record_error(Path(args.input), i, d, e))
+                # a line that is not JSON comes with its own path:line message
+                logger.warning("skipping %s", e if e is d else _record_error(in_path, i, d, e))
                 n_failed += 1
                 continue
             f.write(canonical_dumps(sample_to_dict(s)) + "\n")
@@ -350,12 +381,13 @@ def cmd_sample(args) -> int:
     sampling, _ = _sampling_config(cfg, base)
     out = _out_dir(args)
     cfg_hash = config_hash(cfg)
-    hms = sorted(_load_heatmaps(Path(args.heatmaps)))
+    masses: dict = {}
+    hms = sorted(_load_heatmaps(Path(args.heatmaps), masses))
     out_path = out / "predictions.jsonl"
     n = write_jsonl(
         out_path, (prediction_to_dict(sample_with_uncertainty(h, sampling), sid) for sid, h in hms)
     )
-    _write_run_meta(out, "sample", cfg_hash, n=n)
+    _write_run_meta(out, "sample", cfg_hash, n=n, input_mass=masses)
     logger.info("sampled %d heatmaps -> %s", n, out_path)
     return EXIT_OK
 
@@ -370,12 +402,13 @@ def cmd_evaluate(args) -> int:
     sampling, threshold = _sampling_config(cfg, base)
     out = _out_dir(args)
     cfg_hash = config_hash(cfg)
-    pairs = _load_eval_pairs(Path(args.heatmaps), Path(args.ground_truth))
+    masses: dict = {}
+    pairs = _load_eval_pairs(Path(args.heatmaps), Path(args.ground_truth), masses)
     records = _run_evaluation(pairs, sampling, threshold, args.workers)
     rep = aggregate(records)
     write_records_csv(out / "records.csv", records, header_comment=f"config_hash={cfg_hash}")
     write_json(out / "aggregate.json", {"config_hash": cfg_hash, **report_to_dict(rep)})
-    _write_run_meta(out, "evaluate", cfg_hash, n=rep.count)
+    _write_run_meta(out, "evaluate", cfg_hash, n=rep.count, input_mass=masses)
     logger.info(
         "evaluated %d samples: minFDE_%d=%.4f MR_%d=%.4f",
         rep.count, sampling.k, rep.min_fde_l[-1], sampling.k, rep.mr_l[-1],
@@ -399,7 +432,7 @@ CALIBRATE_DEFAULTS = {
 }
 
 
-def _mixed_pairs(sources: list[dict], n: int, seed: int, base: Path | None):
+def _mixed_pairs(sources: list[dict], n: int, seed: int, base: Path | None, masses: dict):
     """Interleave several heatmap sources, drawing each sample's source at random.
 
     Draw ``i`` picks a source with the configured weights using a substream
@@ -417,6 +450,7 @@ def _mixed_pairs(sources: list[dict], n: int, seed: int, base: Path | None):
         loaded.append(_load_eval_pairs(
             _resolve_path(base, str(_required(src, "heatmaps", where))),
             _resolve_path(base, str(_required(src, "ground_truth", where))),
+            masses,
         ))
     total_w = sum(weights)
     if total_w == 0:
@@ -452,15 +486,16 @@ def cmd_calibrate(args) -> int:
     out = _out_dir(args)
     cfg_hash = config_hash(cfg)
     sources = _objects(cfg, "mixed_sources")
+    masses: dict = {}
     if sources:
         n = _as(int, cfg["mixed_n"] or 0, "mixed_n")
         if n < 1:
             raise CliError("mixed_sources requires a positive mixed_n")
-        pairs = _mixed_pairs(sources, n, args.seed or 0, base)
+        pairs = _mixed_pairs(sources, n, args.seed or 0, base, masses)
     else:
         if not args.heatmaps or not args.ground_truth:
             raise CliError("calibrate needs HEATMAPS and GROUND_TRUTH (or mixed_sources config)")
-        pairs = _load_eval_pairs(Path(args.heatmaps), Path(args.ground_truth))
+        pairs = _load_eval_pairs(Path(args.heatmaps), Path(args.ground_truth), masses)
     payloads = [(h, gt, k, sweep) for _, h, gt in pairs]
     spread_radius = _parallel_map(_calib_one, payloads, args.workers)
     model = calibrate(
@@ -473,7 +508,7 @@ def cmd_calibrate(args) -> int:
     n_edge = sum(1 for _, r in spread_radius if r in (sweep.r_values[0], sweep.r_values[-1]))
     _write_run_meta(
         out, "calibrate", cfg_hash, n=len(pairs),
-        sweep_edge_count=n_edge, sweep_edge_share=n_edge / len(pairs),
+        sweep_edge_count=n_edge, sweep_edge_share=n_edge / len(pairs), input_mass=masses,
     )
     logger.info(
         "calibrated %s: r = %.4f * spread + %.4f over %d bins",
@@ -546,11 +581,12 @@ def cmd_cross_eval(args) -> int:
 
     cells: dict[str, dict[str, dict]] = {r: {} for r in row_tags}
     baselines: dict[str, dict] = {}
+    masses: dict = {}
     n_failed = 0
     for col in col_tags:
         hp, gp = set_paths[col]
         try:
-            pairs = _load_eval_pairs(hp, gp)
+            pairs = _load_eval_pairs(hp, gp, masses)
         except (CliError, ValueError) as e:
             logger.error("test set %s failed to load: %s", col, e)
             for row in row_tags:
@@ -617,7 +653,10 @@ def cmd_cross_eval(args) -> int:
     (out / "report.md").write_text("\n".join(md) + "\n")
     if args.svg:
         (out / "matrices.svg").write_text(_svg_matrix(row_tags, col_tags, cells))
-    _write_run_meta(out, "cross-eval", cfg_hash, n_cells=len(row_tags) * len(col_tags), n_failed=n_failed)
+    _write_run_meta(
+        out, "cross-eval", cfg_hash,
+        n_cells=len(row_tags) * len(col_tags), n_failed=n_failed, input_mass=masses,
+    )
     if n_failed == len(row_tags) * len(col_tags):
         return EXIT_FAILURE
     return EXIT_PARTIAL if n_failed else EXIT_OK

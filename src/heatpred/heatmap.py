@@ -19,6 +19,8 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
+from .io import canonical_dumps
+
 __all__ = [
     "GridSpec",
     "Heatmap",
@@ -28,11 +30,13 @@ __all__ = [
     "ZeroMassError",
     "EmptyRenderError",
     "normalize",
+    "normalize_with_mass",
     "expectation",
     "uncertainty",
     "render_mixture",
     "threshold_sparsify",
     "heatmap_to_dict",
+    "heatmap_to_json",
     "heatmap_from_dict",
 ]
 
@@ -191,12 +195,17 @@ def _require_normalized(h: Heatmap, op: str) -> None:
 
 def normalize(h: Heatmap) -> Heatmap:
     """Scale probabilities to unit mass and drop cells left with zero mass."""
+    return normalize_with_mass(h)[0]
+
+
+def normalize_with_mass(h: Heatmap) -> tuple[Heatmap, float]:
+    """:func:`normalize`, also returning the mass the heatmap had before."""
     total = float(np.sum(h.prob))
     if not total > 0:
         raise ZeroMassError("cannot normalize a heatmap with no positive mass")
     prob = h.prob / total
     keep = prob > 0
-    return Heatmap(h.grid, h.idx[keep], prob[keep])
+    return Heatmap(h.grid, h.idx[keep], prob[keep]), total
 
 
 def _moments(h: Heatmap) -> tuple[float, float, float]:
@@ -273,7 +282,10 @@ def render_mixture(m: MixtureSpec, g: GridSpec, truncate_sigmas: float = 4.0) ->
         warnings.warn("grid does not cover the full truncation disc of every mode", stacklevel=2)
     if not cand:
         raise EmptyRenderError("no grid cell lies within the truncation disc of any mode")
-    idx = np.unique(np.concatenate(cand))
+    # sorted union of the discs; memory grows with the candidates, not the grid
+    idx = np.concatenate(cand)
+    idx.sort()
+    idx = idx[np.r_[True, idx[1:] != idx[:-1]]]
     xs, ys = g.cell_centers(idx)
     dens = np.zeros(idx.shape[0], dtype=np.float64)
     for mode in m.modes:
@@ -303,19 +315,37 @@ def threshold_sparsify(h: Heatmap, min_prob: float) -> tuple[Heatmap, float]:
     return normalize(Heatmap(h.grid, h.idx[keep], h.prob[keep])), dropped
 
 
+def _grid_to_dict(g: GridSpec) -> dict:
+    return {
+        "origin_x": g.origin_x,
+        "origin_y": g.origin_y,
+        "resolution": g.resolution,
+        "width": g.width,
+        "height": g.height,
+    }
+
+
 def heatmap_to_dict(h: Heatmap, sample_id: str) -> dict:
     """JSON-ready form: grid spec plus [index, probability] cell pairs."""
     return {
         "sample_id": sample_id,
-        "grid": {
-            "origin_x": h.grid.origin_x,
-            "origin_y": h.grid.origin_y,
-            "resolution": h.grid.resolution,
-            "width": h.grid.width,
-            "height": h.grid.height,
-        },
+        "grid": _grid_to_dict(h.grid),
         "cells": [[int(i), float(p)] for i, p in zip(h.idx, h.prob)],
     }
+
+
+def heatmap_to_json(h: Heatmap, sample_id: str) -> str:
+    """``canonical_dumps(heatmap_to_dict(h, sample_id))``, byte for byte, without the dict.
+
+    The cells text is joined straight from the arrays: ``tolist()`` gives
+    Python ints and floats, and the json encoder writes those by ``repr``.
+    "cells" sorts before "grid" and "sample_id", so it comes first.
+    """
+    rest = canonical_dumps({"grid": _grid_to_dict(h.grid), "sample_id": sample_id})
+    if not len(h):
+        return '{"cells":[],' + rest[1:]
+    pairs = zip(map(str, h.idx.tolist()), map(repr, h.prob.tolist()))
+    return '{"cells":[[' + "],[".join(map(",".join, pairs)) + "]]," + rest[1:]
 
 
 def heatmap_from_dict(d: dict, renormalize: bool = True) -> tuple[str, Heatmap]:

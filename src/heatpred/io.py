@@ -30,12 +30,27 @@ def _jsonl_lines(path) -> Iterator[tuple[int, str]]:
                 yield line_no, line
 
 
+def _loads_line(path, line_no: int, line: str):
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError as e:
+        raise ValueError(f"{path}:{line_no}: invalid JSON ({e})") from e
+
+
 def read_jsonl(path) -> Iterator[dict]:
     for line_no, line in _jsonl_lines(path):
+        yield _loads_line(path, line_no, line)
+
+
+def read_jsonl_lenient(path) -> Iterator[dict | ValueError]:
+    """Like :func:`read_jsonl`, but a line that is not JSON yields the
+    ValueError ``read_jsonl`` would raise (naming ``path:line``) and reading goes on."""
+    for line_no, line in _jsonl_lines(path):
         try:
-            yield json.loads(line)
-        except json.JSONDecodeError as e:
-            raise ValueError(f"{path}:{line_no}: invalid JSON ({e})") from e
+            value = _loads_line(path, line_no, line)
+        except ValueError as e:
+            value = e
+        yield value
 
 
 def jsonl_line_number(path, index: int) -> int:

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .heatmap import GaussianMode, GridSpec, Heatmap, MixtureSpec, heatmap_to_dict, render_mixture
+from .heatmap import GaussianMode, GridSpec, Heatmap, MixtureSpec, heatmap_to_json, render_mixture
 from .io import canonical_dumps, config_hash
 
 __all__ = [
@@ -157,7 +157,7 @@ def generate_dataset(cfg: ScenarioConfig, n: int, out_dir) -> dict[str, Path]:
             for i in range(n):
                 h, gt, _ = sample_scenario(cfg, i)
                 sid = scenario_id(i)
-                hf.write(canonical_dumps(heatmap_to_dict(h, sid)) + "\n")
+                hf.write(heatmap_to_json(h, sid) + "\n")
                 gf.write(canonical_dumps({"sample_id": sid, "gt": [gt[0], gt[1]]}) + "\n")
         manifest = {"config": cfg_dict, "config_hash": config_hash(cfg_dict), "n": n}
         paths["manifest"].write_text(canonical_dumps(manifest, indent=2) + "\n")

@@ -90,6 +90,19 @@ class TestStandardize:
         assert len((out / "standardized.jsonl").read_text().splitlines()) == 1
         assert read_json(out / "run_meta.json")["n_failed"] == 1
 
+    def test_line_that_is_not_json_is_a_failed_record(self, tmp_path, caplog):
+        scenes = tmp_path / "scenes.jsonl"
+        write_scenes(scenes, [straight_sample(5.0, sample_id=f"ok{i}") for i in range(3)])
+        good = scenes.read_text().splitlines()
+        scenes.write_text("\n".join(good[:2] + ['{"id": "x", bad'] + good[2:]) + "\n")
+        out = tmp_path / "out"
+        assert main(["standardize", str(scenes), "--out", str(out)]) == EXIT_PARTIAL
+        assert f"{scenes}:3: invalid JSON" in caplog.text
+        lines = (out / "standardized.jsonl").read_text().splitlines()
+        assert [json.loads(ln)["id"] for ln in lines] == ["ok0", "ok1", "ok2"]
+        meta = read_json(out / "run_meta.json")
+        assert (meta["n_ok"], meta["n_failed"]) == (3, 1)
+
     def test_empty_file_fails(self, tmp_path):
         scenes = tmp_path / "scenes.jsonl"
         scenes.write_text("")
@@ -354,6 +367,51 @@ class TestMalformedRecord:
         gt.write_text(gt.read_text() + "\n[1, 2]\n")
         assert main(["evaluate", str(hm), str(gt), "--out", str(tmp_path / "o")]) == EXIT_FAILURE
         assert f"{gt}:4: record must be a JSON object" in caplog.text
+
+
+class TestInputMassDiagnostics:
+    @pytest.mark.parametrize("command", ["sample", "evaluate", "calibrate", "cross-eval"])
+    def test_planted_mass_two_is_reported(self, tmp_path, command):
+        pairs = planted_calibration_dataset(20) if command == "calibrate" else point_mass_pairs(4)
+        hm, gt = write_pairs(tmp_path / "d", pairs)
+        rows = [json.loads(ln) for ln in hm.read_text().splitlines()]
+        rows[1]["cells"] = [[i, 2.0 * p] for i, p in rows[1]["cells"]]
+        write_jsonl(hm, rows)
+        if command == "sample":
+            argv = ["sample", str(hm)]
+        elif command == "cross-eval":
+            manifest = tmp_path / "manifest.json"
+            write_json(manifest, {
+                "models": [{"train_dataset": "m0", "fixed_radius": 1.0}],
+                "test_sets": [{"dataset": "t0", "heatmaps": str(hm), "ground_truth": str(gt)}],
+            })
+            argv = ["cross-eval", str(manifest)]
+        elif command == "calibrate":
+            cfg = tmp_path / "cal.json"
+            write_json(cfg, {"bin_width": 10.0, "min_count": 1})
+            argv = ["calibrate", str(hm), str(gt), "--config", str(cfg)]
+        else:
+            argv = [command, str(hm), str(gt)]
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == EXIT_OK
+        mass = read_json(out / "run_meta.json")["input_mass"][str(hm)]
+        assert mass["n_above_tol"] == 1
+        assert mass["max_abs_mass_error"] == pytest.approx(1.0, abs=1e-9)
+
+    def test_primary_outputs_unchanged_by_renormalization(self, tmp_path):
+        pairs = point_mass_pairs(4)
+        hm, gt = write_pairs(tmp_path / "a", pairs)
+        out_a, out_b = tmp_path / "oa", tmp_path / "ob"
+        assert main(["evaluate", str(hm), str(gt), "--out", str(out_a)]) == EXIT_OK
+        assert read_json(out_a / "run_meta.json")["input_mass"][str(hm)] == {
+            "max_abs_mass_error": 0.0, "n_above_tol": 0,
+        }
+        rows = [json.loads(ln) for ln in hm.read_text().splitlines()]
+        rows[1]["cells"] = [[i, 2.0 * p] for i, p in rows[1]["cells"]]
+        write_jsonl(hm, rows)
+        assert main(["evaluate", str(hm), str(gt), "--out", str(out_b)]) == EXIT_OK
+        for name in ("records.csv", "aggregate.json"):
+            assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 
 class TestAnalysis:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,11 +15,14 @@ from heatpred.heatmap import (
     expectation,
     heatmap_from_dict,
     heatmap_to_dict,
+    heatmap_to_json,
     normalize,
     render_mixture,
     threshold_sparsify,
     uncertainty,
 )
+from heatpred.io import canonical_dumps
+from heatpred.synth import ScenarioConfig, sample_scenario
 from helpers import covariance_trace_oracle, random_heatmap
 
 
@@ -214,6 +218,31 @@ class TestRenderMixture:
         with pytest.raises(ValueError, match="at least 3"):
             render_mixture(mix, g, 2.0)
 
+    @pytest.mark.parametrize(
+        "grid, modes",
+        [
+            (GridSpec(-10.0, -10.0, 0.5, 41, 41),
+             ((0.5, 0.1, -0.3, 1.0), (0.3, 1.6, 0.7, 1.2), (0.2, -0.9, 1.1, 0.8))),
+            (GridSpec(-10.0, -10.0, 0.5, 41, 41), ((0.6, -6.2, -5.9, 0.5), (0.4, 6.1, 5.3, 0.7))),
+            (GridSpec(0.0, 0.0, 0.5, 24, 18), ((0.5, 0.3, 0.2, 1.0), (0.5, 11.1, 8.3, 1.3))),
+        ],
+        ids=["overlapping", "disjoint", "clipped"],
+    )
+    def test_cells_are_union_of_truncation_discs(self, grid, modes):
+        mix = MixtureSpec(tuple(GaussianMode(*m) for m in modes))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            h = render_mixture(mix, grid, 4.0)
+        # dense oracle: every grid cell whose center lies within 4 sigma of some mode
+        xs, ys = grid.cell_centers(np.arange(grid.n_cells, dtype=np.int64))
+        inside = np.zeros(grid.n_cells, dtype=bool)
+        for m in mix.modes:
+            reach = 4.0 * m.sigma
+            inside |= (xs - m.mean_x) ** 2 + (ys - m.mean_y) ** 2 <= reach * reach
+        assert h.idx.dtype == np.int64
+        assert np.all(np.diff(h.idx) > 0)
+        assert h.idx.tolist() == np.flatnonzero(inside).tolist()
+
     def test_wide_gaussian_spread_matches_closed_form(self):
         for sigma in (2.0, 4.0):
             h = rendered_gaussian((0.0, 0.0), sigma, resolution=0.5, extent_sigmas=4.0)
@@ -254,3 +283,45 @@ class TestJsonRoundTrip:
         assert back.grid == h.grid
         assert np.array_equal(back.idx, h.idx)
         assert np.max(np.abs(back.prob - h.prob)) < 1e-12
+
+
+class TestJsonEncoder:
+    """``heatmap_to_json`` must write exactly ``canonical_dumps(heatmap_to_dict(...))``."""
+
+    @staticmethod
+    def assert_same_bytes(h, sid):
+        assert heatmap_to_json(h, sid) == canonical_dumps(heatmap_to_dict(h, sid))
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 123])
+    def test_rendered_scenarios(self, seed):
+        cfg = ScenarioConfig(seed=seed)
+        for i in range(3):
+            h, _, _ = sample_scenario(cfg, i)
+            self.assert_same_bytes(h, f"synth-{i:06d}")
+
+    @pytest.mark.parametrize("seed", [2, 3])
+    def test_random_heatmaps(self, seed):
+        h = random_heatmap(np.random.default_rng(seed), GridSpec(-3.0, 2.0, 0.25, 20, 30), 50)
+        self.assert_same_bytes(h, "abc")
+
+    def test_empty_heatmap(self):
+        h = Heatmap(GridSpec(0.0, 0.0, 1.0, 4, 4), np.array([], np.int64), np.array([]))
+        self.assert_same_bytes(h, "empty")
+        assert heatmap_to_json(h, "empty").startswith('{"cells":[],"grid":')
+
+    def test_single_cell_at_last_index(self):
+        g = GridSpec(-1.5, 2.25, 0.1, 7, 5)
+        self.assert_same_bytes(Heatmap.from_cells(g, {g.n_cells - 1: 1.0}), "one")
+        self.assert_same_bytes(Heatmap.from_cells(g, {0: 1.0}), "first")
+
+    def test_extreme_and_long_probabilities(self):
+        probs = [5e-324, 1e-300, 1.0, 0.1, 0.1 + 0.2, 1 / 3, 2 / 3, 0.0, 123456789.12345678]
+        g = GridSpec(0.0, 0.0, 0.5, 10, 10)
+        h = Heatmap(g, np.arange(len(probs), dtype=np.int64) * 11, np.array(probs))
+        self.assert_same_bytes(h, "probs")
+        assert "0.30000000000000004" in heatmap_to_json(h, "probs")
+
+    @pytest.mark.parametrize("sid", ['quote"d', "back\\slash", "caf\u00e9", "tab\tnew\nline", ""])
+    def test_sample_id_escaping(self, sid):
+        h = Heatmap.from_cells(GridSpec(0.0, 0.0, 1.0, 3, 3), {4: 0.25, 8: 0.75})
+        self.assert_same_bytes(h, sid)

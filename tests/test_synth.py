@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -95,6 +96,15 @@ class TestGenerateDataset:
         p2 = generate_dataset(cfg, 25, tmp_path / "b")
         for key in ("heatmaps", "ground_truth", "manifest"):
             assert p1[key].read_bytes() == p2[key].read_bytes()
+
+    def test_default_config_heatmap_bytes_pinned(self, tmp_path):
+        # written by canonical_dumps(heatmap_to_dict(...)) before the direct encoder
+        paths = generate_dataset(ScenarioConfig(seed=7), 5, tmp_path)
+        data = paths["heatmaps"].read_bytes()
+        assert len(data) == 894_637
+        assert hashlib.sha256(data).hexdigest() == (
+            "376305aac4aa79566b1ee1f299ae584f5f6dbeff5f2409b5bc95f20122a1f2fb"
+        )
 
     def test_spread_spans_many_integer_bins(self):
         cfg = ScenarioConfig(seed=3)
