@@ -1,0 +1,95 @@
+#!/usr/bin/env python3
+"""Time the read path of the heatmap commands through the range map, at 1 and 2 workers.
+
+Writes one synthetic dataset of ``--n`` heatmaps with ``heatpred synth``
+(default scenario config, about 170 kB per heatmap line) unless ``--dir``
+already holds one, then times ``cli._map_heatmaps`` over it
+twice per worker count: with work that does nothing, which leaves the JSON
+parse, ``heatmap_from_dict`` and the renormalization, and with ``calibrate``'s
+per-heatmap work (spread and radius sweep). Parse time per heatmap is the
+first figure, sweep time per heatmap the difference; both are wall time of
+the whole map divided by the heatmap count, so they fall with the worker
+count when the map scales. Last, whole ``heatpred calibrate`` processes run
+at each worker count. Each figure is the best of ``--repeats`` runs. Like
+``perfbench/``, it pins BLAS to one thread per process: default OpenBLAS
+threading makes the workers compete for cores.
+
+Usage: python benchmarks/bench_read.py [--n N] [--seed S] [--repeats R] [--dir DIR]
+"""
+
+import os
+
+os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+
+import argparse  # noqa: E402
+import subprocess  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+import time  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+from heatpred import cli  # noqa: E402
+from heatpred.calibration import RadiusSweepConfig  # noqa: E402
+from heatpred.io import write_json  # noqa: E402
+
+WORKERS = (1, 2)
+
+
+def heatpred(argv):
+    subprocess.run([sys.executable, "-m", "heatpred", *argv], check=True, stderr=subprocess.DEVNULL)
+
+
+def parse_only(sid, h, arg):
+    return None
+
+
+def best_of(fn, repeats):
+    best = float("inf")
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - t0)
+    return best
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--n", type=int, default=1000)
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--repeats", type=int, default=3)
+    parser.add_argument("--dir", default=None, help="keep the dataset here (default: a temporary directory)")
+    args = parser.parse_args()
+
+    with tempfile.TemporaryDirectory() as tmp:
+        data = Path(args.dir or tmp)
+        hp, gp = data / "heatmaps.jsonl", data / "ground_truth.jsonl"
+        if not hp.exists():
+            # in another process, so that this one times the map with a small heap
+            heatpred(["synth", "--n", str(args.n), "--seed", str(args.seed), "--out", str(data)])
+        gts = cli._load_ground_truth(gp)
+        sweep_arg = (gts, 6, RadiusSweepConfig())
+        n = len(gts)
+        print(f"{n} heatmaps, {hp.stat().st_size / 1e6:.1f} MB (best of {args.repeats})")
+        print(f"{'workers':>7} {'parse s':>9} {'ms/heatmap':>11} {'sweep s':>9} {'ms/heatmap':>11}")
+        for w in WORKERS:
+            parse_s = best_of(lambda: cli._map_heatmaps([(hp, parse_only, None)], w), args.repeats)
+            total_s = best_of(lambda: cli._map_heatmaps([(hp, cli._sweep, sweep_arg)], w), args.repeats)
+            sweep_s = total_s - parse_s
+            print(f"{w:>7} {parse_s:>9.3f} {parse_s / n * 1e3:>11.2f} {sweep_s:>9.3f} {sweep_s / n * 1e3:>11.2f}")
+
+        config = data / "calibrate.json"
+        write_json(config, {"bin_width": 200.0, "min_count": 5})
+        walls = {}
+        for w in WORKERS:
+            argv = ["calibrate", str(hp), str(gp), "--config", str(config),
+                    "--workers", str(w), "--out", str(data / f"calibrate-w{w}")]
+            walls[w] = best_of(lambda: heatpred(argv), args.repeats)
+            print(f"heatpred calibrate --workers {w}: {walls[w]:.3f} s")
+        models = {(data / f"calibrate-w{w}" / "model.json").read_bytes() for w in WORKERS}
+        if len(models) != 1:
+            raise SystemExit("model.json differs between worker counts")
+        print(f"--workers {WORKERS[-1]} saves {1 - walls[WORKERS[-1]] / walls[WORKERS[0]]:.0%} of the wall time")
+
+
+if __name__ == "__main__":
+    main()

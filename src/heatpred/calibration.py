@@ -34,6 +34,7 @@ __all__ = [
     "binned_optimal_radii",
     "ols_fit",
     "calibrate",
+    "fit_bins",
     "learned_uncertainty_loss",
     "model_to_dict",
     "model_from_dict",
@@ -179,12 +180,20 @@ def calibrate(
     """Fit the affine spread-to-radius model on (spread, optimal radius) pairs.
 
     Each pair is one sample's heatmap spread and its sweep-optimal radius
-    (``optimal_radius``). The optima are binned by spread and the line is
-    fit through the bin means, weighted by bin population.
+    (``optimal_radius``). The optima are binned by spread
+    (``binned_optimal_radii``) and the line is fit through the bin means
+    (``fit_bins``).
     """
     if not pairs:
         raise InsufficientBinsError("calibration dataset is empty")
     bins = binned_optimal_radii(pairs, bin_width=bin_width, min_count=min_count)
+    return fit_bins(bins, source_dataset=source_dataset)
+
+
+def fit_bins(
+    bins: Sequence[tuple[float, float, int]], source_dataset: str = "unknown"
+) -> CalibrationModel:
+    """The line through ``binned_optimal_radii`` bins, weighted by bin population."""
     if len(bins) < 2:
         raise InsufficientBinsError(
             f"need at least 2 populated spread bins to fit, got {len(bins)}"

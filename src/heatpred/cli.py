@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import logging
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from datetime import datetime, timezone
@@ -24,7 +26,7 @@ from . import __version__
 from .calibration import (
     RadiusSweepConfig,
     binned_optimal_radii,
-    calibrate,
+    fit_bins,
     model_from_dict,
     model_to_dict,
     optimal_radius,
@@ -32,7 +34,6 @@ from .calibration import (
 from .heatmap import (
     NORMALIZATION_TOL,
     Heatmap,
-    UncertaintyEstimate,
     heatmap_from_dict,
     normalize_with_mass,
     uncertainty,
@@ -40,7 +41,8 @@ from .heatmap import (
 from .io import (
     canonical_dumps,
     config_hash,
-    jsonl_line_number,
+    jsonl_ranges,
+    line_number,
     read_json,
     read_jsonl,
     read_jsonl_lenient,
@@ -121,6 +123,14 @@ def _as(kind, value, key: str):
         raise CliError(f"config key {key}: {value!r} is not a valid {kind.__name__}") from None
 
 
+def _radius(value, key: str) -> float:
+    """A fixed sampling radius, which must be positive."""
+    r = _as(float, value, key)
+    if not r > 0:
+        raise CliError(f"config key {key}: must be positive, got {r!r}")
+    return r
+
+
 def _objects(cfg: dict, key: str) -> list[dict]:
     """The list of JSON objects under config key ``key``; absent or null gives []."""
     entries = cfg.get(key) or []
@@ -164,7 +174,7 @@ def _sampling_config(cfg: dict, base_dir: Path | None) -> tuple[SamplingConfig, 
     """The sampling config and the miss threshold of a merged SAMPLING_DEFAULTS config."""
     radius = cfg["radius"] if isinstance(cfg["radius"], dict) else {}
     if "fixed" in radius:
-        mode = FixedRadius(_as(float, radius["fixed"], "radius.fixed"))
+        mode = FixedRadius(_radius(radius["fixed"], "radius.fixed"))
     elif "adaptive" in radius:
         model_path = _resolve_path(base_dir, str(radius["adaptive"]))
         if not model_path.exists():
@@ -185,18 +195,22 @@ def _sampling_config(cfg: dict, base_dir: Path | None) -> tuple[SamplingConfig, 
 # shared pipeline pieces
 
 
-def _parallel_map(fn, payloads: list, workers: int) -> list:
-    """Order-preserving map; results are identical for any worker count."""
-    if workers <= 1 or len(payloads) <= 1:
-        return [fn(p) for p in payloads]
-    chunk = max(1, len(payloads) // (workers * 4))
-    with ProcessPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, payloads, chunksize=chunk))
+# Byte ranges per worker: several, so that a worker whose ranges hold large
+# heatmaps does not finish long after the others.
+RANGES_PER_WORKER = 4
 
 
-def _record_error(path: Path, index: int, record, e: Exception) -> CliError:
-    """CliError naming ``path:line`` of the index-th record and its sample id (or scene id)."""
-    where = f"{path}:{jsonl_line_number(path, index)}"
+def _default_workers() -> int:
+    """The CPUs this process may run on, which is the ``--workers`` default."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+def _record_error(path: Path, offset: int, record, e: Exception) -> CliError:
+    """CliError naming ``path:line`` of the record at byte ``offset`` and its sample id (or scene id)."""
+    where = f"{path}:{line_number(path, offset)}"
     if not isinstance(record, dict):
         return CliError(f"{where}: record must be a JSON object")
     sid = record.get("sample_id", record.get("id"))
@@ -205,40 +219,89 @@ def _record_error(path: Path, index: int, record, e: Exception) -> CliError:
     return CliError(f"{where}{who}: {why}")
 
 
-def _load_heatmaps(path: Path, masses: dict) -> list[tuple[str, Heatmap]]:
-    """Read and renormalize every heatmap of ``path``. ``masses[str(path)]``
-    gets the largest |mass - 1| before renormalization and how many heatmaps
-    were further than ``NORMALIZATION_TOL`` from unit mass."""
-    out = []
-    max_error = 0.0
-    n_above_tol = 0
-    for i, d in enumerate(read_jsonl(path)):
+def _map_range(task) -> tuple[list[tuple[str, float, object]], tuple[int, str] | None]:
+    """Run ``work(sid, heatmap, arg)`` on each heatmap line that starts in one byte range.
+
+    Returns ``(rows, None)`` with one (sample id, mass before renormalization,
+    result) row per line or, when a line fails, ``([], (its byte offset, its
+    error message))``.
+    """
+    path, start, end, work, arg = task
+    done = []
+    for offset, d in read_jsonl_lenient(path, start, end):
         try:
+            if isinstance(d, ValueError):
+                raise d
             sid, h = heatmap_from_dict(d, renormalize=False)
             h, mass = normalize_with_mass(h)
+            done.append((sid, mass, work(sid, h, arg)))
         except RECORD_ERRORS as e:
-            raise _record_error(path, i, d, e) from None
-        error = abs(mass - 1.0)
-        max_error = max(max_error, error)
-        n_above_tol += error > NORMALIZATION_TOL
-        out.append((sid, h))
-    if not out:
-        raise CliError(f"{path}: no heatmaps")
-    ids = [sid for sid, _ in out]
-    if len(set(ids)) != len(ids):
-        raise CliError(f"{path}: duplicate sample ids")
-    masses[str(path)] = {"max_abs_mass_error": max_error, "n_above_tol": n_above_tol}
+            # a line that is not JSON comes with its own path:line message
+            return [], (offset, str(e if e is d else _record_error(path, offset, d, e)))
+    return done, None
+
+
+def _map_heatmaps(jobs: list[tuple[Path, object, object]], workers: int) -> list[list]:
+    """For each job ``(heatmap path, work, arg)``, the :func:`_map_range` results
+    of its file's byte ranges, in file order.
+
+    One pool serves every job. Workers read their ranges themselves and get
+    all else through picklable arguments, so no heatmap crosses a process
+    boundary. ``workers`` changes only how the files are split, and every
+    check on the results (:func:`_collect`) is order-independent, so outputs
+    do not depend on it.
+    """
+    parts = workers * RANGES_PER_WORKER if workers > 1 else 1
+    ranges = [jsonl_ranges(path, parts) for path, _, _ in jobs]
+    tasks = [(path, a, b, work, arg) for (path, work, arg), rs in zip(jobs, ranges) for a, b in rs]
+    if workers > 1 and len(tasks) > 1:
+        # Frozen objects are left alone by the collector, so forked workers
+        # do not copy the parent's pages just to scan them (see gc.freeze).
+        gc.freeze()
+        try:
+            with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as ex:
+                results = list(ex.map(_map_range, tasks))
+        finally:
+            gc.unfreeze()
+    else:
+        results = [_map_range(t) for t in tasks]
+    out = []
+    for rs in ranges:
+        out.append(results[:len(rs)])
+        results = results[len(rs):]
     return out
+
+
+def _collect(path: Path, parts: list, masses: dict) -> list[tuple[str, object]]:
+    """(sample id, result) of every heatmap of ``path``, sorted by id, from its
+    :func:`_map_heatmaps` parts. The failing line nearest the start of the file
+    raises. ``masses[str(path)]`` gets the largest |mass - 1| before
+    renormalization and how many heatmaps were further than
+    ``NORMALIZATION_TOL`` from unit mass."""
+    failures = [failure for _, failure in parts if failure is not None]
+    if failures:
+        raise CliError(min(failures)[1])
+    rows = [row for done, _ in parts for row in done]
+    if not rows:
+        raise CliError(f"{path}: no heatmaps")
+    if len({sid for sid, _, _ in rows}) != len(rows):
+        raise CliError(f"{path}: duplicate sample ids")
+    errors = [abs(mass - 1.0) for _, mass, _ in rows]
+    masses[str(path)] = {
+        "max_abs_mass_error": max(errors),
+        "n_above_tol": sum(error > NORMALIZATION_TOL for error in errors),
+    }
+    return sorted(((sid, result) for sid, _, result in rows), key=lambda row: row[0])
 
 
 def _load_ground_truth(path: Path) -> dict[str, tuple[float, float]]:
     gts: dict[str, tuple[float, float]] = {}
-    for i, d in enumerate(read_jsonl(path)):
+    for offset, d in read_jsonl(path):
         try:
             sid = str(d["sample_id"])
             gt = (float(d["gt"][0]), float(d["gt"][1]))
         except RECORD_ERRORS as e:
-            raise _record_error(path, i, d, e) from None
+            raise _record_error(path, offset, d, e) from None
         if sid in gts:
             raise CliError(f"{path}: duplicate sample id {sid}")
         gts[sid] = gt
@@ -247,46 +310,82 @@ def _load_ground_truth(path: Path) -> dict[str, tuple[float, float]]:
     return gts
 
 
-def _load_eval_pairs(
-    heatmaps_path: Path, gts_path: Path, masses: dict
-) -> list[tuple[str, Heatmap, tuple[float, float]]]:
-    """Match heatmaps to ground truth by id; sorted by id for stable output."""
-    hms = _load_heatmaps(heatmaps_path, masses)
-    gts = _load_ground_truth(gts_path)
-    hm_ids = {sid for sid, _ in hms}
-    offenders = sorted(hm_ids.symmetric_difference(gts))
+def _matched(results: list[tuple[str, object]], heatmaps_path: Path, gts_path: Path, gts: dict) -> list:
+    """The results of :func:`_collect`, once every heatmap id has ground truth and the reverse."""
+    offenders = sorted({sid for sid, _ in results}.symmetric_difference(gts))
     if offenders:
         shown = ", ".join(offenders[:10])
         raise CliError(
             f"sample ids differ between {heatmaps_path} and {gts_path} "
             f"({len(offenders)} offenders; first: {shown})"
         )
-    return sorted((sid, h, gts[sid]) for sid, h in hms)
+    return results
 
 
-def _eval_one(payload) -> EvalRecord:
-    sid, h, gt, est, cfg, threshold = payload
-    ps = sample_with_uncertainty(h, cfg, est)
-    return make_eval_record(sid, ps, gt, cfg.k, threshold)
+def _map_sets(sets: list[tuple[Path, Path]], work, arg: tuple, workers: int, masses: dict) -> list:
+    """``work(sid, heatmap, (ground truth by id, *arg))`` on every heatmap of each
+    (heatmaps, ground truth) set, in one :func:`_map_heatmaps`. Per set, the
+    results matched to the ground truth and sorted by id, or the error the set
+    failed with; heatmap errors come before ground-truth ones."""
+    gts, gt_errors = [], {}
+    for i, (_, gp) in enumerate(sets):
+        try:
+            gts.append(_load_ground_truth(gp))
+        except (CliError, ValueError) as e:
+            gts.append({})
+            gt_errors[i] = e
+    parts = _map_heatmaps([(hp, work, (g, *arg)) for (hp, _), g in zip(sets, gts)], workers)
+    out = []
+    for i, ((hp, gp), g, p) in enumerate(zip(sets, gts, parts)):
+        try:
+            results = _collect(hp, p, masses)
+            if i in gt_errors:
+                raise gt_errors[i]
+            out.append(_matched(results, hp, gp, g))
+        except (CliError, ValueError) as e:
+            out.append(e)
+    return out
 
 
-def _run_evaluation(
-    pairs: list[tuple[str, Heatmap, tuple[float, float]]],
-    cfg: SamplingConfig,
-    threshold: float,
-    workers: int,
-    estimates: list[UncertaintyEstimate] | None = None,
-) -> list[EvalRecord]:
-    """Sample and score every pair; ``estimates`` supplies spreads already taken."""
-    if estimates is None:
-        estimates = [None] * len(pairs)
-    payloads = [(sid, h, gt, est, cfg, threshold) for (sid, h, gt), est in zip(pairs, estimates)]
-    return _parallel_map(_eval_one, payloads, workers)
+def _raised(result):
+    """``result``, unless it is the error :func:`_map_sets` gave for a set."""
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
-def _calib_one(payload) -> tuple[float, float]:
-    h, gt, k, sweep = payload
+# Per-heatmap work of each command, run inside the workers. A heatmap whose id
+# has no ground truth gives None; the parent's id match then fails.
+
+
+def _predict(sid: str, h: Heatmap, cfg: SamplingConfig) -> dict:
+    return prediction_to_dict(sample_with_uncertainty(h, cfg), sid)
+
+
+def _score(sid: str, h: Heatmap, arg) -> EvalRecord | None:
+    gts, cfg, threshold = arg
+    gt = gts.get(sid)
+    if gt is None:
+        return None
+    return make_eval_record(sid, sample_with_uncertainty(h, cfg), gt, cfg.k, threshold)
+
+
+def _sweep(sid: str, h: Heatmap, arg) -> tuple[float, float] | None:
+    gts, k, sweep = arg
+    gt = gts.get(sid)
+    if gt is None:
+        return None
     return uncertainty(h).spread, optimal_radius(h, gt, k, sweep)
+
+
+def _score_rows(sid: str, h: Heatmap, arg) -> list[EvalRecord] | None:
+    """The baseline record, then one record per model row, all from one spread."""
+    gts, cfgs, threshold = arg
+    gt = gts.get(sid)
+    if gt is None:
+        return None
+    est = uncertainty(h)
+    return [make_eval_record(sid, sample_with_uncertainty(h, cfg, est), gt, cfg.k, threshold) for cfg in cfgs]
 
 
 def _write_xy_csv(path: Path, rows: list, header: list[str], cfg_hash: str) -> None:
@@ -333,14 +432,14 @@ def cmd_standardize(args) -> int:
     out_path = out / "standardized.jsonl"
     in_path = Path(args.input)
     with open(out_path, "w") as f:
-        for i, d in enumerate(read_jsonl_lenient(in_path)):
+        for offset, d in read_jsonl_lenient(in_path):
             try:
                 if isinstance(d, ValueError):
                     raise d
                 s = standardize_sample(sample_from_dict(d), std)
             except RECORD_ERRORS as e:
                 # a line that is not JSON comes with its own path:line message
-                logger.warning("skipping %s", e if e is d else _record_error(in_path, i, d, e))
+                logger.warning("skipping %s", e if e is d else _record_error(in_path, offset, d, e))
                 n_failed += 1
                 continue
             f.write(canonical_dumps(sample_to_dict(s)) + "\n")
@@ -382,12 +481,11 @@ def cmd_sample(args) -> int:
     out = _out_dir(args)
     cfg_hash = config_hash(cfg)
     masses: dict = {}
-    hms = sorted(_load_heatmaps(Path(args.heatmaps), masses))
+    hp = Path(args.heatmaps)
+    predictions = _collect(hp, _map_heatmaps([(hp, _predict, sampling)], args.workers)[0], masses)
     out_path = out / "predictions.jsonl"
-    n = write_jsonl(
-        out_path, (prediction_to_dict(sample_with_uncertainty(h, sampling), sid) for sid, h in hms)
-    )
-    _write_run_meta(out, "sample", cfg_hash, n=n, input_mass=masses)
+    n = write_jsonl(out_path, (d for _, d in predictions))
+    _write_run_meta(out, "sample", cfg_hash, n=n, input_mass=masses, workers=args.workers)
     logger.info("sampled %d heatmaps -> %s", n, out_path)
     return EXIT_OK
 
@@ -403,12 +501,12 @@ def cmd_evaluate(args) -> int:
     out = _out_dir(args)
     cfg_hash = config_hash(cfg)
     masses: dict = {}
-    pairs = _load_eval_pairs(Path(args.heatmaps), Path(args.ground_truth), masses)
-    records = _run_evaluation(pairs, sampling, threshold, args.workers)
+    sets = [(Path(args.heatmaps), Path(args.ground_truth))]
+    records = [r for _, r in _raised(_map_sets(sets, _score, (sampling, threshold), args.workers, masses)[0])]
     rep = aggregate(records)
     write_records_csv(out / "records.csv", records, header_comment=f"config_hash={cfg_hash}")
     write_json(out / "aggregate.json", {"config_hash": cfg_hash, **report_to_dict(rep)})
-    _write_run_meta(out, "evaluate", cfg_hash, n=rep.count, input_mass=masses)
+    _write_run_meta(out, "evaluate", cfg_hash, n=rep.count, input_mass=masses, workers=args.workers)
     logger.info(
         "evaluated %d samples: minFDE_%d=%.4f MR_%d=%.4f",
         rep.count, sampling.k, rep.min_fde_l[-1], sampling.k, rep.mr_l[-1],
@@ -432,29 +530,14 @@ CALIBRATE_DEFAULTS = {
 }
 
 
-def _mixed_pairs(sources: list[dict], n: int, seed: int, base: Path | None, masses: dict):
-    """Interleave several heatmap sources, drawing each sample's source at random.
+def _mixed_draws(loaded: list[list], weights: list[float], n: int, seed: int) -> list:
+    """Interleave several sources' results, drawing each sample's source at random.
 
     Draw ``i`` picks a source with the configured weights using a substream
     keyed by (seed, i), then consumes that source's next unread sample, so
     the composition is reproducible regardless of chunking.
     """
-    loaded = []
-    weights = []
-    for i, src in enumerate(sources):
-        where = f"mixed_sources[{i}]"
-        w = _as(float, src.get("weight", 1.0), f"{where}.weight")
-        if not (math.isfinite(w) and w >= 0):
-            raise CliError(f"config key {where}.weight: must be a finite number >= 0, got {w!r}")
-        weights.append(w)
-        loaded.append(_load_eval_pairs(
-            _resolve_path(base, str(_required(src, "heatmaps", where))),
-            _resolve_path(base, str(_required(src, "ground_truth", where))),
-            masses,
-        ))
     total_w = sum(weights)
-    if total_w == 0:
-        raise CliError("config key mixed_sources: weights must not all be 0")
     probs = [w / total_w for w in weights]
     cursors = [0] * len(loaded)
     out = []
@@ -473,10 +556,20 @@ def _mixed_pairs(sources: list[dict], n: int, seed: int, base: Path | None, mass
     return out
 
 
+def _source_weight(i: int, src: dict) -> float:
+    where = f"mixed_sources[{i}]"
+    w = _as(float, src.get("weight", 1.0), f"{where}.weight")
+    if not (math.isfinite(w) and w >= 0):
+        raise CliError(f"config key {where}.weight: must be a finite number >= 0, got {w!r}")
+    return w
+
+
 def cmd_calibrate(args) -> int:
     cfg_raw, base = _load_config(args.config)
     cfg = _merge(CALIBRATE_DEFAULTS, cfg_raw)
     k = _as(int, cfg["k"], "k")
+    if k < 1:
+        raise CliError(f"config key k: must be at least 1, got {k}")
     bin_width = _as(float, cfg["bin_width"], "bin_width")
     min_count = _as(int, cfg["min_count"], "min_count")
     sweep = RadiusSweepConfig(
@@ -491,24 +584,34 @@ def cmd_calibrate(args) -> int:
         n = _as(int, cfg["mixed_n"] or 0, "mixed_n")
         if n < 1:
             raise CliError("mixed_sources requires a positive mixed_n")
-        pairs = _mixed_pairs(sources, n, args.seed or 0, base, masses)
+        weights = [_source_weight(i, src) for i, src in enumerate(sources)]
+        if sum(weights) == 0:
+            raise CliError("config key mixed_sources: weights must not all be 0")
+        sets = [
+            (
+                _resolve_path(base, str(_required(src, "heatmaps", f"mixed_sources[{i}]"))),
+                _resolve_path(base, str(_required(src, "ground_truth", f"mixed_sources[{i}]"))),
+            )
+            for i, src in enumerate(sources)
+        ]
     else:
         if not args.heatmaps or not args.ground_truth:
             raise CliError("calibrate needs HEATMAPS and GROUND_TRUTH (or mixed_sources config)")
-        pairs = _load_eval_pairs(Path(args.heatmaps), Path(args.ground_truth), masses)
-    payloads = [(h, gt, k, sweep) for _, h, gt in pairs]
-    spread_radius = _parallel_map(_calib_one, payloads, args.workers)
-    model = calibrate(
-        spread_radius, bin_width=bin_width, min_count=min_count, source_dataset=str(cfg["dataset_tag"])
-    )
-    write_json(out / "model.json", {**model_to_dict(model), "config_hash": cfg_hash})
+        sets = [(Path(args.heatmaps), Path(args.ground_truth))]
+    # every heatmap of every source is swept, drawn into the mix or not
+    loaded = [_raised(r) for r in _map_sets(sets, _sweep, (k, sweep), args.workers, masses)]
+    pairs = _mixed_draws(loaded, weights, n, args.seed or 0) if sources else loaded[0]
+    spread_radius = [sr for _, sr in pairs]
     bins = binned_optimal_radii(spread_radius, bin_width=bin_width, min_count=min_count)
+    model = fit_bins(bins, source_dataset=str(cfg["dataset_tag"]))
+    write_json(out / "model.json", {**model_to_dict(model), "config_hash": cfg_hash})
     _write_xy_csv(out / "binned_radii.csv", bins, ["bin_center", "mean_optimal_radius", "count"], cfg_hash)
     # optima on the first or last sweep radius suggest the sweep is too narrow
     n_edge = sum(1 for _, r in spread_radius if r in (sweep.r_values[0], sweep.r_values[-1]))
     _write_run_meta(
         out, "calibrate", cfg_hash, n=len(pairs),
         sweep_edge_count=n_edge, sweep_edge_share=n_edge / len(pairs), input_mass=masses,
+        workers=args.workers,
     )
     logger.info(
         "calibrated %s: r = %.4f * spread + %.4f over %d bins",
@@ -526,7 +629,7 @@ def _model_radius(i: int, model: dict) -> dict:
     if model.get("calibration") is not None:
         return {"adaptive": model["calibration"]}
     if model.get("fixed_radius") is not None:
-        return {"fixed": _as(float, model["fixed_radius"], f"models[{i}].fixed_radius")}
+        return {"fixed": _radius(model["fixed_radius"], f"models[{i}].fixed_radius")}
     raise CliError(f"config key models[{i}]: needs calibration or fixed_radius")
 
 
@@ -560,13 +663,12 @@ def cmd_cross_eval(args) -> int:
         raise CliError("manifest key sampling: must be an object")
     # the radius comes from each model row, so the manifest may not set one
     sampling = _merge({key: v for key, v in SAMPLING_DEFAULTS.items() if key != "radius"}, sampling)
-    baseline_r = _as(float, manifest.get("baseline_fixed_radius", 1.5), "baseline_fixed_radius")
+    baseline_r = _radius(manifest.get("baseline_fixed_radius", 1.5), "baseline_fixed_radius")
     base_cfg, threshold = _sampling_config({**sampling, "radius": {"fixed": baseline_r}}, base)
     k = base_cfg.k
-    configs = {
-        tag: _sampling_config({**sampling, "radius": _model_radius(i, m)}, base)[0]
-        for i, (tag, m) in enumerate(zip(row_tags, models))
-    }
+    row_cfgs = [
+        _sampling_config({**sampling, "radius": _model_radius(i, m)}, base)[0] for i, m in enumerate(models)
+    ]
     set_paths = {
         tag: (
             _resolve_path(base, str(_required(t, "heatmaps", f"test_sets[{i}]"))),
@@ -583,44 +685,32 @@ def cmd_cross_eval(args) -> int:
     baselines: dict[str, dict] = {}
     masses: dict = {}
     n_failed = 0
-    for col in col_tags:
-        hp, gp = set_paths[col]
-        try:
-            pairs = _load_eval_pairs(hp, gp, masses)
-        except (CliError, ValueError) as e:
-            logger.error("test set %s failed to load: %s", col, e)
+    # one pool for the whole matrix, one spread per test heatmap
+    loaded = _map_sets(
+        [set_paths[col] for col in col_tags], _score_rows,
+        ([base_cfg] + row_cfgs, threshold), args.workers, masses,
+    )
+    for col, results in zip(col_tags, loaded):
+        if isinstance(results, Exception):
+            logger.error("test set %s failed to load: %s", col, results)
             for row in row_tags:
-                cells[row][col] = {"status": "failed", "error": str(e)}
+                cells[row][col] = {"status": "failed", "error": str(results)}
                 n_failed += 1
-            baselines[col] = {"status": "failed", "error": str(e)}
+            baselines[col] = {"status": "failed", "error": str(results)}
             continue
-        # one spread per test heatmap, shared by the baseline and every model row
-        estimates = [uncertainty(h) for _, h, _ in pairs]
-        base_rep = aggregate(_run_evaluation(pairs, base_cfg, threshold, args.workers, estimates))
+        base_rep, *row_reps = [aggregate(records) for records in zip(*(r for _, r in results))]
+        base_fde = base_rep.min_fde_l[-1]
         baselines[col] = {
-            "status": "ok", "min_fde": base_rep.min_fde_l[-1], "mr": base_rep.mr_l[-1],
-            "count": base_rep.count,
+            "status": "ok", "min_fde": base_fde, "mr": base_rep.mr_l[-1], "count": base_rep.count,
         }
-        for row in row_tags:
-            try:
-                rep = aggregate(
-                    _run_evaluation(pairs, configs[row], threshold, args.workers, estimates)
-                )
-                base_fde = base_rep.min_fde_l[-1]
-                improvement = (
-                    (base_fde - rep.min_fde_l[-1]) / base_fde if base_fde > 0 else None
-                )
-                cells[row][col] = {
-                    "status": "ok",
-                    "min_fde": rep.min_fde_l[-1],
-                    "mr": rep.mr_l[-1],
-                    "count": rep.count,
-                    "improvement_vs_fixed": improvement,
-                }
-            except (ValueError, CliError) as e:
-                logger.error("cell (%s, %s) failed: %s", row, col, e)
-                cells[row][col] = {"status": "failed", "error": str(e)}
-                n_failed += 1
+        for row, rep in zip(row_tags, row_reps):
+            cells[row][col] = {
+                "status": "ok",
+                "min_fde": rep.min_fde_l[-1],
+                "mr": rep.mr_l[-1],
+                "count": rep.count,
+                "improvement_vs_fixed": (base_fde - rep.min_fde_l[-1]) / base_fde if base_fde > 0 else None,
+            }
 
     def _fmt(row: str, col: str, key: str):
         cell = cells[row][col]
@@ -656,6 +746,7 @@ def cmd_cross_eval(args) -> int:
     _write_run_meta(
         out, "cross-eval", cfg_hash,
         n_cells=len(row_tags) * len(col_tags), n_failed=n_failed, input_mass=masses,
+        workers=args.workers,
     )
     if n_failed == len(row_tags) * len(col_tags):
         return EXIT_FAILURE
@@ -674,12 +765,12 @@ ANALYSIS_SPEED_DEFAULTS = {"bin_width": 1.0}
 def _scene_values(path: Path, fn) -> list[tuple[str, float]]:
     """(sample id, fn(sample)) for every scene line, in file order."""
     out = []
-    for i, d in enumerate(read_jsonl(path)):
+    for offset, d in read_jsonl(path):
         try:
             s = sample_from_dict(d)
             out.append((s.id, fn(s)))
         except RECORD_ERRORS as e:
-            raise _record_error(path, i, d, e) from None
+            raise _record_error(path, offset, d, e) from None
     if not out:
         raise CliError(f"{path}: no samples")
     return out
@@ -824,7 +915,10 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", default=None, help="JSON config file")
     common.add_argument("--seed", type=int, default=None, help="random seed override")
-    common.add_argument("--workers", type=int, default=1, help="parallel worker count")
+    common.add_argument(
+        "--workers", type=int, default=_default_workers(),
+        help="worker processes (default: the usable CPUs); outputs do not depend on it",
+    )
     common.add_argument("--out", required=True, help="output directory")
     sub = parser.add_subparsers(dest="command", required=True)
 

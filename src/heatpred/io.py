@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from itertools import islice
+import os
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -21,41 +21,65 @@ def config_hash(obj) -> str:
     return hashlib.sha256(canonical_dumps(obj).encode()).hexdigest()[:16]
 
 
-def _jsonl_lines(path) -> Iterator[tuple[int, str]]:
-    """(1-based line number, stripped text) of every non-blank line."""
-    with open(path) as f:
-        for line_no, line in enumerate(f, start=1):
-            line = line.strip()
+def _jsonl_lines(path, start: int = 0, end: int | None = None) -> Iterator[tuple[int, bytes]]:
+    """(byte offset, stripped bytes) of every non-blank line that starts in bytes
+    ``[start, end)`` of ``path``; lines end at ``\\n``."""
+    with open(path, "rb") as f:
+        f.seek(start)
+        offset = start
+        for raw in f:
+            if end is not None and offset >= end:
+                break
+            line = raw.strip()
             if line:
-                yield line_no, line
+                yield offset, line
+            offset += len(raw)
 
 
-def _loads_line(path, line_no: int, line: str):
+def line_number(path, offset: int) -> int:
+    """1-based number of the line of ``path`` that starts at byte ``offset``."""
+    with open(path, "rb") as f:
+        return f.read(offset).count(b"\n") + 1
+
+
+def _loads_line(path, offset: int, line: bytes):
     try:
         return json.loads(line)
-    except json.JSONDecodeError as e:
-        raise ValueError(f"{path}:{line_no}: invalid JSON ({e})") from e
+    except ValueError as e:  # JSONDecodeError, or UnicodeDecodeError for bytes that are not UTF-8
+        raise ValueError(f"{path}:{line_number(path, offset)}: invalid JSON ({e})") from e
 
 
-def read_jsonl(path) -> Iterator[dict]:
-    for line_no, line in _jsonl_lines(path):
-        yield _loads_line(path, line_no, line)
+def read_jsonl(path) -> Iterator[tuple[int, object]]:
+    """(byte offset, record) of every non-blank line; a line that is not JSON
+    raises a ValueError naming ``path:line``."""
+    for offset, line in _jsonl_lines(path):
+        yield offset, _loads_line(path, offset, line)
 
 
-def read_jsonl_lenient(path) -> Iterator[dict | ValueError]:
-    """Like :func:`read_jsonl`, but a line that is not JSON yields the
-    ValueError ``read_jsonl`` would raise (naming ``path:line``) and reading goes on."""
-    for line_no, line in _jsonl_lines(path):
+def read_jsonl_lenient(path, start: int = 0, end: int | None = None) -> Iterator[tuple[int, object]]:
+    """Like :func:`read_jsonl` over the lines that start in bytes ``[start, end)``,
+    but a line that is not JSON yields the ValueError ``read_jsonl`` would raise
+    and reading goes on."""
+    for offset, line in _jsonl_lines(path, start, end):
         try:
-            value = _loads_line(path, line_no, line)
+            value = _loads_line(path, offset, line)
         except ValueError as e:
             value = e
-        yield value
+        yield offset, value
 
 
-def jsonl_line_number(path, index: int) -> int:
-    """Line number of the record that ``read_jsonl(path)`` yields at 0-based ``index``."""
-    return next(islice(_jsonl_lines(path), index, None))[0]
+def jsonl_ranges(path, parts: int) -> list[tuple[int, int]]:
+    """Split ``path`` at line ends into at most ``parts`` contiguous, non-empty
+    byte ranges ``(start, end)`` of about equal size that cover the whole file."""
+    size = os.path.getsize(path)
+    cuts = [0]
+    with open(path, "rb") as f:
+        for i in range(1, parts):
+            f.seek(max(size * i // parts, cuts[-1]))
+            f.readline()
+            cuts.append(f.tell())
+    cuts.append(size)
+    return [(a, b) for a, b in zip(cuts, cuts[1:]) if b > a]
 
 
 def write_jsonl(path, rows: Iterable[dict]) -> int:

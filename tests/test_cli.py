@@ -369,6 +369,90 @@ class TestMalformedRecord:
         assert f"{gt}:4: record must be a JSON object" in caplog.text
 
 
+def _argv(command, hm, gt, tmp_path):
+    """CLI arguments of ``command`` on one heatmap file and its ground truth, without --out."""
+    if command == "sample":
+        return ["sample", str(hm)]
+    if command == "cross-eval":
+        manifest = tmp_path / "manifest.json"
+        write_json(manifest, {
+            "models": [{"train_dataset": "m0", "fixed_radius": 1.0}],
+            "test_sets": [{"dataset": "t0", "heatmaps": str(hm), "ground_truth": str(gt)}],
+        })
+        return ["cross-eval", str(manifest)]
+    return [command, str(hm), str(gt)]
+
+
+class TestWorkerCounts:
+    @staticmethod
+    def _source(tmp_path, name, seed, sigma_range, n):
+        cfg = ScenarioConfig(
+            seed=seed, sigma_range=sigma_range, mean_region=((0.0, 12.0), (-5.0, 5.0)),
+            grid=GridSpec(origin_x=-20.0, origin_y=-24.0, resolution=0.5, width=101, height=97),
+        )
+        return generate_dataset(cfg, n, tmp_path / name)
+
+    @pytest.mark.parametrize("command", ["sample", "calibrate", "calibrate-mixed"])
+    def test_outputs_and_input_mass_do_not_depend_on_workers(self, tmp_path, command):
+        a = self._source(tmp_path, "a", 3, (0.5, 1.5), 17)
+        b = self._source(tmp_path, "b", 4, (2.0, 4.0), 11)
+        cfg = tmp_path / "cal.json"
+        if command == "sample":
+            argv, primary = ["sample", str(a["heatmaps"])], ["predictions.jsonl"]
+        else:
+            cal = {"bin_width": 2.0, "min_count": 1}
+            if command == "calibrate-mixed":
+                cal.update(mixed_n=20, mixed_sources=[
+                    {"heatmaps": str(p["heatmaps"]), "ground_truth": str(p["ground_truth"])} for p in (a, b)
+                ])
+                argv = ["calibrate", "--config", str(cfg), "--seed", "3"]
+            else:
+                argv = ["calibrate", str(a["heatmaps"]), str(a["ground_truth"]), "--config", str(cfg)]
+            write_json(cfg, cal)
+            primary = ["model.json", "binned_radii.csv"]
+        seen = {}
+        for workers in (1, 2, 3):
+            out = tmp_path / f"w{workers}"
+            assert main(argv + ["--out", str(out), "--workers", str(workers)]) == EXIT_OK
+            meta = read_json(out / "run_meta.json")
+            assert meta["workers"] == workers
+            seen[workers] = ([(out / name).read_bytes() for name in primary], meta["input_mass"])
+        assert seen[1] == seen[2] == seen[3]
+
+    @pytest.mark.parametrize("command", ["sample", "evaluate", "calibrate", "cross-eval"])
+    def test_malformed_line_across_ranges(self, tmp_path, caplog, command):
+        # ten heatmaps, a blank fourth line, no newline at the end, and the
+        # ninth heatmap (line 10) malformed: two workers split this file
+        hm, gt = write_pairs(tmp_path / "d", point_mass_pairs(10))
+        lines = hm.read_text().splitlines()
+        bad = json.loads(lines[8])
+        bad["cells"].append([0 if bad["cells"][0][0] else 1, -0.5])
+        lines[8] = json.dumps(bad)
+        hm.write_text("\n".join(lines[:3] + [""] + lines[3:]))
+        messages = set()
+        for workers in (1, 2):
+            caplog.clear()
+            argv = _argv(command, hm, gt, tmp_path) + ["--out", str(tmp_path / f"w{workers}")]
+            assert main(argv + ["--workers", str(workers)]) == EXIT_FAILURE
+            assert "Traceback" not in caplog.text
+            messages |= {r.getMessage() for r in caplog.records if str(hm) in r.getMessage()}
+        assert len(messages) == 1
+        assert f"{hm}:10 (sample c0008): probabilities must be non-negative" in messages.pop()
+
+    @pytest.mark.parametrize("command", ["evaluate", "calibrate", "cross-eval"])
+    def test_bad_ground_truth_line(self, tmp_path, caplog, command):
+        hm, gt = write_pairs(tmp_path / "d", point_mass_pairs(10))
+        lines = gt.read_text().splitlines()
+        lines[8] = '{"sample_id": "c0008", "gt": [1.0]}'
+        gt.write_text("\n".join(lines) + "\n")
+        for workers in (1, 2):
+            caplog.clear()
+            argv = _argv(command, hm, gt, tmp_path) + ["--out", str(tmp_path / f"w{workers}")]
+            assert main(argv + ["--workers", str(workers)]) == EXIT_FAILURE
+            assert f"{gt}:9 (sample c0008): list index out of range" in caplog.text
+            assert "Traceback" not in caplog.text
+
+
 class TestInputMassDiagnostics:
     @pytest.mark.parametrize("command", ["sample", "evaluate", "calibrate", "cross-eval"])
     def test_planted_mass_two_is_reported(self, tmp_path, command):
@@ -565,7 +649,9 @@ class TestCrossEval:
             "test_sets": [{"dataset": "t0", "heatmaps": str(hm), "ground_truth": str(gt)}],
         })
         write_json(tmp_path / "model.json", {"a": 0.02, "b": 0.9})
-        assert main(["cross-eval", str(manifest), "--out", str(tmp_path / "xe")]) == EXIT_OK
+        # calls are counted in this process, so no worker processes
+        argv = ["cross-eval", str(manifest), "--out", str(tmp_path / "xe"), "--workers", "1"]
+        assert main(argv) == EXIT_OK
         assert len(calls) == len(pairs)
 
     def test_missing_file_fails_cell_not_run(self, tmp_path):
