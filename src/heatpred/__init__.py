@@ -16,10 +16,8 @@ from .heatmap import (
     Heatmap,
     MixtureSpec,
     UncertaintyEstimate,
-    expectation,
     normalize,
     render_mixture,
-    threshold_sparsify,
     uncertainty,
 )
 from .metrics import (
@@ -48,9 +46,7 @@ from .trajectory import (
     StandardizationConfig,
     Trajectory,
     average_speed,
-    filter_slow_agents,
     resample_trajectory,
-    rotate_sample,
     standardize_sample,
 )
 

@@ -65,9 +65,9 @@ class CalibrationModel:
 
     def __post_init__(self):
         if not math.isfinite(self.a):
-            raise ValueError("slope must be finite")
+            raise ValueError(f"slope a must be finite, got {self.a!r}")
         if not self.b > 0:
-            raise ValueError("intercept must be positive")
+            raise ValueError(f"intercept b must be positive, got {self.b!r}")
 
 
 def _default_r_values() -> tuple[float, ...]:
@@ -235,12 +235,23 @@ def model_to_dict(m: CalibrationModel) -> dict:
 
 
 def model_from_dict(d: dict) -> CalibrationModel:
+    """Inverse of :func:`model_to_dict`. A missing ``a`` or ``b`` raises a
+    KeyError, and a value that does not parse a ValueError naming its key."""
+
+    def value(key: str, kind, optional: bool = False):
+        if optional and d.get(key) is None:
+            return None
+        try:
+            return kind(d[key])
+        except (TypeError, ValueError):
+            raise ValueError(f"key {key}: {d[key]!r} is not a valid {kind.__name__}") from None
+
     return CalibrationModel(
-        a=float(d["a"]),
-        b=float(d["b"]),
+        a=value("a", float),
+        b=value("b", float),
         source_dataset=str(d.get("source_dataset", "unknown")),
-        bin_count=None if d.get("bin_count") is None else int(d["bin_count"]),
-        residual_rms=None if d.get("residual_rms") is None else float(d["residual_rms"]),
+        bin_count=value("bin_count", int, optional=True),
+        residual_rms=value("residual_rms", float, optional=True),
     )
 
 

@@ -24,6 +24,7 @@ import numpy as np
 
 from . import __version__
 from .calibration import (
+    CalibrationModel,
     RadiusSweepConfig,
     binned_optimal_radii,
     fit_bins,
@@ -170,6 +171,16 @@ SAMPLING_DEFAULTS = {
 }
 
 
+def _read_model(path: Path) -> CalibrationModel:
+    """The calibration model stored at ``path``; a bad one raises a CliError naming the file and key."""
+    try:
+        return model_from_dict(_read_object(path))
+    except KeyError as e:
+        raise CliError(f"{path}: missing key {e}") from None
+    except ValueError as e:
+        raise CliError(f"{path}: {e}") from None
+
+
 def _sampling_config(cfg: dict, base_dir: Path | None) -> tuple[SamplingConfig, float]:
     """The sampling config and the miss threshold of a merged SAMPLING_DEFAULTS config."""
     radius = cfg["radius"] if isinstance(cfg["radius"], dict) else {}
@@ -179,7 +190,7 @@ def _sampling_config(cfg: dict, base_dir: Path | None) -> tuple[SamplingConfig, 
         model_path = _resolve_path(base_dir, str(radius["adaptive"]))
         if not model_path.exists():
             raise CliError(f"calibration model not found: {model_path}")
-        mode = AdaptiveRadius(model_from_dict(read_json(model_path)))
+        mode = AdaptiveRadius(_read_model(model_path))
     else:
         raise CliError('config key radius: must be an object with "fixed" or "adaptive"')
     sampling = SamplingConfig(
@@ -232,7 +243,7 @@ def _map_range(task) -> tuple[list[tuple[str, float, object]], tuple[int, str] |
         try:
             if isinstance(d, ValueError):
                 raise d
-            sid, h = heatmap_from_dict(d, renormalize=False)
+            sid, h = heatmap_from_dict(d)
             h, mass = normalize_with_mass(h)
             done.append((sid, mass, work(sid, h, arg)))
         except RECORD_ERRORS as e:
@@ -458,11 +469,12 @@ def cmd_standardize(args) -> int:
 
 def cmd_synth(args) -> int:
     cfg_raw, _ = _load_config(args.config)
-    n_cfg = cfg_raw.pop("n", None)
+    cfg = _merge({**ScenarioConfig().to_dict(), "n": None}, cfg_raw)
+    n_cfg = cfg.pop("n")
     n = args.n if args.n is not None else (_as(int, n_cfg, "n") if n_cfg is not None else 100)
     if args.seed is not None:
-        cfg_raw["seed"] = args.seed
-    scen = ScenarioConfig.from_dict(cfg_raw)
+        cfg["seed"] = args.seed
+    scen = ScenarioConfig.from_dict(cfg)
     out = _out_dir(args)
     paths = generate_dataset(scen, n, out)
     _write_run_meta(out, "synth", config_hash(scen.to_dict()), n=n)

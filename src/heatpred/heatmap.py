@@ -31,10 +31,10 @@ __all__ = [
     "EmptyRenderError",
     "normalize",
     "normalize_with_mass",
-    "expectation",
     "uncertainty",
     "render_mixture",
-    "threshold_sparsify",
+    "grid_to_dict",
+    "grid_from_dict",
     "heatmap_to_dict",
     "heatmap_to_json",
     "heatmap_from_dict",
@@ -225,13 +225,6 @@ def _moments(h: Heatmap) -> tuple[float, float, float]:
     return cx + ex, cy + ey, spread
 
 
-def expectation(h: Heatmap) -> tuple[float, float]:
-    """Probability-weighted mean of the cell-center positions."""
-    _require_normalized(h, "expectation")
-    ex, ey, _ = _moments(h)
-    return ex, ey
-
-
 def uncertainty(h: Heatmap) -> UncertaintyEstimate:
     """Spread of the distribution: sum of H(p) * squared distance to the mean.
 
@@ -298,24 +291,8 @@ def render_mixture(m: MixtureSpec, g: GridSpec, truncate_sigmas: float = 4.0) ->
     return normalize(Heatmap(g, idx, dens))
 
 
-def threshold_sparsify(h: Heatmap, min_prob: float) -> tuple[Heatmap, float]:
-    """Drop cells with probability below ``min_prob`` and renormalize.
-
-    Returns the sparsified heatmap and the total mass that was dropped.
-    """
-    if len(h) == 0:
-        raise ZeroMassError("threshold_sparsify: heatmap has no cells")
-    pmax = float(np.max(h.prob))
-    if not 0 <= min_prob < pmax:
-        raise ValueError(f"min_prob must lie in [0, max cell probability={pmax})")
-    keep = h.prob >= min_prob
-    dropped = float(np.sum(h.prob[~keep]))
-    if dropped == 0.0:
-        return h, 0.0
-    return normalize(Heatmap(h.grid, h.idx[keep], h.prob[keep])), dropped
-
-
-def _grid_to_dict(g: GridSpec) -> dict:
+def grid_to_dict(g: GridSpec) -> dict:
+    """JSON form of a grid, as heatmap lines and scenario configs store it."""
     return {
         "origin_x": g.origin_x,
         "origin_y": g.origin_y,
@@ -325,11 +302,22 @@ def _grid_to_dict(g: GridSpec) -> dict:
     }
 
 
+def grid_from_dict(d: dict) -> GridSpec:
+    """Inverse of :func:`grid_to_dict`."""
+    return GridSpec(
+        origin_x=float(d["origin_x"]),
+        origin_y=float(d["origin_y"]),
+        resolution=float(d["resolution"]),
+        width=int(d["width"]),
+        height=int(d["height"]),
+    )
+
+
 def heatmap_to_dict(h: Heatmap, sample_id: str) -> dict:
     """JSON-ready form: grid spec plus [index, probability] cell pairs."""
     return {
         "sample_id": sample_id,
-        "grid": _grid_to_dict(h.grid),
+        "grid": grid_to_dict(h.grid),
         "cells": [[int(i), float(p)] for i, p in zip(h.idx, h.prob)],
     }
 
@@ -341,27 +329,18 @@ def heatmap_to_json(h: Heatmap, sample_id: str) -> str:
     Python ints and floats, and the json encoder writes those by ``repr``.
     "cells" sorts before "grid" and "sample_id", so it comes first.
     """
-    rest = canonical_dumps({"grid": _grid_to_dict(h.grid), "sample_id": sample_id})
+    rest = canonical_dumps({"grid": grid_to_dict(h.grid), "sample_id": sample_id})
     if not len(h):
         return '{"cells":[],' + rest[1:]
     pairs = zip(map(str, h.idx.tolist()), map(repr, h.prob.tolist()))
     return '{"cells":[[' + "],[".join(map(",".join, pairs)) + "]]," + rest[1:]
 
 
-def heatmap_from_dict(d: dict, renormalize: bool = True) -> tuple[str, Heatmap]:
-    """Parse the JSON form. Probabilities are normalized on read by default."""
-    g = d["grid"]
-    grid = GridSpec(
-        origin_x=float(g["origin_x"]),
-        origin_y=float(g["origin_y"]),
-        resolution=float(g["resolution"]),
-        width=int(g["width"]),
-        height=int(g["height"]),
-    )
+def heatmap_from_dict(d: dict) -> tuple[str, Heatmap]:
+    """Parse the JSON form as stored; :func:`normalize_with_mass` gives unit mass."""
+    grid = grid_from_dict(d["grid"])
     cells = d["cells"]
     idx = np.array([c[0] for c in cells], dtype=np.int64)
     prob = np.array([c[1] for c in cells], dtype=np.float64)
     h = Heatmap(grid, idx, prob)
-    if renormalize:
-        h = normalize(h)
     return str(d["sample_id"]), h

@@ -147,23 +147,33 @@ def write_records_csv(path, records: Sequence[EvalRecord], header_comment: str |
 
 
 def read_records_csv(path) -> list[EvalRecord]:
+    """Records as :func:`write_records_csv` writes them. A missing column or a
+    value that does not parse raises a ValueError naming the file."""
     records = []
     with open(path, newline="") as f:
         lines = (ln for ln in f if not ln.startswith("#"))
         reader = csv.DictReader(lines)
         if reader.fieldnames is None:
             raise ValueError(f"{path}: empty records file")
-        ks = sorted(int(c.split("_")[1]) for c in reader.fieldnames if c.startswith("fde_"))
+        k = max(sum(c.startswith("fde_") for c in reader.fieldnames), 1)
+        ks = range(1, k + 1)
+        columns = ["sample_id", "uncertainty", "radius_used"] + [f"{m}_{l}" for m in ("fde", "miss") for l in ks]
+        missing = [c for c in columns if c not in reader.fieldnames]
+        if missing:
+            raise ValueError(f"{path}: missing column {missing[0]}")
         for row in reader:
-            records.append(
-                EvalRecord(
-                    sample_id=row["sample_id"],
-                    uncertainty=float(row["uncertainty"]),
-                    radius_used=float(row["radius_used"]),
-                    fde_per_l=[float(row[f"fde_{l}"]) for l in ks],
-                    miss_per_l=[row[f"miss_{l}"] == "1" for l in ks],
+            try:
+                records.append(
+                    EvalRecord(
+                        sample_id=row["sample_id"],
+                        uncertainty=float(row["uncertainty"]),
+                        radius_used=float(row["radius_used"]),
+                        fde_per_l=[float(row[f"fde_{l}"]) for l in ks],
+                        miss_per_l=[row[f"miss_{l}"] == "1" for l in ks],
+                    )
                 )
-            )
+            except (TypeError, ValueError) as e:
+                raise ValueError(f"{path} (sample {row['sample_id']}): {e}") from None
     return records
 
 

@@ -32,19 +32,16 @@ class KalmanConfig:
     """Constant-velocity filter parameters.
 
     ``process_accel_std`` is the white-acceleration driving noise (m/s^2),
-    ``obs_std`` the position observation noise (m). ``dt`` is derived from
-    the trajectory timestamps when left unset.
+    ``obs_std`` the position observation noise (m). The time step comes from
+    the trajectory timestamps.
     """
 
     process_accel_std: float = 1.0
     obs_std: float = 0.5
-    dt: float | None = None
 
     def __post_init__(self):
         if self.process_accel_std <= 0 or self.obs_std <= 0:
             raise ValueError("noise parameters must be positive")
-        if self.dt is not None and self.dt <= 0:
-            raise ValueError("dt must be positive")
 
 
 def _filter_states(positions: np.ndarray, dt: float, cfg: KalmanConfig):
@@ -95,9 +92,9 @@ def _filter_states(positions: np.ndarray, dt: float, cfg: KalmanConfig):
     return filtered, covs
 
 
-def _uniform_dt(traj: Trajectory, cfg: KalmanConfig) -> float:
+def _uniform_dt(traj: Trajectory) -> float:
     ts = traj.ts
-    dt = cfg.dt if cfg.dt is not None else float(ts[-1] - ts[0]) / (len(ts) - 1)
+    dt = float(ts[-1] - ts[0]) / (len(ts) - 1)
     diffs = np.diff(ts)
     if np.any(np.abs(diffs - dt) > 1e-6):
         raise NonUniformSamplingError(
@@ -111,7 +108,7 @@ def kalman_filter_cv(traj: Trajectory, cfg: KalmanConfig = KalmanConfig()) -> Tr
     """Filter a uniformly sampled track; returns positions at the same times."""
     if len(traj) < 3:
         raise ValueError("filtering needs at least three points")
-    dt = _uniform_dt(traj, cfg)
+    dt = _uniform_dt(traj)
     filtered, _ = _filter_states(traj.xy.copy(), dt, cfg)
     return Trajectory(np.column_stack([traj.ts, filtered]))
 

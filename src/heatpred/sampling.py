@@ -30,7 +30,6 @@ __all__ = [
     "adaptive_radius",
     "sample_with_uncertainty",
     "prediction_to_dict",
-    "prediction_from_dict",
 ]
 
 
@@ -135,13 +134,3 @@ def prediction_to_dict(ps: PredictionSet, sample_id: str) -> dict:
         "endpoints": [[e.x, e.y, e.score] for e in ps.endpoints],
     }
 
-
-def prediction_from_dict(d: dict) -> tuple[str, PredictionSet]:
-    u = d.get("uncertainty")
-    est = None if u is None else UncertaintyEstimate(float(u), (float("nan"), float("nan")))
-    ps = PredictionSet(
-        endpoints=[Endpoint(float(x), float(y), float(s)) for x, y, s in d["endpoints"]],
-        radius_used=float(d["radius_used"]),
-        uncertainty=est,
-    )
-    return str(d["sample_id"]), ps

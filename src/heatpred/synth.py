@@ -18,8 +18,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .heatmap import GaussianMode, GridSpec, Heatmap, MixtureSpec, heatmap_to_json, render_mixture
-from .io import canonical_dumps, config_hash
+from .heatmap import (
+    GaussianMode,
+    GridSpec,
+    Heatmap,
+    MixtureSpec,
+    grid_from_dict,
+    grid_to_dict,
+    heatmap_to_json,
+    render_mixture,
+)
+from .io import canonical_dumps, config_hash, write_json
 
 __all__ = [
     "ScenarioConfig",
@@ -60,44 +69,61 @@ class ScenarioConfig:
             raise ValueError("mean_region must be a non-empty rectangle")
 
     def to_dict(self) -> dict:
-        g = self.grid
         return {
             "n_modes_range": list(self.n_modes_range),
             "mean_region": [list(self.mean_region[0]), list(self.mean_region[1])],
             "sigma_range": list(self.sigma_range),
             "weight_floor": self.weight_floor,
-            "grid": {
-                "origin_x": g.origin_x,
-                "origin_y": g.origin_y,
-                "resolution": g.resolution,
-                "width": g.width,
-                "height": g.height,
-            },
+            "grid": grid_to_dict(self.grid),
             "seed": self.seed,
             "truncate_sigmas": self.truncate_sigmas,
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioConfig":
+        """Inverse of :meth:`to_dict`; absent keys keep their defaults. A value
+        that does not parse raises a ValueError naming its key."""
         kwargs = {}
-        if "n_modes_range" in d:
-            kwargs["n_modes_range"] = tuple(d["n_modes_range"])
-        if "mean_region" in d:
-            kwargs["mean_region"] = (tuple(d["mean_region"][0]), tuple(d["mean_region"][1]))
-        if "sigma_range" in d:
-            kwargs["sigma_range"] = tuple(d["sigma_range"])
-        for key in ("weight_floor", "seed", "truncate_sigmas"):
+        for key, parse in _FIELD_PARSERS.items():
             if key in d:
-                kwargs[key] = d[key]
-        if "grid" in d:
-            kwargs["grid"] = GridSpec(
-                origin_x=float(d["grid"]["origin_x"]),
-                origin_y=float(d["grid"]["origin_y"]),
-                resolution=float(d["grid"]["resolution"]),
-                width=int(d["grid"]["width"]),
-                height=int(d["grid"]["height"]),
-            )
+                try:
+                    kwargs[key] = parse(d[key])
+                except (KeyError, TypeError, ValueError) as e:
+                    why = f"missing key {e}" if isinstance(e, KeyError) else str(e)
+                    raise ValueError(f"config key {key}: {why}") from None
         return cls(**kwargs)
+
+
+def _number(value):
+    """``value`` itself if it is a JSON number; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{value!r} is not a number")
+    return value
+
+
+def _pair(value, item=_number) -> tuple:
+    """A list of two values, each parsed by ``item``, as a tuple."""
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ValueError(f"{value!r} is not a list of two")
+    return tuple(item(v) for v in value)
+
+
+def _seed(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ValueError(f"{value!r} is not an integer >= 0")
+    return value
+
+
+# How ScenarioConfig.from_dict parses each key of the JSON form.
+_FIELD_PARSERS = {
+    "n_modes_range": _pair,
+    "mean_region": lambda v: _pair(v, _pair),
+    "sigma_range": _pair,
+    "weight_floor": _number,
+    "grid": grid_from_dict,
+    "seed": _seed,
+    "truncate_sigmas": _number,
+}
 
 
 def _rng_for(cfg: ScenarioConfig, index: int) -> np.random.Generator:
@@ -160,7 +186,7 @@ def generate_dataset(cfg: ScenarioConfig, n: int, out_dir) -> dict[str, Path]:
                 hf.write(heatmap_to_json(h, sid) + "\n")
                 gf.write(canonical_dumps({"sample_id": sid, "gt": [gt[0], gt[1]]}) + "\n")
         manifest = {"config": cfg_dict, "config_hash": config_hash(cfg_dict), "n": n}
-        paths["manifest"].write_text(canonical_dumps(manifest, indent=2) + "\n")
+        write_json(paths["manifest"], manifest)
     except OSError as e:
         raise OSError(f"failed writing dataset under {out}: {e}") from e
     return paths

@@ -1,4 +1,4 @@
-"""Trajectory containers, temporal standardization and scene transforms.
+"""Trajectory containers, temporal standardization and speed.
 
 Source datasets ship tracks at different rates, history lengths and horizons.
 Everything downstream assumes a common convention: timestamps are relative
@@ -8,8 +8,6 @@ and the future covers (0, horizon], both resampled to a fixed rate.
 
 from __future__ import annotations
 
-import hashlib
-import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -24,8 +22,6 @@ __all__ = [
     "resample_trajectory",
     "standardize_sample",
     "average_speed",
-    "rotate_sample",
-    "filter_slow_agents",
     "sample_to_dict",
     "sample_from_dict",
 ]
@@ -191,52 +187,6 @@ def average_speed(s: Sample) -> float:
     pT = s.future.data[-1, 1:]
     horizon = float(s.future.ts[-1])
     return float(np.hypot(pT[0] - p0[0], pT[1] - p0[1])) / horizon
-
-
-def rotate_sample(s: Sample, angle: float) -> Sample:
-    """Rotate all positions by ``angle`` about the target's t=0 position."""
-    _require_standardized(s)
-    center = s.past.data[-1, 1:]
-    cos_a = math.cos(angle)
-    sin_a = math.sin(angle)
-    rot = np.array([[cos_a, -sin_a], [sin_a, cos_a]])
-
-    def _rot(traj: Trajectory) -> Trajectory:
-        xy = (traj.xy - center) @ rot.T + center
-        return Trajectory(np.column_stack([traj.ts, xy]))
-
-    return Sample(
-        id=s.id,
-        dataset=s.dataset,
-        past=_rot(s.past),
-        future=_rot(s.future),
-        neighbors=[_rot(nb) for nb in s.neighbors],
-        is_predefined_target=s.is_predefined_target,
-    )
-
-
-def _inclusion_draw(seed: int, sample_id: str) -> float:
-    # uniform in [0, 1), stable under input order and parallel fan-out
-    digest = hashlib.sha256(f"{seed}|{sample_id}".encode()).digest()
-    return int.from_bytes(digest[:8], "big") / 2**64
-
-
-def filter_slow_agents(
-    samples: Sequence[Sample], include_non_targets: float, seed: int = 0
-) -> list[Sample]:
-    """Keep all predefined targets plus a seeded random share of the rest.
-
-    Non-target agents (parked or slow vehicles promoted to prediction cases)
-    are each kept with probability ``include_non_targets``; the decision is a
-    pure function of (seed, sample id).
-    """
-    if not 0.0 <= include_non_targets <= 1.0:
-        raise ValueError("include_non_targets must lie in [0, 1]")
-    out = []
-    for s in samples:
-        if s.is_predefined_target or _inclusion_draw(seed, s.id) < include_non_targets:
-            out.append(s)
-    return out
 
 
 def _traj_to_rows(traj: Trajectory) -> list[list[float]]:

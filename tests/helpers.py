@@ -106,7 +106,6 @@ def straight_sample(
     sample_id: str = "s0",
     dataset: str = "synthetic",
     heading: float = 0.0,
-    is_target: bool = True,
 ) -> Sample:
     """Standardized straight-line sample with the given displacement speed."""
     rate = 10.0
@@ -123,7 +122,6 @@ def straight_sample(
         dataset=dataset,
         past=Trajectory(track(tpast)),
         future=Trajectory(track(tfut)),
-        is_predefined_target=is_target,
     )
 
 

@@ -247,6 +247,51 @@ class TestConfigAndFlags:
         assert named in caplog.text
         assert "Traceback" not in caplog.text
 
+    @pytest.mark.parametrize("command", ["sample", "evaluate", "cross-eval"])
+    @pytest.mark.parametrize(
+        "text, named",
+        [
+            ("{}", "m.json: missing key 'a'"),
+            ("[1,2]", "m.json: top level must be a JSON object"),
+            ('{"a": 1, "b": -1}', "m.json: intercept b must be positive"),
+            ('{"a": "x", "b": 1}', "m.json: key a: 'x' is not a valid float"),
+            ('{"a": 0.1, "b": 1, "bin_count": "many"}', "m.json: key bin_count"),
+        ],
+        ids=["empty", "array", "negative-b", "a-string", "bin_count-string"],
+    )
+    def test_bad_adaptive_model_names_file_and_key(self, tmp_path, caplog, command, text, named):
+        hm, gt = write_pairs(tmp_path, point_mass_pairs(3))
+        (tmp_path / "m.json").write_text(text)
+        if command == "cross-eval":
+            cfg = {"models": [{"train_dataset": "m0", "calibration": "m.json"}],
+                   "test_sets": [{"dataset": "t0", "heatmaps": str(hm), "ground_truth": str(gt)}]}
+            argv = ["cross-eval", str(tmp_path / "cfg.json")]
+        else:
+            cfg = {"radius": {"adaptive": "m.json"}}
+            argv = [command, str(hm)] + ([str(gt)] if command == "evaluate" else [])
+            argv += ["--config", str(tmp_path / "cfg.json")]
+        write_json(tmp_path / "cfg.json", cfg)
+        assert main(argv + ["--out", str(tmp_path / "out")]) == EXIT_FAILURE
+        assert named in caplog.text
+
+    @pytest.mark.parametrize(
+        "cfg, named",
+        [
+            ({"sigma_rnage": [1.0, 2.0]}, "unknown config keys: sigma_rnage"),
+            ({"grid": {"origin_x": 0}}, "config key grid: missing key 'origin_y'"),
+            ({"n_modes_range": 3}, "config key n_modes_range"),
+            ({"seed": "x"}, "config key seed"),
+            ({"n": "many"}, "config key n"),
+        ],
+        ids=["unknown-key", "grid-partial", "n_modes_range-number", "seed-string", "n-string"],
+    )
+    def test_bad_synth_config_names_key(self, tmp_path, caplog, cfg, named):
+        write_json(tmp_path / "cfg.json", cfg)
+        out = tmp_path / "out"
+        assert main(["synth", "--config", str(tmp_path / "cfg.json"), "--out", str(out)]) == EXIT_FAILURE
+        assert named in caplog.text
+        assert not (out / "heatmaps.jsonl").exists()
+
     def test_workers_below_one_rejected(self, tmp_path, caplog):
         hm, gt = write_pairs(tmp_path, point_mass_pairs(3))
         out = tmp_path / "out"
@@ -514,6 +559,24 @@ class TestAnalysis:
         rows = read_csv_rows(out / "uncertainty_error.csv")
         assert len(rows) == 9  # U spans [0, 8.7] in unit bins
         assert (out / "uncertainty_error.svg").exists()
+
+    @pytest.mark.parametrize(
+        "text, named",
+        [
+            ("a,b\n1,2\n", "missing column sample_id"),
+            ("sample_id,uncertainty,radius_used,fde_2,miss_2\nr0,1.0,1.0,0.5,0\n", "missing column fde_1"),
+            ("sample_id,uncertainty,radius_used,fde_1\nr0,1.0,1.0,0.5\n", "missing column miss_1"),
+            ("sample_id,uncertainty,radius_used,fde_1,miss_1\nr0,x,1.0,0.5,0\n", "(sample r0)"),
+            ("sample_id,uncertainty,radius_used,fde_1,miss_1\nr0,1.0\n", "(sample r0)"),
+        ],
+        ids=["no-columns", "no-fde_1", "no-miss_1", "bad-float", "short-row"],
+    )
+    def test_uncertainty_error_bad_records_names_file(self, tmp_path, caplog, text, named):
+        path = tmp_path / "records.csv"
+        path.write_text(text)
+        assert main(["analysis", "uncertainty-error", str(path), "--out", str(tmp_path / "out")]) == EXIT_FAILURE
+        assert f"{path}" in caplog.text
+        assert named in caplog.text
 
     def test_speed_report_stationary(self, tmp_path):
         scenes = tmp_path / "scenes.jsonl"

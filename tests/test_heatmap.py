@@ -12,13 +12,11 @@ from heatpred.heatmap import (
     Heatmap,
     MixtureSpec,
     ZeroMassError,
-    expectation,
     heatmap_from_dict,
     heatmap_to_dict,
     heatmap_to_json,
     normalize,
     render_mixture,
-    threshold_sparsify,
     uncertainty,
 )
 from heatpred.io import canonical_dumps
@@ -102,13 +100,13 @@ class TestMoments:
     def test_single_cell_point_mass(self):
         g = GridSpec(3.0, 4.0, 1.0, 1, 1)
         h = normalize(Heatmap.from_cells(g, {0: 1.0}))
-        assert expectation(h) == (3.0, 4.0)
+        assert uncertainty(h).mean == (3.0, 4.0)
         assert uncertainty(h).spread == 0.0
 
     def test_two_cells_symmetric(self):
         g = GridSpec(0.0, 0.0, 1.0, 2, 1)
         h = normalize(Heatmap.from_cells(g, {0: 1.0, 1: 1.0}))
-        assert expectation(h) == (0.5, 0.0)
+        assert uncertainty(h).mean == (0.5, 0.0)
         assert uncertainty(h).spread == pytest.approx(0.25, abs=1e-12)
 
     def test_requires_normalized(self):
@@ -119,7 +117,7 @@ class TestMoments:
 
     def test_gaussian_mean_recovered(self):
         h = rendered_gaussian((5.0, -2.0), 2.0)
-        ex, ey = expectation(h)
+        ex, ey = uncertainty(h).mean
         assert ex == pytest.approx(5.0, abs=0.01)
         assert ey == pytest.approx(-2.0, abs=0.01)
 
@@ -190,7 +188,7 @@ class TestRenderMixture:
             (GaussianMode(0.5, -6.0, 0.0, 1.0), GaussianMode(0.5, 6.0, 0.0, 1.0))
         )
         h = render_mixture(mix, g, 4.0)
-        ex, ey = expectation(h)
+        ex, ey = uncertainty(h).mean
         assert abs(ex) < 0.25
         assert abs(ey) < 0.25
 
@@ -249,36 +247,15 @@ class TestRenderMixture:
             assert uncertainty(h).spread == pytest.approx(2 * sigma * sigma, rel=0.03)
 
 
-class TestThresholdSparsify:
-    def test_zero_threshold_is_identity(self, rng):
-        h = random_heatmap(rng, GridSpec(0, 0, 0.5, 16, 16), 64)
-        out, dropped = threshold_sparsify(h, 0.0)
-        assert dropped == 0.0
-        assert out is h
-
-    def test_drops_small_cell(self):
-        g = GridSpec(0, 0, 1.0, 4, 4)
-        h = normalize(Heatmap.from_cells(g, {0: 0.99, 5: 0.01}))
-        out, dropped = threshold_sparsify(h, 0.05)
-        assert out.idx.tolist() == [0]
-        assert out.prob.tolist() == [1.0]
-        assert dropped == pytest.approx(0.01, abs=1e-12)
-
-    def test_small_threshold_barely_moves_spread(self, rng):
-        h = random_heatmap(rng, GridSpec(-10, -10, 0.5, 48, 48), 800)
-        out, _ = threshold_sparsify(h, 1e-6)
-        u0 = uncertainty(h).spread
-        u1 = uncertainty(out).spread
-        assert abs(u1 - u0) / u0 < 0.005
-
-
 class TestJsonRoundTrip:
     def test_round_trip_and_reader_normalization(self, rng):
         h = random_heatmap(rng, GridSpec(-3.0, 2.0, 0.25, 20, 30), 50)
         d = heatmap_to_dict(h, "abc")
-        # scale probabilities: reader must renormalize
+        # scale probabilities: the reader keeps them, normalize restores unit mass
         d["cells"] = [[i, p * 7.5] for i, p in d["cells"]]
         sid, back = heatmap_from_dict(d)
+        assert back.total_mass == pytest.approx(7.5 * h.total_mass, rel=1e-12)
+        back = normalize(back)
         assert sid == "abc"
         assert back.grid == h.grid
         assert np.array_equal(back.idx, h.idx)

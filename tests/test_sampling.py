@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -15,13 +16,13 @@ from heatpred.heatmap import (
     render_mixture,
     uncertainty,
 )
+from heatpred.io import canonical_dumps
 from heatpred.sampling import (
     AdaptiveRadius,
     FixedRadius,
     SamplingConfig,
     adaptive_radius,
     nms_sample,
-    prediction_from_dict,
     prediction_to_dict,
     sample_with_uncertainty,
 )
@@ -175,9 +176,8 @@ class TestPredictionJson:
     def test_round_trip(self, rng):
         h = random_heatmap(rng, GridSpec(0, 0, 0.5, 16, 16), 60)
         ps = sample_with_uncertainty(h, SamplingConfig(k=4))
-        d = prediction_to_dict(ps, "p1")
-        sid, back = prediction_from_dict(d)
-        assert sid == "p1"
-        assert back.radius_used == ps.radius_used
-        assert [tuple(e) for e in back.endpoints] == [tuple(e) for e in ps.endpoints]
-        assert back.uncertainty.spread == ps.uncertainty.spread
+        back = json.loads(canonical_dumps(prediction_to_dict(ps, "p1")))
+        assert back["sample_id"] == "p1"
+        assert back["radius_used"] == ps.radius_used
+        assert [tuple(e) for e in back["endpoints"]] == [tuple(e) for e in ps.endpoints]
+        assert back["uncertainty"] == ps.uncertainty.spread

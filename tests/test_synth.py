@@ -1,10 +1,12 @@
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
 
-from heatpred.heatmap import GridSpec, uncertainty
+from heatpred.heatmap import GridSpec, grid_to_dict, uncertainty
+from heatpred.io import canonical_dumps
 from heatpred.synth import (
     ScenarioConfig,
     default_grid,
@@ -106,6 +108,17 @@ class TestGenerateDataset:
             "376305aac4aa79566b1ee1f299ae584f5f6dbeff5f2409b5bc95f20122a1f2fb"
         )
 
+    def test_default_config_manifest_and_ground_truth_bytes_pinned(self, tmp_path):
+        paths = generate_dataset(ScenarioConfig(seed=7), 5, tmp_path)
+        pins = {
+            "manifest": (483, "cefaa99f2f1a8425926634d81e3b30953fdc1e7a51e92cb0c6c5e95f1129d21b"),
+            "ground_truth": (368, "9856e65a172fe4e13cddd4bdfaf73a8c9af88905abdb8b78d2b0eaf5c652144f"),
+        }
+        for key, (size, digest) in pins.items():
+            data = paths[key].read_bytes()
+            assert len(data) == size
+            assert hashlib.sha256(data).hexdigest() == digest
+
     def test_spread_spans_many_integer_bins(self):
         cfg = ScenarioConfig(seed=3)
         bins = set()
@@ -123,6 +136,33 @@ class TestConfigRoundTrip:
     def test_dict_round_trip(self):
         cfg = small_config(n_modes_range=(1, 2), weight_floor=0.2, truncate_sigmas=5.0)
         assert ScenarioConfig.from_dict(cfg.to_dict()) == cfg
+
+    def test_json_round_trip_with_custom_grid(self):
+        grid = GridSpec(origin_x=3.25, origin_y=-7.5, resolution=0.25, width=40, height=30)
+        cfg = ScenarioConfig(mean_region=((5.0, 6.0), (-2.0, 0.0)), grid=grid, seed=5)
+        d = cfg.to_dict()
+        assert d["grid"] == grid_to_dict(grid)
+        back = ScenarioConfig.from_dict(json.loads(canonical_dumps(d)))
+        assert back == cfg
+        assert canonical_dumps(back.to_dict()) == canonical_dumps(d)
+
+    @pytest.mark.parametrize(
+        "d, named",
+        [
+            ({"n_modes_range": 3}, "config key n_modes_range"),
+            ({"mean_region": [[0, 1], [2]]}, "config key mean_region"),
+            ({"sigma_range": [1.0, "x"]}, "config key sigma_range"),
+            ({"weight_floor": None}, "config key weight_floor"),
+            ({"grid": {"origin_x": 0}}, "config key grid: missing key 'origin_y'"),
+            ({"grid": {**grid_to_dict(default_grid()), "resolution": 0}}, "config key grid: resolution"),
+            ({"seed": 1.5}, "config key seed"),
+            ({"seed": -1}, "config key seed"),
+            ({"truncate_sigmas": "4"}, "config key truncate_sigmas"),
+        ],
+    )
+    def test_from_dict_names_bad_key(self, d, named):
+        with pytest.raises(ValueError, match=re.escape(named)):
+            ScenarioConfig.from_dict(d)
 
     def test_default_grid_covers_mean_region(self):
         g = default_grid()

@@ -2,8 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from heatpred.binning import floor_histogram
 from heatpred.trajectory import (
@@ -13,9 +11,7 @@ from heatpred.trajectory import (
     StandardizationConfig,
     Trajectory,
     average_speed,
-    filter_slow_agents,
     resample_trajectory,
-    rotate_sample,
     sample_from_dict,
     sample_to_dict,
     standardize_sample,
@@ -212,71 +208,6 @@ class TestSpeed:
     def test_empty_error(self):
         with pytest.raises(ValueError):
             speed_fractions([], 1.0)
-
-
-class TestRotate:
-    def test_zero_angle_identity(self):
-        s = straight_sample(5.0)
-        out = rotate_sample(s, 0.0)
-        assert np.allclose(out.past.data, s.past.data, atol=1e-12)
-        assert np.allclose(out.future.data, s.future.data, atol=1e-12)
-
-    def test_pi_twice_is_identity(self):
-        s = straight_sample(5.0, heading=0.3)
-        out = rotate_sample(rotate_sample(s, math.pi), math.pi)
-        assert np.allclose(out.future.data, s.future.data, atol=1e-9)
-
-    def test_t0_position_fixed(self):
-        s = straight_sample(5.0)
-        out = rotate_sample(s, 1.2345)
-        assert np.allclose(out.past.data[-1], s.past.data[-1], atol=1e-12)
-
-    @settings(max_examples=30, deadline=None)
-    @given(angle=st.floats(-2 * math.pi, 2 * math.pi), speed=st.floats(0.0, 30.0))
-    def test_rotation_is_isometry(self, angle, speed):
-        s = straight_sample(speed, heading=0.7)
-        out = rotate_sample(s, angle)
-        pts = np.vstack([s.past.xy, s.future.xy])
-        pts_r = np.vstack([out.past.xy, out.future.xy])
-        d = np.linalg.norm(pts[:, None] - pts[None, :], axis=-1)
-        d_r = np.linalg.norm(pts_r[:, None] - pts_r[None, :], axis=-1)
-        assert np.max(np.abs(d - d_r)) < 1e-9
-        assert average_speed(out) == pytest.approx(average_speed(s), abs=1e-9)
-
-
-class TestFilterSlowAgents:
-    def _mixed(self, n):
-        out = []
-        for i in range(n):
-            out.append(straight_sample(1.0, sample_id=f"t{i}", is_target=(i % 4 == 0)))
-        return out
-
-    def test_fraction_zero_keeps_targets_only(self):
-        samples = self._mixed(40)
-        kept = filter_slow_agents(samples, 0.0, seed=7)
-        assert all(s.is_predefined_target for s in kept)
-        assert len(kept) == 10
-
-    def test_fraction_one_keeps_all(self):
-        samples = self._mixed(40)
-        assert len(filter_slow_agents(samples, 1.0, seed=7)) == 40
-
-    def test_deterministic_and_order_independent(self):
-        samples = self._mixed(60)
-        a = {s.id for s in filter_slow_agents(samples, 0.5, seed=3)}
-        b = {s.id for s in filter_slow_agents(list(reversed(samples)), 0.5, seed=3)}
-        assert a == b
-        c = {s.id for s in filter_slow_agents(samples, 0.5, seed=4)}
-        assert a != c  # different seed flips some decisions
-
-    def test_binomial_bound(self):
-        n = 100_000
-        samples = [
-            straight_sample(1.0, sample_id=f"n{i}", is_target=False) for i in range(n)
-        ]
-        kept = filter_slow_agents(samples, 0.3, seed=11)
-        sigma = math.sqrt(n * 0.3 * 0.7)
-        assert abs(len(kept) - n * 0.3) < 3 * sigma
 
 
 class TestSceneRoundTrip:
