@@ -23,6 +23,7 @@ import numpy as np
 from . import kernels
 from .binning import floor_bin_means
 from .heatmap import Heatmap, _require_normalized
+from .io import integer, number
 
 __all__ = [
     "CalibrationModel",
@@ -236,22 +237,15 @@ def model_to_dict(m: CalibrationModel) -> dict:
 
 def model_from_dict(d: dict) -> CalibrationModel:
     """Inverse of :func:`model_to_dict`. A missing ``a`` or ``b`` raises a
-    KeyError, and a value that does not parse a ValueError naming its key."""
-
-    def value(key: str, kind, optional: bool = False):
-        if optional and d.get(key) is None:
-            return None
-        try:
-            return kind(d[key])
-        except (TypeError, ValueError):
-            raise ValueError(f"key {key}: {d[key]!r} is not a valid {kind.__name__}") from None
-
+    KeyError, and a value that is not a JSON number (a JSON integer for
+    ``bin_count``) a ValueError naming its key."""
+    count, rms = d.get("bin_count"), d.get("residual_rms")
     return CalibrationModel(
-        a=value("a", float),
-        b=value("b", float),
+        a=float(number(d["a"], "key a")),
+        b=float(number(d["b"], "key b")),
         source_dataset=str(d.get("source_dataset", "unknown")),
-        bin_count=value("bin_count", int, optional=True),
-        residual_rms=value("residual_rms", float, optional=True),
+        bin_count=None if count is None else integer(count, "key bin_count"),
+        residual_rms=None if rms is None else float(number(rms, "key residual_rms")),
     )
 
 

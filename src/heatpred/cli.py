@@ -22,7 +22,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+# io.read_jsonl is called through the module, because perfbench/tracer.py
+# binds cli.read_jsonl to a wrapper that passes on only a path
+from . import __version__, io
 from .calibration import (
     CalibrationModel,
     RadiusSweepConfig,
@@ -42,11 +44,11 @@ from .heatmap import (
 from .io import (
     canonical_dumps,
     config_hash,
+    integer,
     jsonl_ranges,
-    line_number,
+    number,
+    numbers,
     read_json,
-    read_jsonl,
-    read_jsonl_lenient,
     write_json,
     write_jsonl,
 )
@@ -88,10 +90,6 @@ class CliError(RuntimeError):
     pass
 
 
-# What parsing one malformed JSONL record can raise.
-RECORD_ERRORS = (KeyError, IndexError, TypeError, ValueError)
-
-
 # ---------------------------------------------------------------------------
 # config plumbing
 
@@ -116,17 +114,19 @@ def _load_config(path: str | None) -> tuple[dict, Path | None]:
     return _read_object(p), p.parent
 
 
-def _as(kind, value, key: str):
-    """``kind(value)``, or a CliError naming the config key the value came from."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError):
-        raise CliError(f"config key {key}: {value!r} is not a valid {kind.__name__}") from None
+def _float(value, key: str) -> float:
+    """The value of config key ``key``, which must be a JSON number, as a float."""
+    return float(number(value, f"config key {key}"))
+
+
+def _int(value, key: str, at_least: int | None = None) -> int:
+    """The value of config key ``key``, which must be a JSON integer (not below ``at_least``)."""
+    return integer(value, f"config key {key}", at_least)
 
 
 def _radius(value, key: str) -> float:
     """A fixed sampling radius, which must be positive."""
-    r = _as(float, value, key)
+    r = _float(value, key)
     if not r > 0:
         raise CliError(f"config key {key}: must be positive, got {r!r}")
     return r
@@ -134,7 +134,7 @@ def _radius(value, key: str) -> float:
 
 def _objects(cfg: dict, key: str) -> list[dict]:
     """The list of JSON objects under config key ``key``; absent or null gives []."""
-    entries = cfg.get(key) or []
+    entries = [] if cfg.get(key) is None else cfg[key]
     if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
         raise CliError(f"config key {key}: must be a list of objects")
     return entries
@@ -194,12 +194,12 @@ def _sampling_config(cfg: dict, base_dir: Path | None) -> tuple[SamplingConfig, 
     else:
         raise CliError('config key radius: must be an object with "fixed" or "adaptive"')
     sampling = SamplingConfig(
-        k=_as(int, cfg["k"], "k"),
+        k=_int(cfg["k"], "k"),
         radius_mode=mode,
-        r_min=_as(float, cfg["r_min"], "r_min"),
-        r_max=_as(float, cfg["r_max"], "r_max"),
+        r_min=_float(cfg["r_min"], "r_min"),
+        r_max=_float(cfg["r_max"], "r_max"),
     )
-    return sampling, _as(float, cfg["miss_threshold"], "miss_threshold")
+    return sampling, _float(cfg["miss_threshold"], "miss_threshold")
 
 
 # ---------------------------------------------------------------------------
@@ -219,36 +219,24 @@ def _default_workers() -> int:
         return os.cpu_count() or 1
 
 
-def _record_error(path: Path, offset: int, record, e: Exception) -> CliError:
-    """CliError naming ``path:line`` of the record at byte ``offset`` and its sample id (or scene id)."""
-    where = f"{path}:{line_number(path, offset)}"
-    if not isinstance(record, dict):
-        return CliError(f"{where}: record must be a JSON object")
-    sid = record.get("sample_id", record.get("id"))
-    who = "" if sid is None else f" (sample {sid})"
-    why = f"missing key {e}" if isinstance(e, KeyError) else str(e)
-    return CliError(f"{where}{who}: {why}")
-
-
-def _map_range(task) -> tuple[list[tuple[str, float, object]], tuple[int, str] | None]:
+def _map_range(task) -> tuple[list[tuple[str, float, object]], str | None]:
     """Run ``work(sid, heatmap, arg)`` on each heatmap line that starts in one byte range.
 
     Returns ``(rows, None)`` with one (sample id, mass before renormalization,
-    result) row per line or, when a line fails, ``([], (its byte offset, its
-    error message))``.
+    result) row per line or, when a line fails, ``([], its error message)``.
     """
     path, start, end, work, arg = task
+
+    def row(d: dict) -> tuple[str, float, object]:
+        sid, h = heatmap_from_dict(d)
+        h, mass = normalize_with_mass(h)
+        return sid, mass, work(sid, h, arg)
+
     done = []
-    for offset, d in read_jsonl_lenient(path, start, end):
-        try:
-            if isinstance(d, ValueError):
-                raise d
-            sid, h = heatmap_from_dict(d)
-            h, mass = normalize_with_mass(h)
-            done.append((sid, mass, work(sid, h, arg)))
-        except RECORD_ERRORS as e:
-            # a line that is not JSON comes with its own path:line message
-            return [], (offset, str(e if e is d else _record_error(path, offset, d, e)))
+    for r in io.read_jsonl(path, row, start, end):
+        if isinstance(r, ValueError):
+            return [], str(r)
+        done.append(r)
     return done, None
 
 
@@ -285,13 +273,13 @@ def _map_heatmaps(jobs: list[tuple[Path, object, object]], workers: int) -> list
 
 def _collect(path: Path, parts: list, masses: dict) -> list[tuple[str, object]]:
     """(sample id, result) of every heatmap of ``path``, sorted by id, from its
-    :func:`_map_heatmaps` parts. The failing line nearest the start of the file
-    raises. ``masses[str(path)]`` gets the largest |mass - 1| before
-    renormalization and how many heatmaps were further than
-    ``NORMALIZATION_TOL`` from unit mass."""
+    :func:`_map_heatmaps` parts, which are in file order. The failing line
+    nearest the start of the file raises. ``masses[str(path)]`` gets the
+    largest |mass - 1| before renormalization and how many heatmaps were
+    further than ``NORMALIZATION_TOL`` from unit mass."""
     failures = [failure for _, failure in parts if failure is not None]
     if failures:
-        raise CliError(min(failures)[1])
+        raise CliError(failures[0])
     rows = [row for done, _ in parts for row in done]
     if not rows:
         raise CliError(f"{path}: no heatmaps")
@@ -305,14 +293,15 @@ def _collect(path: Path, parts: list, masses: dict) -> list[tuple[str, object]]:
     return sorted(((sid, result) for sid, _, result in rows), key=lambda row: row[0])
 
 
+def _ground_truth_row(d: dict) -> tuple[str, tuple[float, float]]:
+    return str(d["sample_id"]), (float(d["gt"][0]), float(d["gt"][1]))
+
+
 def _load_ground_truth(path: Path) -> dict[str, tuple[float, float]]:
+    """The ground truth by sample id; the first bad line raises."""
     gts: dict[str, tuple[float, float]] = {}
-    for offset, d in read_jsonl(path):
-        try:
-            sid = str(d["sample_id"])
-            gt = (float(d["gt"][0]), float(d["gt"][1]))
-        except RECORD_ERRORS as e:
-            raise _record_error(path, offset, d, e) from None
+    for r in io.read_jsonl(path, _ground_truth_row):
+        sid, gt = _raised(r)
         if sid in gts:
             raise CliError(f"{path}: duplicate sample id {sid}")
         gts[sid] = gt
@@ -373,14 +362,6 @@ def _predict(sid: str, h: Heatmap, cfg: SamplingConfig) -> dict:
     return prediction_to_dict(sample_with_uncertainty(h, cfg), sid)
 
 
-def _score(sid: str, h: Heatmap, arg) -> EvalRecord | None:
-    gts, cfg, threshold = arg
-    gt = gts.get(sid)
-    if gt is None:
-        return None
-    return make_eval_record(sid, sample_with_uncertainty(h, cfg), gt, cfg.k, threshold)
-
-
 def _sweep(sid: str, h: Heatmap, arg) -> tuple[float, float] | None:
     gts, k, sweep = arg
     gt = gts.get(sid)
@@ -390,7 +371,7 @@ def _sweep(sid: str, h: Heatmap, arg) -> tuple[float, float] | None:
 
 
 def _score_rows(sid: str, h: Heatmap, arg) -> list[EvalRecord] | None:
-    """The baseline record, then one record per model row, all from one spread."""
+    """One record per sampling config in ``arg``, all from one spread."""
     gts, cfgs, threshold = arg
     gt = gts.get(sid)
     if gt is None:
@@ -436,25 +417,19 @@ STANDARDIZE_DEFAULTS = {"history_s": 1.0, "horizon_s": 3.0, "rate_hz": 10.0}
 def cmd_standardize(args) -> int:
     cfg_raw, _ = _load_config(args.config)
     cfg = _merge(STANDARDIZE_DEFAULTS, cfg_raw)
-    std = StandardizationConfig(**{key: _as(float, cfg[key], key) for key in STANDARDIZE_DEFAULTS})
+    std = StandardizationConfig(**{key: _float(cfg[key], key) for key in STANDARDIZE_DEFAULTS})
     out = _out_dir(args)
     cfg_hash = config_hash(cfg)
     n_ok = n_failed = 0
     out_path = out / "standardized.jsonl"
-    in_path = Path(args.input)
     with open(out_path, "w") as f:
-        for offset, d in read_jsonl_lenient(in_path):
-            try:
-                if isinstance(d, ValueError):
-                    raise d
-                s = standardize_sample(sample_from_dict(d), std)
-            except RECORD_ERRORS as e:
-                # a line that is not JSON comes with its own path:line message
-                logger.warning("skipping %s", e if e is d else _record_error(in_path, offset, d, e))
+        for s in io.read_jsonl(Path(args.input), lambda d: standardize_sample(sample_from_dict(d), std)):
+            if isinstance(s, ValueError):
+                logger.warning("skipping %s", s)
                 n_failed += 1
-                continue
-            f.write(canonical_dumps(sample_to_dict(s)) + "\n")
-            n_ok += 1
+            else:
+                f.write(canonical_dumps(sample_to_dict(s)) + "\n")
+                n_ok += 1
     _write_run_meta(out, "standardize", cfg_hash, n_ok=n_ok, n_failed=n_failed)
     if n_ok == 0:
         logger.error("no sample could be standardized")
@@ -471,7 +446,7 @@ def cmd_synth(args) -> int:
     cfg_raw, _ = _load_config(args.config)
     cfg = _merge({**ScenarioConfig().to_dict(), "n": None}, cfg_raw)
     n_cfg = cfg.pop("n")
-    n = args.n if args.n is not None else (_as(int, n_cfg, "n") if n_cfg is not None else 100)
+    n = args.n if args.n is not None else (_int(n_cfg, "n") if n_cfg is not None else 100)
     if args.seed is not None:
         cfg["seed"] = args.seed
     scen = ScenarioConfig.from_dict(cfg)
@@ -514,7 +489,8 @@ def cmd_evaluate(args) -> int:
     cfg_hash = config_hash(cfg)
     masses: dict = {}
     sets = [(Path(args.heatmaps), Path(args.ground_truth))]
-    records = [r for _, r in _raised(_map_sets(sets, _score, (sampling, threshold), args.workers, masses)[0])]
+    loaded = _map_sets(sets, _score_rows, ([sampling], threshold), args.workers, masses)[0]
+    records = [r for _, (r,) in _raised(loaded)]
     rep = aggregate(records)
     write_records_csv(out / "records.csv", records, header_comment=f"config_hash={cfg_hash}")
     write_json(out / "aggregate.json", {"config_hash": cfg_hash, **report_to_dict(rep)})
@@ -570,7 +546,7 @@ def _mixed_draws(loaded: list[list], weights: list[float], n: int, seed: int) ->
 
 def _source_weight(i: int, src: dict) -> float:
     where = f"mixed_sources[{i}]"
-    w = _as(float, src.get("weight", 1.0), f"{where}.weight")
+    w = _float(src.get("weight", 1.0), f"{where}.weight")
     if not (math.isfinite(w) and w >= 0):
         raise CliError(f"config key {where}.weight: must be a finite number >= 0, got {w!r}")
     return w
@@ -579,21 +555,19 @@ def _source_weight(i: int, src: dict) -> float:
 def cmd_calibrate(args) -> int:
     cfg_raw, base = _load_config(args.config)
     cfg = _merge(CALIBRATE_DEFAULTS, cfg_raw)
-    k = _as(int, cfg["k"], "k")
-    if k < 1:
-        raise CliError(f"config key k: must be at least 1, got {k}")
-    bin_width = _as(float, cfg["bin_width"], "bin_width")
-    min_count = _as(int, cfg["min_count"], "min_count")
+    k = _int(cfg["k"], "k", at_least=1)
+    bin_width = _float(cfg["bin_width"], "bin_width")
+    min_count = _int(cfg["min_count"], "min_count")
     sweep = RadiusSweepConfig(
-        r_values=_as(tuple, cfg["r_values"], "r_values") if cfg["r_values"] else (),
-        l_for_objective=_as(int, cfg["l_for_objective"], "l_for_objective"),
+        r_values=() if cfg["r_values"] is None else numbers(cfg["r_values"], "config key r_values"),
+        l_for_objective=_int(cfg["l_for_objective"], "l_for_objective"),
     )
     out = _out_dir(args)
     cfg_hash = config_hash(cfg)
     sources = _objects(cfg, "mixed_sources")
     masses: dict = {}
     if sources:
-        n = _as(int, cfg["mixed_n"] or 0, "mixed_n")
+        n = 0 if cfg["mixed_n"] is None else _int(cfg["mixed_n"], "mixed_n")
         if n < 1:
             raise CliError("mixed_sources requires a positive mixed_n")
         weights = [_source_weight(i, src) for i, src in enumerate(sources)]
@@ -775,14 +749,13 @@ ANALYSIS_SPEED_DEFAULTS = {"bin_width": 1.0}
 
 
 def _scene_values(path: Path, fn) -> list[tuple[str, float]]:
-    """(sample id, fn(sample)) for every scene line, in file order."""
-    out = []
-    for offset, d in read_jsonl(path):
-        try:
-            s = sample_from_dict(d)
-            out.append((s.id, fn(s)))
-        except RECORD_ERRORS as e:
-            raise _record_error(path, offset, d, e) from None
+    """(sample id, fn(sample)) for every scene line, in file order; the first bad line raises."""
+
+    def row(d: dict) -> tuple[str, float]:
+        s = sample_from_dict(d)
+        return s.id, fn(s)
+
+    out = [_raised(r) for r in io.read_jsonl(path, row)]
     if not out:
         raise CliError(f"{path}: no samples")
     return out
@@ -804,7 +777,7 @@ def cmd_analysis(args) -> int:
         cfg_hash = config_hash(cfg)
         records = read_records_csv(args.input)
         bins = bin_by_uncertainty(
-            records, _as(float, cfg["bin_width"], "bin_width"), _as(int, cfg["min_count"], "min_count")
+            records, _float(cfg["bin_width"], "bin_width"), _int(cfg["min_count"], "min_count")
         )
         _write_xy_csv(out / "uncertainty_error.csv", bins, ["bin_lower", "mean_min_fde_1", "count"], cfg_hash)
         if args.svg:
@@ -817,19 +790,19 @@ def cmd_analysis(args) -> int:
         cfg = _merge(ANALYSIS_NOISE_DEFAULTS, cfg_raw)
         cfg_hash = config_hash(cfg)
         kcfg = KalmanConfig(
-            process_accel_std=_as(float, cfg["process_accel_std"], "process_accel_std"),
-            obs_std=_as(float, cfg["obs_std"], "obs_std"),
+            process_accel_std=_float(cfg["process_accel_std"], "process_accel_std"),
+            obs_std=_float(cfg["obs_std"], "obs_std"),
         )
         noises = _scene_values(Path(args.input), lambda s: sample_noise(s, kcfg))
         _write_xy_csv(out / "noise.csv", noises, ["sample_id", "noise_m"], cfg_hash)
-        hist = floor_histogram([n for _, n in noises], _as(float, cfg["bin_width"], "bin_width"))
+        hist = floor_histogram([n for _, n in noises], _float(cfg["bin_width"], "bin_width"))
         _write_hist_json(out / "noise_hist.json", hist, cfg, cfg_hash)
         _write_run_meta(out, "analysis noise-report", cfg_hash, n=len(noises))
     elif args.analysis_cmd == "speed-report":
         cfg = _merge(ANALYSIS_SPEED_DEFAULTS, cfg_raw)
         cfg_hash = config_hash(cfg)
         speeds = [v for _, v in _scene_values(Path(args.input), average_speed)]
-        hist = floor_histogram(speeds, _as(float, cfg["bin_width"], "bin_width"))
+        hist = floor_histogram(speeds, _float(cfg["bin_width"], "bin_width"))
         rows = [(lo, fr, c) for lo, c, fr in hist]
         _write_xy_csv(out / "speed_hist.csv", rows, ["bin_lower", "fraction", "count"], cfg_hash)
         _write_hist_json(out / "speed_hist.json", hist, cfg, cfg_hash)
@@ -918,65 +891,71 @@ def _svg_matrix(rows, cols, cells, cell_px: int = 90) -> str:
 # entry point
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors raise a CliError, so that they exit 1 like other failures."""
+
+    def error(self, message):
+        raise CliError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="heatpred",
         description="Uncertainty-adaptive endpoint sampling toolkit for prediction heatmaps",
     )
     parser.add_argument("--version", action="version", version=f"heatpred {__version__}")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", default=None, help="JSON config file")
-    common.add_argument("--seed", type=int, default=None, help="random seed override")
-    common.add_argument(
+    # Each command takes --out and, of these, only the flags it reads.
+    flags = {name: _Parser(add_help=False) for name in ("config", "seed", "workers")}
+    flags["config"].add_argument("--config", default=None, help="JSON config file")
+    flags["seed"].add_argument("--seed", type=int, default=None, help="random seed override")
+    flags["workers"].add_argument(
         "--workers", type=int, default=_default_workers(),
         help="worker processes (default: the usable CPUs); outputs do not depend on it",
     )
-    common.add_argument("--out", required=True, help="output directory")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("standardize", parents=[common], help="resample scenes to the common rate/horizon")
+    def command(name: str, func, help: str, *names: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, parents=[flags[n] for n in names], help=help)
+        p.add_argument("--out", required=True, help="output directory")
+        p.set_defaults(func=func)
+        return p
+
+    p = command("standardize", cmd_standardize, "resample scenes to the common rate/horizon", "config")
     p.add_argument("input", help="scene JSONL")
-    p.set_defaults(func=cmd_standardize)
 
-    p = sub.add_parser("synth", parents=[common], help="generate a synthetic heatmap dataset")
+    p = command("synth", cmd_synth, "generate a synthetic heatmap dataset", "config", "seed")
     p.add_argument("--n", type=int, default=None, help="number of scenarios")
-    p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("sample", parents=[common], help="extract endpoints from heatmaps")
+    p = command("sample", cmd_sample, "extract endpoints from heatmaps", "config", "workers")
     p.add_argument("heatmaps", help="heatmap JSONL")
-    p.set_defaults(func=cmd_sample)
 
-    p = sub.add_parser("evaluate", parents=[common], help="score heatmaps against ground truth")
+    p = command("evaluate", cmd_evaluate, "score heatmaps against ground truth", "config", "workers")
     p.add_argument("heatmaps", help="heatmap JSONL")
     p.add_argument("ground_truth", help="ground-truth JSONL")
-    p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("calibrate", parents=[common], help="fit the spread-to-radius model")
+    p = command("calibrate", cmd_calibrate, "fit the spread-to-radius model", "config", "seed", "workers")
     p.add_argument("heatmaps", nargs="?", default=None, help="heatmap JSONL")
     p.add_argument("ground_truth", nargs="?", default=None, help="ground-truth JSONL")
-    p.set_defaults(func=cmd_calibrate)
 
-    p = sub.add_parser("cross-eval", parents=[common], help="train-by-test evaluation matrix")
+    # the manifest is the config of cross-eval
+    p = command("cross-eval", cmd_cross_eval, "train-by-test evaluation matrix", "workers")
     p.add_argument("manifest", help="run manifest JSON")
     p.add_argument("--svg", action="store_true", help="also emit an SVG matrix chart")
-    p.set_defaults(func=cmd_cross_eval)
 
-    p = sub.add_parser("analysis", parents=[common], help="binned analyses and reports")
+    p = command("analysis", cmd_analysis, "binned analyses and reports", "config")
     p.add_argument(
         "analysis_cmd", choices=["uncertainty-error", "noise-report", "speed-report"],
     )
     p.add_argument("input", help="input file (records CSV or scene JSONL)")
     p.add_argument("--svg", action="store_true", help="also emit an SVG chart")
-    p.set_defaults(func=cmd_analysis)
     return parser
 
 
 def main(argv=None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(levelname)s %(message)s")
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
-        if args.workers < 1:
+        args = _build_parser().parse_args(argv)
+        if getattr(args, "workers", 1) < 1:
             raise CliError(f"--workers must be at least 1, got {args.workers}")
         return args.func(args)
     except (CliError, ValueError, OSError) as e:

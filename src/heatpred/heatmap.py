@@ -19,7 +19,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .io import canonical_dumps
+from .io import canonical_dumps, integer, number
 
 __all__ = [
     "GridSpec",
@@ -303,13 +303,15 @@ def grid_to_dict(g: GridSpec) -> dict:
 
 
 def grid_from_dict(d: dict) -> GridSpec:
-    """Inverse of :func:`grid_to_dict`."""
+    """Inverse of :func:`grid_to_dict`. The origin and resolution must be JSON
+    numbers and the width and height JSON integers; a missing key raises a
+    KeyError, and a value of another type a ValueError naming its key."""
     return GridSpec(
-        origin_x=float(d["origin_x"]),
-        origin_y=float(d["origin_y"]),
-        resolution=float(d["resolution"]),
-        width=int(d["width"]),
-        height=int(d["height"]),
+        origin_x=float(number(d["origin_x"], "key origin_x")),
+        origin_y=float(number(d["origin_y"], "key origin_y")),
+        resolution=float(number(d["resolution"], "key resolution")),
+        width=integer(d["width"], "key width"),
+        height=integer(d["height"], "key height"),
     )
 
 

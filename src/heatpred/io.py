@@ -1,12 +1,14 @@
-"""Small JSON/JSONL helpers with deterministic serialization."""
+"""JSON/JSONL helpers: deterministic serialization, the one JSONL record
+loader, and the strict readers of config values."""
 
 from __future__ import annotations
 
 import hashlib
 import json
 import os
+import sys
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 
 def canonical_dumps(obj, indent: int | None = None) -> str:
@@ -21,7 +23,7 @@ def config_hash(obj) -> str:
     return hashlib.sha256(canonical_dumps(obj).encode()).hexdigest()[:16]
 
 
-def _jsonl_lines(path, start: int = 0, end: int | None = None) -> Iterator[tuple[int, bytes]]:
+def _jsonl_lines(path, start: int, end: int | None) -> Iterator[tuple[int, bytes]]:
     """(byte offset, stripped bytes) of every non-blank line that starts in bytes
     ``[start, end)`` of ``path``; lines end at ``\\n``."""
     with open(path, "rb") as f:
@@ -36,36 +38,38 @@ def _jsonl_lines(path, start: int = 0, end: int | None = None) -> Iterator[tuple
             offset += len(raw)
 
 
-def line_number(path, offset: int) -> int:
+def _line_number(path, offset: int) -> int:
     """1-based number of the line of ``path`` that starts at byte ``offset``."""
     with open(path, "rb") as f:
         return f.read(offset).count(b"\n") + 1
 
 
-def _loads_line(path, offset: int, line: bytes):
-    try:
-        return json.loads(line)
-    except ValueError as e:  # JSONDecodeError, or UnicodeDecodeError for bytes that are not UTF-8
-        raise ValueError(f"{path}:{line_number(path, offset)}: invalid JSON ({e})") from e
+def read_jsonl(path, parse: Callable[[dict], object], start: int = 0, end: int | None = None) -> Iterator:
+    """``parse(record)`` for every non-blank line of ``path`` that starts in bytes
+    ``[start, end)`` (by default, the whole file), in file order.
 
-
-def read_jsonl(path) -> Iterator[tuple[int, object]]:
-    """(byte offset, record) of every non-blank line; a line that is not JSON
-    raises a ValueError naming ``path:line``."""
-    for offset, line in _jsonl_lines(path):
-        yield offset, _loads_line(path, offset, line)
-
-
-def read_jsonl_lenient(path, start: int = 0, end: int | None = None) -> Iterator[tuple[int, object]]:
-    """Like :func:`read_jsonl` over the lines that start in bytes ``[start, end)``,
-    but a line that is not JSON yields the ValueError ``read_jsonl`` would raise
-    and reading goes on."""
+    A line that is not a JSON object, or whose record ``parse`` rejects with a
+    KeyError, IndexError, TypeError, ValueError or OverflowError, yields
+    instead a ValueError reading ``path:line (sample <id>): <reason>``, the
+    sample id (or scene id) named when the record has one; reading goes on
+    after it.
+    """
     for offset, line in _jsonl_lines(path, start, end):
+        record = None
         try:
-            value = _loads_line(path, offset, line)
-        except ValueError as e:
-            value = e
-        yield offset, value
+            try:
+                record = json.loads(line)
+            except (ValueError, RecursionError) as e:  # also bytes that are not UTF-8, or nesting too deep
+                raise ValueError(f"invalid JSON ({e})") from None
+            if not isinstance(record, dict):
+                raise ValueError("record must be a JSON object")
+            value = parse(record)
+        except (KeyError, IndexError, TypeError, ValueError, OverflowError) as e:
+            sid = record.get("sample_id", record.get("id")) if isinstance(record, dict) else None
+            who = "" if sid is None else f" (sample {sid})"
+            why = f"missing key {e}" if isinstance(e, KeyError) else str(e)
+            value = ValueError(f"{path}:{_line_number(path, offset)}{who}: {why}")
+        yield value
 
 
 def jsonl_ranges(path, parts: int) -> list[tuple[int, int]]:
@@ -97,3 +101,35 @@ def write_json(path, obj) -> None:
 
 def read_json(path) -> dict:
     return json.loads(Path(path).read_text())
+
+
+# Strict readers of the values of configs, manifests, scenario configs and
+# model files. Each returns ``value`` as stored, or raises a ValueError that
+# starts with ``where``, such as "config key k".
+
+
+def number(value, where: str):
+    """A JSON number that converts to a float; neither a bool nor NaN, which
+    Python's json module reads but JSON does not have, is one."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or value != value:
+        raise ValueError(f"{where}: {value!r} is not a valid float")
+    if isinstance(value, int) and abs(value) > sys.float_info.max:
+        raise ValueError(f"{where}: {value} is too large for a float")
+    return value
+
+
+def integer(value, where: str, at_least: int | None = None) -> int:
+    """A JSON integer, not below ``at_least`` unless that is None; neither a
+    bool nor a number written with a fraction or exponent, such as 6.0, is one."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{where}: {value!r} is not a valid int")
+    if at_least is not None and value < at_least:
+        raise ValueError(f"{where}: must be at least {at_least}, got {value}")
+    return value
+
+
+def numbers(value, where: str, n: int | None = None, item=number) -> tuple:
+    """A JSON list of values read by ``item``, as a tuple; of length ``n`` unless ``n`` is None."""
+    if not isinstance(value, list) or n is not None and len(value) != n:
+        raise ValueError(f"{where}: {value!r} is not a list" + ("" if n is None else f" of {n} values"))
+    return tuple(item(v, f"{where}[{i}]") for i, v in enumerate(value))

@@ -28,7 +28,7 @@ from .heatmap import (
     heatmap_to_json,
     render_mixture,
 )
-from .io import canonical_dumps, config_hash, write_json
+from .io import canonical_dumps, config_hash, integer, number, numbers, write_json
 
 __all__ = [
     "ScenarioConfig",
@@ -83,46 +83,29 @@ class ScenarioConfig:
     def from_dict(cls, d: dict) -> "ScenarioConfig":
         """Inverse of :meth:`to_dict`; absent keys keep their defaults. A value
         that does not parse raises a ValueError naming its key."""
-        kwargs = {}
-        for key, parse in _FIELD_PARSERS.items():
-            if key in d:
-                try:
-                    kwargs[key] = parse(d[key])
-                except (KeyError, TypeError, ValueError) as e:
-                    why = f"missing key {e}" if isinstance(e, KeyError) else str(e)
-                    raise ValueError(f"config key {key}: {why}") from None
-        return cls(**kwargs)
+        return cls(**{
+            key: read(d[key], f"config key {key}") for key, read in _FIELD_READERS.items() if key in d
+        })
 
 
-def _number(value):
-    """``value`` itself if it is a JSON number; a bool is not one."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{value!r} is not a number")
-    return value
+def _grid(value, where: str) -> GridSpec:
+    try:
+        return grid_from_dict(value)
+    except (KeyError, TypeError, ValueError) as e:
+        why = f"missing key {e}" if isinstance(e, KeyError) else str(e)
+        raise ValueError(f"{where}: {why}") from None
 
 
-def _pair(value, item=_number) -> tuple:
-    """A list of two values, each parsed by ``item``, as a tuple."""
-    if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise ValueError(f"{value!r} is not a list of two")
-    return tuple(item(v) for v in value)
-
-
-def _seed(value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise ValueError(f"{value!r} is not an integer >= 0")
-    return value
-
-
-# How ScenarioConfig.from_dict parses each key of the JSON form.
-_FIELD_PARSERS = {
-    "n_modes_range": _pair,
-    "mean_region": lambda v: _pair(v, _pair),
-    "sigma_range": _pair,
-    "weight_floor": _number,
-    "grid": grid_from_dict,
-    "seed": _seed,
-    "truncate_sigmas": _number,
+# How ScenarioConfig.from_dict reads each key of the JSON form: counts and the
+# seed are JSON integers, the rest JSON numbers, and the grid a grid object.
+_FIELD_READERS = {
+    "n_modes_range": lambda v, where: numbers(v, where, 2, integer),
+    "mean_region": lambda v, where: numbers(v, where, 2, lambda pair, w: numbers(pair, w, 2)),
+    "sigma_range": lambda v, where: numbers(v, where, 2),
+    "weight_floor": number,
+    "grid": _grid,
+    "seed": lambda v, where: integer(v, where, at_least=0),
+    "truncate_sigmas": number,
 }
 
 

@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from heatpred.cli import EXIT_FAILURE, EXIT_OK, EXIT_PARTIAL, main
 from heatpred.heatmap import GridSpec, Heatmap, heatmap_to_dict, normalize, uncertainty
@@ -192,8 +194,17 @@ class TestEvaluate:
 class TestConfigAndFlags:
     @pytest.mark.parametrize(
         "text, named",
-        [("[1,2]", None), ('"x"', None), ('{"radius": 5}', "radius"), ('{"k": null}', "config key k")],
-        ids=["array", "string", "radius-number", "k-null"],
+        [
+            ("[1,2]", None), ('"x"', None), ('{"radius": 5}', "radius"), ('{"k": null}', "config key k"),
+            ('{"k": true}', "config key k: True is not a valid int"),
+            ('{"k": 6.7}', "config key k: 6.7 is not a valid int"),
+            ('{"miss_threshold": "2"}', "config key miss_threshold: '2' is not a valid float"),
+            ('{"miss_threshold": NaN}', "config key miss_threshold: nan is not a valid float"),
+        ],
+        ids=[
+            "array", "string", "radius-number", "k-null", "k-bool", "k-fraction", "miss_threshold-string",
+            "miss_threshold-nan",
+        ],
     )
     def test_bad_config_fails_naming_file_or_key(self, tmp_path, caplog, text, named):
         hm, gt = write_pairs(tmp_path, point_mass_pairs(3))
@@ -222,11 +233,16 @@ class TestConfigAndFlags:
              "mixed_sources: weights must not all be 0"),
             ("calibrate", lambda c: c["mixed_sources"][1].update(weight=-1), "config key mixed_sources[1].weight"),
             ("calibrate", lambda c: c["mixed_sources"][0].update(weight="x"), "config key mixed_sources[0].weight"),
+            ("calibrate", lambda c: c.update(r_values="12"), "config key r_values: '12' is not a list"),
+            ("calibrate", lambda c: c.update(mixed_sources=False), "config key mixed_sources: must be a list of objects"),
+            ("calibrate", lambda c: c.update(r_values=[0.5, "x"]),
+             "config key r_values[1]: 'x' is not a valid float"),
         ],
         ids=[
             "model-no-train_dataset", "models-not-a-list", "test-set-no-dataset", "test-set-no-heatmaps",
             "test-set-no-ground_truth", "sampling-k-null", "sampling-radius", "fixed_radius-string",
             "source-no-heatmaps", "weights-all-zero", "weight-negative", "weight-not-a-number",
+            "r_values-string", "r_values-item-string", "mixed_sources-false",
         ],
     )
     def test_bad_manifest_entry_fails_naming_entry_and_key(self, tmp_path, caplog, command, edit, named):
@@ -298,6 +314,43 @@ class TestConfigAndFlags:
         assert main(["evaluate", str(hm), str(gt), "--out", str(out), "--workers", "-3"]) == EXIT_FAILURE
         assert "--workers" in caplog.text
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            ("evaluate", "the following arguments are required: --out, heatmaps, ground_truth"),
+            ("sample --out OUT", "the following arguments are required: heatmaps"),
+            ("synth", "the following arguments are required: --out"),
+            ("evaluate h.jsonl g.jsonl --seed 1 --out OUT", "unrecognized arguments: --seed 1"),
+            ("cross-eval c.json --config c.json --out OUT", "unrecognized arguments: --config c.json"),
+            ("cross-eval c.json --seed 1 --out OUT", "unrecognized arguments: --seed 1"),
+            ("sample h.jsonl --seed 1 --out OUT", "unrecognized arguments: --seed 1"),
+            ("standardize s.jsonl --seed 1 --out OUT", "unrecognized arguments: --seed 1"),
+            ("standardize s.jsonl --workers 2 --out OUT", "unrecognized arguments: --workers 2"),
+            ("synth --workers 2 --out OUT", "unrecognized arguments: --workers 2"),
+            ("analysis speed-report s.jsonl --seed 1 --out OUT", "unrecognized arguments: --seed 1"),
+            ("analysis noise-report s.jsonl --workers 0 --out OUT", "unrecognized arguments: --workers 0"),
+            ("evaluate h.jsonl g.jsonl --workers x --out OUT", "argument --workers: invalid int value: 'x'"),
+            ("frobnicate --out OUT", "invalid choice: 'frobnicate'"),
+        ],
+        ids=[
+            "evaluate-no-arguments", "sample-no-heatmaps", "synth-no-out", "evaluate-seed", "cross-eval-config",
+            "cross-eval-seed", "sample-seed", "standardize-seed", "standardize-workers", "synth-workers",
+            "analysis-seed", "analysis-workers", "workers-not-a-number", "unknown-command",
+        ],
+    )
+    def test_usage_error_exits_1_naming_the_argument(self, tmp_path, caplog, argv, named):
+        out = tmp_path / "out"
+        assert main([str(out) if a == "OUT" else a for a in argv.split()]) == EXIT_FAILURE
+        assert named in caplog.text
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["evaluate", "--help"]])
+    def test_help_and_version_exit_0(self, argv, capsys):
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        assert e.value.code == 0
+        assert capsys.readouterr().out.startswith(("usage: heatpred", "heatpred "))
 
 
 class TestCalibrateCli:
@@ -407,11 +460,87 @@ class TestMalformedRecord:
         assert f"{hm}:2 (sample c0001): probabilities must be non-negative" in caplog.text
         assert "Traceback" not in caplog.text
 
+    @pytest.mark.parametrize(
+        "kind, edit, named",
+        [
+            ("heatmaps", lambda d: d["grid"].update(width=10**30), "Python int too large to convert to C long"),
+            ("heatmaps", lambda d: d.update(cells=[[10**30, 1.0]]), "Python int too large to convert to C long"),
+            ("heatmaps", lambda d: d.update(cells=[[0, 10**400]]), "int too large to convert to float"),
+            ("ground_truth", lambda d: d.update(gt=[10**400, 0.0]), "int too large to convert to float"),
+        ],
+        ids=["grid-width", "cell-index", "cell-probability", "ground-truth"],
+    )
+    def test_number_too_large_is_a_bad_line(self, tmp_path, caplog, kind, edit, named):
+        hm, gt = write_pairs(tmp_path / "d", point_mass_pairs(2))
+        path = hm if kind == "heatmaps" else gt
+        rows = [json.loads(ln) for ln in path.read_text().splitlines()]
+        edit(rows[1])
+        write_jsonl(path, rows)
+        assert main(["evaluate", str(hm), str(gt), "--out", str(tmp_path / "o")]) == EXIT_FAILURE
+        assert f"{path}:2 (sample c0001): {named}" in caplog.text
+
     def test_non_object_ground_truth_line(self, tmp_path, caplog):
         hm, gt = write_pairs(tmp_path / "d", point_mass_pairs(2))
         gt.write_text(gt.read_text() + "\n[1, 2]\n")
         assert main(["evaluate", str(hm), str(gt), "--out", str(tmp_path / "o")]) == EXIT_FAILURE
         assert f"{gt}:4: record must be a JSON object" in caplog.text
+
+
+# Arbitrary JSON values, and bytes that are mostly not JSON, as one non-blank line.
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=10), inner, max_size=3),
+    max_leaves=8,
+)
+_LINES = st.one_of(
+    _JSON_VALUES.map(lambda v: json.dumps(v).encode()),
+    st.binary(min_size=1, max_size=24).filter(lambda b: b.strip() and b"\n" not in b),
+)
+# The keys a line needs before it can be a valid record of each kind.
+_RECORD_KEYS = {"heatmaps": {"sample_id", "grid", "cells"}, "ground_truth": {"sample_id", "gt"},
+                "scenes": {"id", "dataset", "past", "future"}}
+
+
+class TestLoaderFuzz:
+    """One fuzzed line as line 2 of a file: the command exits as README documents,
+    names ``path:2`` and raises nothing."""
+
+    @pytest.mark.parametrize(
+        "command, kind",
+        [
+            ("sample", "heatmaps"), ("evaluate", "heatmaps"), ("evaluate", "ground_truth"),
+            ("calibrate", "heatmaps"), ("calibrate", "ground_truth"),
+            ("noise-report", "scenes"), ("standardize", "scenes"),
+        ],
+    )
+    @settings(max_examples=12, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(line=_LINES)
+    def test_fuzzed_line_names_path_and_line(self, tmp_path, caplog, command, kind, line):
+        try:
+            record = json.loads(line)
+        except ValueError:
+            record = None
+        assume(not (isinstance(record, dict) and _RECORD_KEYS[kind] <= record.keys()))
+        caplog.clear()
+        if kind == "scenes":
+            path = tmp_path / "scenes.jsonl"
+            write_scenes(path, [straight_sample(1.0, sample_id=f"s{i}") for i in range(2)])
+            argv = ["standardize", str(path)] if command == "standardize" else ["analysis", command, str(path)]
+        else:
+            hm, gt = write_pairs(tmp_path / "d", point_mass_pairs(2))
+            path = hm if kind == "heatmaps" else gt
+            argv = ["sample", str(hm)] if command == "sample" else [command, str(hm), str(gt)]
+            argv += ["--workers", "1"]
+            if command == "calibrate":
+                write_json(tmp_path / "cal.json", {"min_count": 1})
+                argv += ["--config", str(tmp_path / "cal.json")]
+        first, rest = path.read_bytes().split(b"\n", 1)
+        path.write_bytes(first + b"\n" + line + b"\n" + rest)
+        code = main(argv + ["--out", str(tmp_path / "out")])
+        assert code == (EXIT_PARTIAL if command == "standardize" else EXIT_FAILURE)
+        assert f"{path}:2" in caplog.text
+        assert "Traceback" not in caplog.text
 
 
 def _argv(command, hm, gt, tmp_path):

@@ -1,6 +1,11 @@
 import pytest
 
-from heatpred.io import jsonl_ranges, line_number, read_jsonl, read_jsonl_lenient
+from heatpred.io import integer, jsonl_ranges, number, numbers, read_jsonl
+
+
+def _as_read(r):
+    """A loader item in comparable form: the record, or the error's message."""
+    return str(r) if isinstance(r, ValueError) else r
 
 
 @pytest.mark.parametrize("trailing_newline", [True, False])
@@ -12,9 +17,9 @@ def test_ranges_cut_at_line_ends_and_read_like_the_whole_file(tmp_path, trailing
     lines[7] = '{"i": 7, bad'
     text = "\n".join(lines) + ("\n" if trailing_newline else "")
     path.write_text(text)
-    whole = [(offset, str(r)) for offset, r in read_jsonl_lenient(path)]
-    assert [offset for offset, _ in whole] == [text.index(ln) for ln in lines if ln.strip()]
-    assert whole[-2][1].startswith(f"{path}:8: invalid JSON")
+    whole = [_as_read(r) for r in read_jsonl(path, lambda d: d["i"])]
+    bad = f"{path}:8: invalid JSON (Expecting property name enclosed in double quotes: line 1 column 10 (char 9))"
+    assert whole == [0, 1, 2, 4, 6, bad, 8]
     size = len(text)
     for parts in range(1, 12):
         ranges = jsonl_ranges(path, parts)
@@ -22,7 +27,7 @@ def test_ranges_cut_at_line_ends_and_read_like_the_whole_file(tmp_path, trailing
         assert ranges[0][0] == 0 and ranges[-1][1] == size
         assert all(a < b == c for (a, b), (c, _) in zip(ranges, ranges[1:] + [(size, None)]))
         assert all(text[a - 1] == "\n" for a, _ in ranges[1:])
-        pieces = [(offset, str(r)) for a, b in ranges for offset, r in read_jsonl_lenient(path, a, b)]
+        pieces = [_as_read(r) for a, b in ranges for r in read_jsonl(path, lambda d: d["i"], a, b)]
         assert pieces == whole
 
 
@@ -32,12 +37,66 @@ def test_empty_file_has_no_ranges(tmp_path):
     assert jsonl_ranges(path, 4) == []
 
 
-def test_line_number_and_strict_reader(tmp_path):
+def test_bad_lines_name_path_line_and_sample(tmp_path):
     path = tmp_path / "f.jsonl"
-    path.write_text('{"a": 1}\n\n[2]\n{"a": \n')
-    assert [line_number(path, offset) for offset, _ in read_jsonl_lenient(path)] == [1, 3, 4]
-    records = read_jsonl(path)
-    assert next(records) == (0, {"a": 1})
-    assert next(records) == (10, [2])
-    with pytest.raises(ValueError, match=f"{path}:4: invalid JSON"):
-        next(records)
+    path.write_bytes(
+        b'{"sample_id": "a", "v": 1}\n'
+        b"\n"
+        b"[2]\n"
+        b'{"sample_id": "b", "v": 1, \n'
+        b'{"sample_id": "c"}\n'
+        b'{"id": "s7", "v": "x"}\n'
+        b'{"v": -1}\n'
+        b"\xff\xfe\n"
+        + b"[" * 100_000 + b"\n"
+        b'{"sample_id": "d", "v": 2}\n'
+    )
+
+    def parse(d):
+        if float(d["v"]) < 0:
+            raise ValueError("v must be non-negative")
+        return d["v"]
+
+    got = [_as_read(r) for r in read_jsonl(path, parse)]
+    assert got[0] == 1 and got[-1] == 2
+    errors = got[1:-1]
+    assert errors[0] == f"{path}:3: record must be a JSON object"
+    assert errors[1].startswith(f"{path}:4: invalid JSON")
+    assert errors[2] == f"{path}:5 (sample c): missing key 'v'"
+    assert errors[3] == f"{path}:6 (sample s7): could not convert string to float: 'x'"
+    assert errors[4] == f"{path}:7: v must be non-negative"
+    assert errors[5].startswith(f"{path}:8: invalid JSON")
+    assert errors[6].startswith(f"{path}:9: invalid JSON")
+    assert len(errors) == 7
+
+
+@pytest.mark.parametrize(
+    "read, value, message",
+    [
+        (number, True, "k: True is not a valid float"),
+        (number, "2", "k: '2' is not a valid float"),
+        (number, None, "k: None is not a valid float"),
+        (number, float("nan"), "k: nan is not a valid float"),
+        (number, 10**400, f"k: {10**400} is too large for a float"),
+        (integer, 6.7, "k: 6.7 is not a valid int"),
+        (integer, 6.0, "k: 6.0 is not a valid int"),
+        (integer, False, "k: False is not a valid int"),
+        (lambda v, where: integer(v, where, at_least=1), 0, "k: must be at least 1, got 0"),
+        (numbers, "12", "k: '12' is not a list"),
+        (numbers, [0.5, "x"], "k[1]: 'x' is not a valid float"),
+        (lambda v, where: numbers(v, where, 2), [1, 2, 3], "k: [1, 2, 3] is not a list of 2 values"),
+        (lambda v, where: numbers(v, where, 2, integer), [1, 2.5], "k[1]: 2.5 is not a valid int"),
+    ],
+)
+def test_strict_readers_reject_naming_the_key(read, value, message):
+    with pytest.raises(ValueError) as e:
+        read(value, "k")
+    assert str(e.value) == message
+
+
+def test_strict_readers_return_values_as_stored():
+    assert number(3, "k") == 3 and isinstance(number(3, "k"), int)
+    assert number(-0.5, "k") == -0.5
+    assert integer(7, "k", at_least=7) == 7
+    assert numbers([1, 2.5], "k") == (1, 2.5)
+    assert numbers([], "k") == ()
