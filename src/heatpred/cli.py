@@ -11,12 +11,10 @@ from __future__ import annotations
 
 import argparse
 import csv
-import gc
 import logging
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -35,6 +33,7 @@ from .calibration import (
     optimal_radius,
 )
 from .heatmap import (
+    CLIPPED_WARNING,
     NORMALIZATION_TOL,
     Heatmap,
     heatmap_from_dict,
@@ -62,6 +61,7 @@ from .metrics import (
     write_records_csv,
 )
 from .noise import KalmanConfig, sample_noise
+from .pool import RANGES_PER_WORKER, map_ordered
 from .sampling import (
     AdaptiveRadius,
     FixedRadius,
@@ -206,11 +206,6 @@ def _sampling_config(cfg: dict, base_dir: Path | None) -> tuple[SamplingConfig, 
 # shared pipeline pieces
 
 
-# Byte ranges per worker: several, so that a worker whose ranges hold large
-# heatmaps does not finish long after the others.
-RANGES_PER_WORKER = 4
-
-
 def _default_workers() -> int:
     """The CPUs this process may run on, which is the ``--workers`` default."""
     try:
@@ -253,17 +248,7 @@ def _map_heatmaps(jobs: list[tuple[Path, object, object]], workers: int) -> list
     parts = workers * RANGES_PER_WORKER if workers > 1 else 1
     ranges = [jsonl_ranges(path, parts) for path, _, _ in jobs]
     tasks = [(path, a, b, work, arg) for (path, work, arg), rs in zip(jobs, ranges) for a, b in rs]
-    if workers > 1 and len(tasks) > 1:
-        # Frozen objects are left alone by the collector, so forked workers
-        # do not copy the parent's pages just to scan them (see gc.freeze).
-        gc.freeze()
-        try:
-            with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as ex:
-                results = list(ex.map(_map_range, tasks))
-        finally:
-            gc.unfreeze()
-    else:
-        results = [_map_range(t) for t in tasks]
+    results = list(map_ordered(_map_range, tasks, workers))
     out = []
     for rs in ranges:
         out.append(results[:len(rs)])
@@ -451,8 +436,13 @@ def cmd_synth(args) -> int:
         cfg["seed"] = args.seed
     scen = ScenarioConfig.from_dict(cfg)
     out = _out_dir(args)
-    paths = generate_dataset(scen, n, out)
-    _write_run_meta(out, "synth", config_hash(scen.to_dict()), n=n)
+    stats: dict = {}
+    paths = generate_dataset(scen, n, out, args.workers, stats)
+    if stats["clipped_scenarios"]:
+        logger.warning(
+            "%s in %d of %d scenarios", CLIPPED_WARNING, stats["clipped_scenarios"], n,
+        )
+    _write_run_meta(out, "synth", config_hash(scen.to_dict()), n=n, workers=args.workers, **stats)
     logger.info("wrote %d scenarios to %s", n, paths["heatmaps"].parent)
     return EXIT_OK
 
@@ -594,10 +584,16 @@ def cmd_calibrate(args) -> int:
     _write_xy_csv(out / "binned_radii.csv", bins, ["bin_center", "mean_optimal_radius", "count"], cfg_hash)
     # optima on the first or last sweep radius suggest the sweep is too narrow
     n_edge = sum(1 for _, r in spread_radius if r in (sweep.r_values[0], sweep.r_values[-1]))
+    # spread bins the fit left out for holding fewer than min_count pairs
+    dropped = [
+        [lower + bin_width / 2.0, count]
+        for lower, count, _ in floor_histogram([s for s, _ in spread_radius], bin_width)
+        if count < min_count
+    ]
     _write_run_meta(
         out, "calibrate", cfg_hash, n=len(pairs),
-        sweep_edge_count=n_edge, sweep_edge_share=n_edge / len(pairs), input_mass=masses,
-        workers=args.workers,
+        sweep_edge_count=n_edge, sweep_edge_share=n_edge / len(pairs), dropped_bins=dropped,
+        input_mass=masses, workers=args.workers,
     )
     logger.info(
         "calibrated %s: r = %.4f * spread + %.4f over %d bins",
@@ -923,7 +919,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = command("standardize", cmd_standardize, "resample scenes to the common rate/horizon", "config")
     p.add_argument("input", help="scene JSONL")
 
-    p = command("synth", cmd_synth, "generate a synthetic heatmap dataset", "config", "seed")
+    p = command("synth", cmd_synth, "generate a synthetic heatmap dataset", "config", "seed", "workers")
     p.add_argument("--n", type=int, default=None, help="number of scenarios")
 
     p = command("sample", cmd_sample, "extract endpoints from heatmaps", "config", "workers")

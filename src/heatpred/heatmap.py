@@ -42,6 +42,9 @@ __all__ = [
 
 NORMALIZATION_TOL = 1e-6
 
+# What render_mixture warns when the grid cuts the truncation disc of a mode.
+CLIPPED_WARNING = "grid does not cover the full truncation disc of every mode"
+
 
 class ZeroMassError(ValueError):
     """Heatmap carries no positive probability mass."""
@@ -272,7 +275,7 @@ def render_mixture(m: MixtureSpec, g: GridSpec, truncate_sigmas: float = 4.0) ->
         inside = d2 <= reach * reach
         cand.append((rr[inside] * g.width + cc[inside]).ravel())
     if clipped:
-        warnings.warn("grid does not cover the full truncation disc of every mode", stacklevel=2)
+        warnings.warn(CLIPPED_WARNING, stacklevel=2)
     if not cand:
         raise EmptyRenderError("no grid cell lies within the truncation disc of any mode")
     # sorted union of the discs; memory grows with the candidates, not the grid

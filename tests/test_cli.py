@@ -1,5 +1,8 @@
 import csv
 import json
+import math
+import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -7,12 +10,24 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from heatpred.cli import EXIT_FAILURE, EXIT_OK, EXIT_PARTIAL, main
-from heatpred.heatmap import GridSpec, Heatmap, heatmap_to_dict, normalize, uncertainty
+from heatpred.heatmap import CLIPPED_WARNING, GridSpec, Heatmap, heatmap_to_dict, normalize, uncertainty
 from heatpred.io import read_json, write_json, write_jsonl
 from heatpred.metrics import EvalRecord, write_records_csv
-from heatpred.synth import ScenarioConfig, generate_dataset
+from heatpred.synth import ScenarioConfig, generate_dataset, sample_scenario
 from heatpred.trajectory import sample_to_dict
 from helpers import planted_calibration_dataset, straight_sample
+
+
+SYNTH_OUTPUTS = ("heatmaps.jsonl", "ground_truth.jsonl", "manifest.json")
+SMALL_SYNTH = {
+    "seed": 9, "sigma_range": [0.5, 2.0], "mean_region": [[0, 15], [-6, 6]],
+    "grid": {"origin_x": -10, "origin_y": -16, "resolution": 0.5, "width": 70, "height": 64},
+}
+# one narrow mode per scenario on a 10 m by 10 m grid
+NARROW_SYNTH = {
+    "n_modes_range": [1, 1], "sigma_range": [0.5, 0.5],
+    "grid": {"origin_x": 0, "origin_y": -5, "resolution": 0.5, "width": 21, "height": 21},
+}
 
 
 def write_scenes(path, samples):
@@ -126,15 +141,84 @@ class TestStandardize:
 class TestSynthCli:
     def test_reruns_byte_identical(self, tmp_path):
         cfg = tmp_path / "cfg.json"
-        write_json(cfg, {"n": 15, "seed": 9, "sigma_range": [0.5, 2.0],
-                         "mean_region": [[0, 15], [-6, 6]],
-                         "grid": {"origin_x": -10, "origin_y": -16, "resolution": 0.5,
-                                  "width": 70, "height": 64}})
+        write_json(cfg, {"n": 15, **SMALL_SYNTH})
         out1, out2 = tmp_path / "a", tmp_path / "b"
         assert main(["synth", "--config", str(cfg), "--out", str(out1)]) == EXIT_OK
         assert main(["synth", "--config", str(cfg), "--out", str(out2)]) == EXIT_OK
-        for name in ("heatmaps.jsonl", "ground_truth.jsonl", "manifest.json"):
+        for name in SYNTH_OUTPUTS:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    @pytest.mark.parametrize("n, cfg", [(1, None), (7, None), (15, SMALL_SYNTH)], ids=["n1", "n7", "custom"])
+    def test_outputs_do_not_depend_on_workers(self, tmp_path, n, cfg):
+        argv = ["synth", "--n", str(n), "--seed", "3"]
+        if cfg is not None:
+            write_json(tmp_path / "cfg.json", cfg)
+            argv += ["--config", str(tmp_path / "cfg.json")]
+        seen = {}
+        for workers in (1, 2, 3):
+            out = tmp_path / f"w{workers}"
+            assert main(argv + ["--out", str(out), "--workers", str(workers)]) == EXIT_OK
+            assert read_json(out / "run_meta.json")["workers"] == workers
+            seen[workers] = [(out / name).read_bytes() for name in SYNTH_OUTPUTS]
+        assert seen[1] == seen[2] == seen[3]
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            # one mode, mostly off the grid: scenarios 4, 5 and 7 of the first 8 render nothing
+            {**NARROW_SYNTH, "mean_region": [[0, 30], [-2, 2]], "seed": 9},
+            {"mean_region": [[500, 600], [500, 600]]},
+        ],
+        ids=["some-fail", "all-fail"],
+    )
+    def test_empty_render_names_lowest_failing_scenario(self, tmp_path, caplog, cfg):
+        scen = ScenarioConfig.from_dict(cfg)
+        first = None
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            for i in range(8):
+                try:
+                    sample_scenario(scen, i)
+                except ValueError:
+                    first = i
+                    break
+        assert first is not None
+        write_json(tmp_path / "cfg.json", cfg)
+        for workers in (1, 2):
+            caplog.clear()
+            argv = ["synth", "--n", "8", "--config", str(tmp_path / "cfg.json"), "--workers", str(workers)]
+            assert main(argv + ["--out", str(tmp_path / f"w{workers}")]) == EXIT_FAILURE
+            errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+            assert errors == [
+                f"synth-{first:06d}: no grid cell lies within the truncation disc of any mode"
+            ]
+            assert "Traceback" not in caplog.text
+
+    def test_clipped_scenarios_counted_once_per_run(self, tmp_path, caplog, capfd):
+        # modes near the grid's edge: some truncation discs are cut, none is empty
+        cfg = {**NARROW_SYNTH, "mean_region": [[0, 10], [-5, 5]], "seed": 2}
+        scen = ScenarioConfig.from_dict(cfg)
+        clipped = 0
+        for i in range(10):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                sample_scenario(scen, i)
+            clipped += bool(caught)
+        assert 0 < clipped < 10
+        write_json(tmp_path / "cfg.json", cfg)
+        outputs = {}
+        for workers in (1, 2, 3):
+            caplog.clear()
+            out = tmp_path / f"w{workers}"
+            argv = ["synth", "--n", "10", "--config", str(tmp_path / "cfg.json"), "--workers", str(workers)]
+            assert main(argv + ["--out", str(out)]) == EXIT_OK
+            assert read_json(out / "run_meta.json")["clipped_scenarios"] == clipped
+            assert [r.getMessage() for r in caplog.records if r.levelname == "WARNING"] == [
+                f"{CLIPPED_WARNING} in {clipped} of 10 scenarios"
+            ]
+            assert CLIPPED_WARNING not in capfd.readouterr().err
+            outputs[workers] = [(out / name).read_bytes() for name in SYNTH_OUTPUTS]
+        assert outputs[1] == outputs[2] == outputs[3]
 
 
 class TestEvaluate:
@@ -327,7 +411,7 @@ class TestConfigAndFlags:
             ("sample h.jsonl --seed 1 --out OUT", "unrecognized arguments: --seed 1"),
             ("standardize s.jsonl --seed 1 --out OUT", "unrecognized arguments: --seed 1"),
             ("standardize s.jsonl --workers 2 --out OUT", "unrecognized arguments: --workers 2"),
-            ("synth --workers 2 --out OUT", "unrecognized arguments: --workers 2"),
+            ("synth --workers 0 --out OUT", "--workers must be at least 1, got 0"),
             ("analysis speed-report s.jsonl --seed 1 --out OUT", "unrecognized arguments: --seed 1"),
             ("analysis noise-report s.jsonl --workers 0 --out OUT", "unrecognized arguments: --workers 0"),
             ("evaluate h.jsonl g.jsonl --workers x --out OUT", "argument --workers: invalid int value: 'x'"),
@@ -335,7 +419,7 @@ class TestConfigAndFlags:
         ],
         ids=[
             "evaluate-no-arguments", "sample-no-heatmaps", "synth-no-out", "evaluate-seed", "cross-eval-config",
-            "cross-eval-seed", "sample-seed", "standardize-seed", "standardize-workers", "synth-workers",
+            "cross-eval-seed", "sample-seed", "standardize-seed", "standardize-workers", "synth-workers-0",
             "analysis-seed", "analysis-workers", "workers-not-a-number", "unknown-command",
         ],
     )
@@ -435,6 +519,20 @@ class TestCalibrateCli:
             meta = read_json(out / "run_meta.json")
             assert meta["sweep_edge_share"] == share
             assert meta["sweep_edge_count"] == share * len(pairs)
+
+    def test_dropped_bins_in_run_meta(self, tmp_path):
+        pairs = planted_calibration_dataset(20)
+        hm, gt = write_pairs(tmp_path / "data", pairs)
+        write_json(tmp_path / "cal.json", {"bin_width": 10.0, "min_count": 2})
+        out = tmp_path / "out"
+        argv = ["calibrate", str(hm), str(gt), "--config", str(tmp_path / "cal.json"), "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        counts = Counter(math.floor(uncertainty(h).spread / 10.0) * 10.0 + 5.0 for h, _ in pairs)
+        dropped = read_json(out / "run_meta.json")["dropped_bins"]
+        assert dropped == [[center, c] for center, c in sorted(counts.items()) if c < 2]
+        assert dropped
+        kept = read_csv_rows(out / "binned_radii.csv")
+        assert sum(c for _, c in dropped) + sum(int(r["count"]) for r in kept) == len(pairs)
 
 
 class TestMalformedRecord:

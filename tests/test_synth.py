@@ -177,3 +177,5 @@ class TestConfigRoundTrip:
             ScenarioConfig(n_modes_range=(0, 3))
         with pytest.raises(ValueError):
             ScenarioConfig(weight_floor=0.3, n_modes_range=(1, 4))
+        with pytest.raises(ValueError, match="truncate_sigmas"):
+            ScenarioConfig(truncate_sigmas=2.0)
