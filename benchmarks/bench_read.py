@@ -1,36 +1,31 @@
 #!/usr/bin/env python3
-"""Time the read path of the heatmap commands through the range map, at 1 and 2 workers.
+"""Time the read path of the heatmap commands through the set reader, at 1 and 2 workers.
 
 Writes one synthetic dataset of ``--n`` heatmaps with ``heatpred synth``
 (default scenario config, about 170 kB per heatmap line) unless ``--dir``
-already holds one, then times ``cli._map_heatmaps`` over it
+already holds one, then times ``cli._read_sets`` over it and its ground truth
 twice per worker count: with work that does nothing, which leaves the JSON
 parse, ``heatmap_from_dict`` and the renormalization, and with ``calibrate``'s
 per-heatmap work (spread and radius sweep). Parse time per heatmap is the
 first figure, sweep time per heatmap the difference; both are wall time of
-the whole map divided by the heatmap count, so they fall with the worker
-count when the map scales. Last, whole ``heatpred calibrate`` processes run
-at each worker count. Each figure is the best of ``--repeats`` runs. Like
-``perfbench/``, it pins BLAS to one thread per process: default OpenBLAS
-threading makes the workers compete for cores.
+the whole read divided by the heatmap count, so they fall with the worker
+count when the read scales. Last, whole ``heatpred calibrate`` processes run
+at each worker count. Each figure is the best of ``--repeats`` runs.
 
 Usage: python benchmarks/bench_read.py [--n N] [--seed S] [--repeats R] [--dir DIR]
 """
 
-import os
+import argparse
+import subprocess
+import sys
+import tempfile
+import time
+from functools import partial
+from pathlib import Path
 
-os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-
-import argparse  # noqa: E402
-import subprocess  # noqa: E402
-import sys  # noqa: E402
-import tempfile  # noqa: E402
-import time  # noqa: E402
-from pathlib import Path  # noqa: E402
-
-from heatpred import cli  # noqa: E402
-from heatpred.calibration import RadiusSweepConfig  # noqa: E402
-from heatpred.io import write_json  # noqa: E402
+from heatpred import cli
+from heatpred.calibration import RadiusSweepConfig
+from heatpred.io import write_json
 
 WORKERS = (1, 2)
 
@@ -39,8 +34,13 @@ def heatpred(argv):
     subprocess.run([sys.executable, "-m", "heatpred", *argv], check=True, stderr=subprocess.DEVNULL)
 
 
-def parse_only(sid, h, arg):
+def parse_only(sid, h, gt):
     return None
+
+
+def read(sets, work, workers):
+    """The rows of the one set in ``sets``; a set that fails raises."""
+    return cli._raised(cli._read_sets(sets, work, workers, {})[0])
 
 
 def best_of(fn, repeats):
@@ -64,16 +64,16 @@ def main():
         data = Path(args.dir or tmp)
         hp, gp = data / "heatmaps.jsonl", data / "ground_truth.jsonl"
         if not hp.exists():
-            # in another process, so that this one times the map with a small heap
+            # in another process, so that this one times the read with a small heap
             heatpred(["synth", "--n", str(args.n), "--seed", str(args.seed), "--out", str(data)])
-        gts = cli._load_ground_truth(gp)
-        sweep_arg = (gts, 6, RadiusSweepConfig())
-        n = len(gts)
+        sets = [(hp, gp)]
+        sweep = partial(cli._sweep, k=6, sweep=RadiusSweepConfig())
+        n = len(cli._load_ground_truth(gp))
         print(f"{n} heatmaps, {hp.stat().st_size / 1e6:.1f} MB (best of {args.repeats})")
         print(f"{'workers':>7} {'parse s':>9} {'ms/heatmap':>11} {'sweep s':>9} {'ms/heatmap':>11}")
         for w in WORKERS:
-            parse_s = best_of(lambda: cli._map_heatmaps([(hp, parse_only, None)], w), args.repeats)
-            total_s = best_of(lambda: cli._map_heatmaps([(hp, cli._sweep, sweep_arg)], w), args.repeats)
+            parse_s = best_of(lambda: read(sets, parse_only, w), args.repeats)
+            total_s = best_of(lambda: read(sets, sweep, w), args.repeats)
             sweep_s = total_s - parse_s
             print(f"{w:>7} {parse_s:>9.3f} {parse_s / n * 1e3:>11.2f} {sweep_s:>9.3f} {sweep_s / n * 1e3:>11.2f}")
 

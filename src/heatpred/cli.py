@@ -16,6 +16,7 @@ import math
 import os
 import sys
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,7 @@ import numpy as np
 from . import __version__, io
 from .calibration import (
     CalibrationModel,
+    InsufficientBinsError,
     RadiusSweepConfig,
     binned_optimal_radii,
     fit_bins,
@@ -214,70 +216,6 @@ def _default_workers() -> int:
         return os.cpu_count() or 1
 
 
-def _map_range(task) -> tuple[list[tuple[str, float, object]], str | None]:
-    """Run ``work(sid, heatmap, arg)`` on each heatmap line that starts in one byte range.
-
-    Returns ``(rows, None)`` with one (sample id, mass before renormalization,
-    result) row per line or, when a line fails, ``([], its error message)``.
-    """
-    path, start, end, work, arg = task
-
-    def row(d: dict) -> tuple[str, float, object]:
-        sid, h = heatmap_from_dict(d)
-        h, mass = normalize_with_mass(h)
-        return sid, mass, work(sid, h, arg)
-
-    done = []
-    for r in io.read_jsonl(path, row, start, end):
-        if isinstance(r, ValueError):
-            return [], str(r)
-        done.append(r)
-    return done, None
-
-
-def _map_heatmaps(jobs: list[tuple[Path, object, object]], workers: int) -> list[list]:
-    """For each job ``(heatmap path, work, arg)``, the :func:`_map_range` results
-    of its file's byte ranges, in file order.
-
-    One pool serves every job. Workers read their ranges themselves and get
-    all else through picklable arguments, so no heatmap crosses a process
-    boundary. ``workers`` changes only how the files are split, and every
-    check on the results (:func:`_collect`) is order-independent, so outputs
-    do not depend on it.
-    """
-    parts = workers * RANGES_PER_WORKER if workers > 1 else 1
-    ranges = [jsonl_ranges(path, parts) for path, _, _ in jobs]
-    tasks = [(path, a, b, work, arg) for (path, work, arg), rs in zip(jobs, ranges) for a, b in rs]
-    results = list(map_ordered(_map_range, tasks, workers))
-    out = []
-    for rs in ranges:
-        out.append(results[:len(rs)])
-        results = results[len(rs):]
-    return out
-
-
-def _collect(path: Path, parts: list, masses: dict) -> list[tuple[str, object]]:
-    """(sample id, result) of every heatmap of ``path``, sorted by id, from its
-    :func:`_map_heatmaps` parts, which are in file order. The failing line
-    nearest the start of the file raises. ``masses[str(path)]`` gets the
-    largest |mass - 1| before renormalization and how many heatmaps were
-    further than ``NORMALIZATION_TOL`` from unit mass."""
-    failures = [failure for _, failure in parts if failure is not None]
-    if failures:
-        raise CliError(failures[0])
-    rows = [row for done, _ in parts for row in done]
-    if not rows:
-        raise CliError(f"{path}: no heatmaps")
-    if len({sid for sid, _, _ in rows}) != len(rows):
-        raise CliError(f"{path}: duplicate sample ids")
-    errors = [abs(mass - 1.0) for _, mass, _ in rows]
-    masses[str(path)] = {
-        "max_abs_mass_error": max(errors),
-        "n_above_tol": sum(error > NORMALIZATION_TOL for error in errors),
-    }
-    return sorted(((sid, result) for sid, _, result in rows), key=lambda row: row[0])
-
-
 def _ground_truth_row(d: dict) -> tuple[str, tuple[float, float]]:
     return str(d["sample_id"]), (float(d["gt"][0]), float(d["gt"][1]))
 
@@ -295,72 +233,118 @@ def _load_ground_truth(path: Path) -> dict[str, tuple[float, float]]:
     return gts
 
 
-def _matched(results: list[tuple[str, object]], heatmaps_path: Path, gts_path: Path, gts: dict) -> list:
-    """The results of :func:`_collect`, once every heatmap id has ground truth and the reverse."""
-    offenders = sorted({sid for sid, _ in results}.symmetric_difference(gts))
-    if offenders:
-        shown = ", ".join(offenders[:10])
-        raise CliError(
-            f"sample ids differ between {heatmaps_path} and {gts_path} "
-            f"({len(offenders)} offenders; first: {shown})"
-        )
-    return results
+def _read_range(task) -> tuple[list[tuple[str, float, object]], str | None]:
+    """Run ``work(sid, heatmap, ground truth)`` on each heatmap line that starts in one byte range.
+
+    Returns ``(rows, None)`` with one (sample id, mass before renormalization,
+    result) row per line, in file order, or, at the first line that fails,
+    ``([], its error message)``. With ground truth ``gts`` None every heatmap
+    gets ``gt`` None; otherwise a heatmap whose id has no ground truth gets
+    no work and the result None, and the parent's id match fails.
+    """
+    path, start, end, gts, work = task
+
+    def row(d: dict) -> tuple[str, float, object]:
+        sid, h = heatmap_from_dict(d)
+        h, mass = normalize_with_mass(h)
+        if gts is None:
+            return sid, mass, work(sid, h, None)
+        gt = gts.get(sid)
+        return sid, mass, None if gt is None else work(sid, h, gt)
+
+    rows = []
+    for r in io.read_jsonl(path, row, start, end):
+        if isinstance(r, ValueError):
+            return [], str(r)
+        rows.append(r)
+    return rows, None
 
 
-def _map_sets(sets: list[tuple[Path, Path]], work, arg: tuple, workers: int, masses: dict) -> list:
-    """``work(sid, heatmap, (ground truth by id, *arg))`` on every heatmap of each
-    (heatmaps, ground truth) set, in one :func:`_map_heatmaps`. Per set, the
-    results matched to the ground truth and sorted by id, or the error the set
-    failed with; heatmap errors come before ground-truth ones."""
+def _read_sets(sets: list[tuple[Path, Path | None]], work, workers: int, masses: dict) -> list:
+    """``work(sid, heatmap, ground truth)`` on every heatmap of each (heatmaps,
+    ground truth or None) set, in one pool.
+
+    Per set, the (sample id, result) rows sorted by id, or the CliError the
+    set failed with. A set fails on, in this order: its first failing
+    heatmap line by file position, no heatmaps, duplicate ids, its ground
+    truth, and ids without a match on the other side. ``masses[str(heatmaps)]``
+    gets, before the ground truth is checked, the largest |mass - 1| before
+    renormalization and how many heatmaps were further than
+    ``NORMALIZATION_TOL`` from unit mass.
+
+    Workers read their byte ranges themselves and get all else through
+    picklable arguments, so no heatmap crosses a process boundary.
+    ``workers`` changes only how the files are split, and every check is
+    order-independent, so results do not depend on it.
+    """
     gts, gt_errors = [], {}
     for i, (_, gp) in enumerate(sets):
         try:
-            gts.append(_load_ground_truth(gp))
+            gts.append(None if gp is None else _load_ground_truth(gp))
         except (CliError, ValueError) as e:
             gts.append({})
-            gt_errors[i] = e
-    parts = _map_heatmaps([(hp, work, (g, *arg)) for (hp, _), g in zip(sets, gts)], workers)
+            gt_errors[i] = CliError(str(e))
+    parts = workers * RANGES_PER_WORKER if workers > 1 else 1
+    ranges = [jsonl_ranges(hp, parts) for hp, _ in sets]
+    tasks = [(hp, a, b, g, work) for (hp, _), g, rs in zip(sets, gts, ranges) for a, b in rs]
+    results = iter(list(map_ordered(_read_range, tasks, workers)))
     out = []
-    for i, ((hp, gp), g, p) in enumerate(zip(sets, gts, parts)):
+    for i, ((hp, gp), g, rs) in enumerate(zip(sets, gts, ranges)):
+        done = [next(results) for _ in rs]
+        failures = [failure for _, failure in done if failure is not None]
+        rows = [row for range_rows, _ in done for row in range_rows]
         try:
-            results = _collect(hp, p, masses)
+            if failures:
+                raise CliError(failures[0])
+            if not rows:
+                raise CliError(f"{hp}: no heatmaps")
+            if len({sid for sid, _, _ in rows}) != len(rows):
+                raise CliError(f"{hp}: duplicate sample ids")
+            errors = [abs(mass - 1.0) for _, mass, _ in rows]
+            masses[str(hp)] = {
+                "max_abs_mass_error": max(errors),
+                "n_above_tol": sum(error > NORMALIZATION_TOL for error in errors),
+            }
             if i in gt_errors:
                 raise gt_errors[i]
-            out.append(_matched(results, hp, gp, g))
-        except (CliError, ValueError) as e:
+            offenders = [] if g is None else sorted({sid for sid, _, _ in rows}.symmetric_difference(g))
+            if offenders:
+                raise CliError(
+                    f"sample ids differ between {hp} and {gp} "
+                    f"({len(offenders)} offenders; first: {', '.join(offenders[:10])})"
+                )
+        except CliError as e:
             out.append(e)
+        else:
+            out.append(sorted(((sid, result) for sid, _, result in rows), key=lambda row: row[0]))
     return out
 
 
 def _raised(result):
-    """``result``, unless it is the error :func:`_map_sets` gave for a set."""
+    """``result``, unless it is the error :func:`_read_sets` gave for a set."""
     if isinstance(result, Exception):
         raise result
     return result
 
 
-# Per-heatmap work of each command, run inside the workers. A heatmap whose id
-# has no ground truth gives None; the parent's id match then fails.
+# Per-heatmap work of each command, run inside the workers as
+# ``work(sid, heatmap, ground truth)`` with its settings bound by partial.
 
 
-def _predict(sid: str, h: Heatmap, cfg: SamplingConfig) -> dict:
+def _predict(sid: str, h: Heatmap, gt: None, cfg: SamplingConfig) -> dict:
     return prediction_to_dict(sample_with_uncertainty(h, cfg), sid)
 
 
-def _sweep(sid: str, h: Heatmap, arg) -> tuple[float, float] | None:
-    gts, k, sweep = arg
-    gt = gts.get(sid)
-    if gt is None:
-        return None
+def _sweep(
+    sid: str, h: Heatmap, gt: tuple[float, float], k: int, sweep: RadiusSweepConfig
+) -> tuple[float, float]:
     return uncertainty(h).spread, optimal_radius(h, gt, k, sweep)
 
 
-def _score_rows(sid: str, h: Heatmap, arg) -> list[EvalRecord] | None:
-    """One record per sampling config in ``arg``, all from one spread."""
-    gts, cfgs, threshold = arg
-    gt = gts.get(sid)
-    if gt is None:
-        return None
+def _score_rows(
+    sid: str, h: Heatmap, gt: tuple[float, float], cfgs: list[SamplingConfig], threshold: float
+) -> list[EvalRecord]:
+    """One record per sampling config in ``cfgs``, all from one spread."""
     est = uncertainty(h)
     return [make_eval_record(sid, sample_with_uncertainty(h, cfg, est), gt, cfg.k, threshold) for cfg in cfgs]
 
@@ -458,8 +442,8 @@ def cmd_sample(args) -> int:
     out = _out_dir(args)
     cfg_hash = config_hash(cfg)
     masses: dict = {}
-    hp = Path(args.heatmaps)
-    predictions = _collect(hp, _map_heatmaps([(hp, _predict, sampling)], args.workers)[0], masses)
+    work = partial(_predict, cfg=sampling)
+    predictions = _raised(_read_sets([(Path(args.heatmaps), None)], work, args.workers, masses)[0])
     out_path = out / "predictions.jsonl"
     n = write_jsonl(out_path, (d for _, d in predictions))
     _write_run_meta(out, "sample", cfg_hash, n=n, input_mass=masses, workers=args.workers)
@@ -479,7 +463,8 @@ def cmd_evaluate(args) -> int:
     cfg_hash = config_hash(cfg)
     masses: dict = {}
     sets = [(Path(args.heatmaps), Path(args.ground_truth))]
-    loaded = _map_sets(sets, _score_rows, ([sampling], threshold), args.workers, masses)[0]
+    work = partial(_score_rows, cfgs=[sampling], threshold=threshold)
+    loaded = _read_sets(sets, work, args.workers, masses)[0]
     records = [r for _, (r,) in _raised(loaded)]
     rep = aggregate(records)
     write_records_csv(out / "records.csv", records, header_comment=f"config_hash={cfg_hash}")
@@ -575,26 +560,34 @@ def cmd_calibrate(args) -> int:
             raise CliError("calibrate needs HEATMAPS and GROUND_TRUTH (or mixed_sources config)")
         sets = [(Path(args.heatmaps), Path(args.ground_truth))]
     # every heatmap of every source is swept, drawn into the mix or not
-    loaded = [_raised(r) for r in _map_sets(sets, _sweep, (k, sweep), args.workers, masses)]
+    loaded = [_raised(r) for r in _read_sets(sets, partial(_sweep, k=k, sweep=sweep), args.workers, masses)]
     pairs = _mixed_draws(loaded, weights, n, args.seed or 0) if sources else loaded[0]
     spread_radius = [sr for _, sr in pairs]
-    bins = binned_optimal_radii(spread_radius, bin_width=bin_width, min_count=min_count)
-    model = fit_bins(bins, source_dataset=str(cfg["dataset_tag"]))
-    write_json(out / "model.json", {**model_to_dict(model), "config_hash": cfg_hash})
-    _write_xy_csv(out / "binned_radii.csv", bins, ["bin_center", "mean_optimal_radius", "count"], cfg_hash)
+    hist = floor_histogram([s for s, _ in spread_radius], bin_width)
     # optima on the first or last sweep radius suggest the sweep is too narrow
     n_edge = sum(1 for _, r in spread_radius if r in (sweep.r_values[0], sweep.r_values[-1]))
     # spread bins the fit left out for holding fewer than min_count pairs
-    dropped = [
-        [lower + bin_width / 2.0, count]
-        for lower, count, _ in floor_histogram([s for s, _ in spread_radius], bin_width)
-        if count < min_count
-    ]
+    dropped = [[lower + bin_width / 2.0, count] for lower, count, _ in hist if count < min_count]
+    # written first, so that a failed fit is explained too
     _write_run_meta(
         out, "calibrate", cfg_hash, n=len(pairs),
         sweep_edge_count=n_edge, sweep_edge_share=n_edge / len(pairs), dropped_bins=dropped,
         input_mass=masses, workers=args.workers,
     )
+    try:
+        bins = binned_optimal_radii(spread_radius, bin_width=bin_width, min_count=min_count)
+        model = fit_bins(bins, source_dataset=str(cfg["dataset_tag"]))
+    except InsufficientBinsError as e:
+        # an earlier run's fit in ``out`` would not match this run_meta.json
+        for name in ("model.json", "binned_radii.csv"):
+            (out / name).unlink(missing_ok=True)
+        lower, count, _ = max(hist, key=lambda b: b[1])
+        raise CliError(
+            f"{e}; the fullest spread bin, centred at {lower + bin_width / 2.0!r}, "
+            f"holds {count} of {len(pairs)} pairs"
+        ) from None
+    write_json(out / "model.json", {**model_to_dict(model), "config_hash": cfg_hash})
+    _write_xy_csv(out / "binned_radii.csv", bins, ["bin_center", "mean_optimal_radius", "count"], cfg_hash)
     logger.info(
         "calibrated %s: r = %.4f * spread + %.4f over %d bins",
         model.source_dataset, model.a, model.b, model.bin_count,
@@ -668,10 +661,8 @@ def cmd_cross_eval(args) -> int:
     masses: dict = {}
     n_failed = 0
     # one pool for the whole matrix, one spread per test heatmap
-    loaded = _map_sets(
-        [set_paths[col] for col in col_tags], _score_rows,
-        ([base_cfg] + row_cfgs, threshold), args.workers, masses,
-    )
+    work = partial(_score_rows, cfgs=[base_cfg] + row_cfgs, threshold=threshold)
+    loaded = _read_sets([set_paths[col] for col in col_tags], work, args.workers, masses)
     for col, results in zip(col_tags, loaded):
         if isinstance(results, Exception):
             logger.error("test set %s failed to load: %s", col, results)

@@ -214,16 +214,18 @@ def normalize_with_mass(h: Heatmap) -> tuple[Heatmap, float]:
 def _moments(h: Heatmap) -> tuple[float, float, float]:
     # Coordinates are shifted to the grid bounding-box center before the
     # accumulation so the quadratic sums stay small; this keeps the spread
-    # stable (and bit-identical under exact-float origin shifts).
+    # stable (and bit-identical under exact-float origin shifts). The sums
+    # are numpy's pairwise sums, not BLAS dot products, whose rounding
+    # depends on how many threads BLAS splits them over.
     xs, ys = h.cell_centers()
     cx, cy = h.grid.bbox_center()
     dx = xs - cx
     dy = ys - cy
     s = float(np.sum(h.prob))
-    ex = float(np.dot(h.prob, dx)) / s
-    ey = float(np.dot(h.prob, dy)) / s
-    exx = float(np.dot(h.prob, dx * dx)) / s
-    eyy = float(np.dot(h.prob, dy * dy)) / s
+    ex = float(np.add.reduce(h.prob * dx)) / s
+    ey = float(np.add.reduce(h.prob * dy)) / s
+    exx = float(np.add.reduce(h.prob * (dx * dx))) / s
+    eyy = float(np.add.reduce(h.prob * (dy * dy))) / s
     spread = max((exx - ex * ex) + (eyy - ey * ey), 0.0)
     return cx + ex, cy + ey, spread
 

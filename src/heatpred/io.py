@@ -7,8 +7,9 @@ import hashlib
 import json
 import os
 import sys
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, TextIO
 
 
 def canonical_dumps(obj, indent: int | None = None) -> str:
@@ -84,6 +85,29 @@ def jsonl_ranges(path, parts: int) -> list[tuple[int, int]]:
             cuts.append(f.tell())
     cuts.append(size)
     return [(a, b) for a, b in zip(cuts, cuts[1:]) if b > a]
+
+
+@contextmanager
+def staged_files(*paths) -> Iterator[list[TextIO]]:
+    """Text files open for writing that take the place of ``paths`` only if
+    the block succeeds.
+
+    Each is written under a temporary name beside its path (the path plus
+    ``.tmp``) and moved onto the path with ``os.replace`` once the block has
+    ended without an exception; otherwise the temporary files are removed
+    and ``paths`` are left as they were. So no reader finds a half-written
+    file under a final name.
+    """
+    tmps = [Path(f"{p}.tmp") for p in paths]
+    try:
+        with ExitStack() as stack:
+            yield [stack.enter_context(open(t, "w")) for t in tmps]
+        for t, p in zip(tmps, paths):
+            os.replace(t, p)
+    except BaseException:
+        for t in tmps:
+            t.unlink(missing_ok=True)
+        raise
 
 
 def write_jsonl(path, rows: Iterable[dict]) -> int:

@@ -30,7 +30,7 @@ from .heatmap import (
     heatmap_to_json,
     render_mixture,
 )
-from .io import canonical_dumps, config_hash, integer, number, numbers, write_json
+from .io import canonical_dumps, config_hash, integer, number, numbers, staged_files, write_json
 from .pool import map_ordered
 
 __all__ = [
@@ -187,7 +187,8 @@ def generate_dataset(
     Contiguous index ranges of scenarios are rendered by ``workers`` forked
     processes when it is more than 1, and written in index order, so the
     files are byte-identical for every worker count and every rerun. The
-    failing scenario of lowest index raises a ValueError that names it.
+    failing scenario of lowest index raises a ValueError that names it, and
+    then neither JSONL file is written (see :func:`io.staged_files`).
     ``render_mixture``'s warning about a grid that cuts a mode's truncation
     disc is not shown; ``stats["clipped_scenarios"]``, when ``stats`` is
     given, counts the scenarios it was raised for.
@@ -205,7 +206,7 @@ def generate_dataset(
     tasks = [(cfg, a, min(a + SCENARIOS_PER_RANGE, n)) for a in range(0, n, SCENARIOS_PER_RANGE)]
     clipped = 0
     try:
-        with open(paths["heatmaps"], "w") as hf, open(paths["ground_truth"], "w") as gf:
+        with staged_files(paths["heatmaps"], paths["ground_truth"]) as (hf, gf):
             for heatmaps, gts, range_clipped, error in map_ordered(_encode_range, tasks, workers):
                 if error is not None:
                     raise ValueError(error)

@@ -3,11 +3,21 @@
 from __future__ import annotations
 
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 
+import heatpred
 from heatpred.heatmap import GridSpec, Heatmap, normalize
 from heatpred.trajectory import Sample, Trajectory
+
+
+def child_env(**overrides: str) -> dict[str, str]:
+    """This environment with ``overrides`` and the tested ``heatpred`` first on
+    PYTHONPATH, for a Python subprocess that imports it."""
+    paths = [str(Path(heatpred.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, **overrides, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
 
 
 def dense_from_heatmap(h: Heatmap) -> np.ndarray:

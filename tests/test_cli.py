@@ -1,6 +1,8 @@
 import csv
 import json
 import math
+import subprocess
+import sys
 import warnings
 from collections import Counter
 
@@ -9,13 +11,14 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+import heatpred.io
 from heatpred.cli import EXIT_FAILURE, EXIT_OK, EXIT_PARTIAL, main
 from heatpred.heatmap import CLIPPED_WARNING, GridSpec, Heatmap, heatmap_to_dict, normalize, uncertainty
 from heatpred.io import read_json, write_json, write_jsonl
 from heatpred.metrics import EvalRecord, write_records_csv
 from heatpred.synth import ScenarioConfig, generate_dataset, sample_scenario
 from heatpred.trajectory import sample_to_dict
-from helpers import planted_calibration_dataset, straight_sample
+from helpers import child_env, planted_calibration_dataset, straight_sample
 
 
 SYNTH_OUTPUTS = ("heatmaps.jsonl", "ground_truth.jsonl", "manifest.json")
@@ -193,6 +196,7 @@ class TestSynthCli:
                 f"synth-{first:06d}: no grid cell lies within the truncation disc of any mode"
             ]
             assert "Traceback" not in caplog.text
+            assert list((tmp_path / f"w{workers}").iterdir()) == []
 
     def test_clipped_scenarios_counted_once_per_run(self, tmp_path, caplog, capfd):
         # modes near the grid's edge: some truncation discs are cut, none is empty
@@ -273,6 +277,24 @@ class TestEvaluate:
         assert main(argv + ["--out", str(out2), "--workers", "4"]) == EXIT_OK
         assert (out1 / "records.csv").read_bytes() == (out2 / "records.csv").read_bytes()
         assert (out1 / "aggregate.json").read_bytes() == (out2 / "aggregate.json").read_bytes()
+
+    def test_records_do_not_depend_on_blas_threads(self, tmp_path):
+        # OpenBLAS splits a dot product over its threads above about 10,000
+        # cells, which changed the rounding of the spread with the thread count
+        data = tmp_path / "data"
+        assert main(["synth", "--n", "20", "--seed", "1", "--workers", "1", "--out", str(data)]) == EXIT_OK
+        with open(data / "heatmaps.jsonl") as f:
+            assert sum(len(json.loads(ln)["cells"]) > 10_000 for ln in f) == 3
+        records = []
+        for threads in ("1", "4"):
+            out = tmp_path / f"t{threads}"
+            argv = ["evaluate", str(data / "heatmaps.jsonl"), str(data / "ground_truth.jsonl")]
+            subprocess.run(
+                [sys.executable, "-m", "heatpred", *argv, "--workers", "1", "--out", str(out)],
+                env=child_env(OPENBLAS_NUM_THREADS=threads), check=True, capture_output=True, timeout=300,
+            )
+            records.append((out / "records.csv").read_bytes())
+        assert records[0] == records[1]
 
 
 class TestConfigAndFlags:
@@ -465,12 +487,29 @@ class TestCalibrateCli:
     def test_constant_spread_reports_insufficient_bins(self, tmp_path, caplog):
         pairs = point_mass_pairs(8)
         hm, gt = write_pairs(tmp_path / "data", pairs)
-        out = tmp_path / "out"
-        cfg = tmp_path / "cal.json"
-        write_json(cfg, {"min_count": 1})
-        code = main(["calibrate", str(hm), str(gt), "--config", str(cfg), "--out", str(out)])
-        assert code == EXIT_FAILURE
-        assert "bins" in caplog.text
+        for min_count, reason in (
+            (1, "need at least 2 populated spread bins to fit, got 1"),
+            (9, "no spread bin holds at least 9 records"),
+        ):
+            caplog.clear()
+            out = tmp_path / f"out{min_count}"
+            # an earlier run's fit in the output folder does not outlive this run
+            out.mkdir()
+            write_json(out / "model.json", {"a": 1.0, "b": 0.0})
+            (out / "binned_radii.csv").write_text("bin_center,mean_optimal_radius,count\n")
+            cfg = tmp_path / "cal.json"
+            write_json(cfg, {"min_count": min_count})
+            argv = ["calibrate", str(hm), str(gt), "--config", str(cfg), "--out", str(out), "--workers", "1"]
+            assert main(argv) == EXIT_FAILURE
+            # every spread is 0, so all 8 pairs fall in the bin centred at 0.5
+            assert f"{reason}; the fullest spread bin, centred at 0.5, holds 8 of 8 pairs" in caplog.text
+            assert sorted(p.name for p in out.iterdir()) == ["run_meta.json"]
+            meta = read_json(out / "run_meta.json")
+            assert meta["n"] == 8
+            assert meta["dropped_bins"] == ([] if min_count == 1 else [[0.5, 8]])
+            assert meta["sweep_edge_count"] == meta["sweep_edge_share"] * 8
+            assert meta["workers"] == 1
+            assert meta["input_mass"][str(hm)]["n_above_tol"] == 0
 
     def test_mixed_sources_composition(self, tmp_path):
         # sources with distinct spreads: the mix interleaves deterministically
@@ -710,6 +749,25 @@ class TestWorkerCounts:
             messages |= {r.getMessage() for r in caplog.records if str(hm) in r.getMessage()}
         assert len(messages) == 1
         assert f"{hm}:10 (sample c0008): probabilities must be non-negative" in messages.pop()
+
+    @pytest.mark.parametrize("command", ["sample", "evaluate", "calibrate", "cross-eval"])
+    def test_many_bad_lines_stop_at_the_first(self, tmp_path, caplog, monkeypatch, command):
+        # every line after the first fails: a range stops at its first
+        # failing line, so its line number is looked up once, not per line
+        hm, gt = write_pairs(tmp_path / "d", point_mass_pairs(1))
+        hm.write_text(hm.read_text() + "not json\n" * 500)
+        looked_up = []
+        line_number = heatpred.io._line_number
+        monkeypatch.setattr(heatpred.io, "_line_number", lambda *a: looked_up.append(a) or line_number(*a))
+        for workers in (1, 2):
+            caplog.clear()
+            argv = _argv(command, hm, gt, tmp_path) + ["--out", str(tmp_path / f"w{workers}")]
+            assert main(argv + ["--workers", str(workers)]) == EXIT_FAILURE
+            assert f"{hm}:2: invalid JSON" in caplog.text
+            assert f"{hm}:3:" not in caplog.text
+            assert "Traceback" not in caplog.text
+        # only the one-worker run reads in this process
+        assert len(looked_up) == 1
 
     @pytest.mark.parametrize("command", ["evaluate", "calibrate", "cross-eval"])
     def test_bad_ground_truth_line(self, tmp_path, caplog, command):
