@@ -16,7 +16,7 @@ import time
 import numpy as np
 
 from heatpred import kernels
-from heatpred.heatmap import GridSpec, Heatmap, normalize
+from heatpred.heatmap import GridSpec, Heatmap
 
 
 def make_heatmap(rng, n_cells):
@@ -24,7 +24,7 @@ def make_heatmap(rng, n_cells):
     grid = GridSpec(-48.0, -48.0, 0.5, side, side)
     idx = rng.choice(grid.n_cells, size=n_cells, replace=False).astype(np.int64)
     prob = rng.random(n_cells) ** 2 + 1e-9
-    return normalize(Heatmap(grid, idx, prob))
+    return Heatmap(grid, idx, prob)
 
 
 def time_call(fn, repeats):

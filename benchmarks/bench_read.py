@@ -5,7 +5,7 @@ Writes one synthetic dataset of ``--n`` heatmaps with ``heatpred synth``
 (default scenario config, about 170 kB per heatmap line) unless ``--dir``
 already holds one, then times ``cli._read_sets`` over it and its ground truth
 twice per worker count: with work that does nothing, which leaves the JSON
-parse, ``heatmap_from_dict`` and the renormalization, and with ``calibrate``'s
+parse and ``heatmap_from_dict`` with its renormalization, and with ``calibrate``'s
 per-heatmap work (spread and radius sweep). Parse time per heatmap is the
 first figure, sweep time per heatmap the difference; both are wall time of
 the whole read divided by the heatmap count, so they fall with the worker

@@ -16,7 +16,6 @@ from .heatmap import (
     Heatmap,
     MixtureSpec,
     UncertaintyEstimate,
-    normalize,
     render_mixture,
     uncertainty,
 )

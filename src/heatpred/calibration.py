@@ -22,7 +22,7 @@ import numpy as np
 
 from . import kernels
 from .binning import floor_bin_means
-from .heatmap import Heatmap, _require_normalized
+from .heatmap import Heatmap
 from .io import integer, number
 
 __all__ = [
@@ -106,7 +106,6 @@ def radius_sweep_errors(
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    _require_normalized(h, "radius_sweep_errors")
     l = sweep.l_for_objective
     xs, ys = h.cell_centers()
     runs = kernels.nms_sweep(xs, ys, h.prob, sweep.r_values, k, scores=l < k)

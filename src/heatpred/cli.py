@@ -10,7 +10,6 @@ across reruns and worker counts.
 from __future__ import annotations
 
 import argparse
-import csv
 import logging
 import math
 import os
@@ -39,7 +38,6 @@ from .heatmap import (
     NORMALIZATION_TOL,
     Heatmap,
     heatmap_from_dict,
-    normalize_with_mass,
     uncertainty,
 )
 from .io import (
@@ -50,6 +48,7 @@ from .io import (
     number,
     numbers,
     read_json,
+    write_csv,
     write_json,
     write_jsonl,
 )
@@ -126,12 +125,12 @@ def _int(value, key: str, at_least: int | None = None) -> int:
     return integer(value, f"config key {key}", at_least)
 
 
-def _radius(value, key: str) -> float:
-    """A fixed sampling radius, which must be positive."""
-    r = _float(value, key)
-    if not r > 0:
-        raise CliError(f"config key {key}: must be positive, got {r!r}")
-    return r
+def _positive(value, key: str) -> float:
+    """The value of config key ``key``, such as a radius or a bin width, which must be a positive number."""
+    v = _float(value, key)
+    if not v > 0:
+        raise CliError(f"config key {key}: must be positive, got {v!r}")
+    return v
 
 
 def _objects(cfg: dict, key: str) -> list[dict]:
@@ -187,7 +186,7 @@ def _sampling_config(cfg: dict, base_dir: Path | None) -> tuple[SamplingConfig, 
     """The sampling config and the miss threshold of a merged SAMPLING_DEFAULTS config."""
     radius = cfg["radius"] if isinstance(cfg["radius"], dict) else {}
     if "fixed" in radius:
-        mode = FixedRadius(_radius(radius["fixed"], "radius.fixed"))
+        mode = FixedRadius(_positive(radius["fixed"], "radius.fixed"))
     elif "adaptive" in radius:
         model_path = _resolve_path(base_dir, str(radius["adaptive"]))
         if not model_path.exists():
@@ -236,8 +235,8 @@ def _load_ground_truth(path: Path) -> dict[str, tuple[float, float]]:
 def _read_range(task) -> tuple[list[tuple[str, float, object]], str | None]:
     """Run ``work(sid, heatmap, ground truth)`` on each heatmap line that starts in one byte range.
 
-    Returns ``(rows, None)`` with one (sample id, mass before renormalization,
-    result) row per line, in file order, or, at the first line that fails,
+    Returns ``(rows, None)`` with one (sample id, stored mass, result) row
+    per line, in file order, or, at the first line that fails,
     ``([], its error message)``. With ground truth ``gts`` None every heatmap
     gets ``gt`` None; otherwise a heatmap whose id has no ground truth gets
     no work and the result None, and the parent's id match fails.
@@ -246,11 +245,10 @@ def _read_range(task) -> tuple[list[tuple[str, float, object]], str | None]:
 
     def row(d: dict) -> tuple[str, float, object]:
         sid, h = heatmap_from_dict(d)
-        h, mass = normalize_with_mass(h)
         if gts is None:
-            return sid, mass, work(sid, h, None)
+            return sid, h.mass, work(sid, h, None)
         gt = gts.get(sid)
-        return sid, mass, None if gt is None else work(sid, h, gt)
+        return sid, h.mass, None if gt is None else work(sid, h, gt)
 
     rows = []
     for r in io.read_jsonl(path, row, start, end):
@@ -347,16 +345,6 @@ def _score_rows(
     """One record per sampling config in ``cfgs``, all from one spread."""
     est = uncertainty(h)
     return [make_eval_record(sid, sample_with_uncertainty(h, cfg, est), gt, cfg.k, threshold) for cfg in cfgs]
-
-
-def _write_xy_csv(path: Path, rows: list, header: list[str], cfg_hash: str) -> None:
-    """A CSV table under a config-hash comment line; floats are written by ``repr``."""
-    with open(path, "w", newline="") as f:
-        f.write(f"# config_hash={cfg_hash}\n")
-        w = csv.writer(f)
-        w.writerow(header)
-        for row in rows:
-            w.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
 
 
 def _write_run_meta(out_dir: Path, command: str, cfg_hash: str, **extra) -> None:
@@ -467,7 +455,7 @@ def cmd_evaluate(args) -> int:
     loaded = _read_sets(sets, work, args.workers, masses)[0]
     records = [r for _, (r,) in _raised(loaded)]
     rep = aggregate(records)
-    write_records_csv(out / "records.csv", records, header_comment=f"config_hash={cfg_hash}")
+    write_records_csv(out / "records.csv", records, cfg_hash)
     write_json(out / "aggregate.json", {"config_hash": cfg_hash, **report_to_dict(rep)})
     _write_run_meta(out, "evaluate", cfg_hash, n=rep.count, input_mass=masses, workers=args.workers)
     logger.info(
@@ -531,7 +519,7 @@ def cmd_calibrate(args) -> int:
     cfg_raw, base = _load_config(args.config)
     cfg = _merge(CALIBRATE_DEFAULTS, cfg_raw)
     k = _int(cfg["k"], "k", at_least=1)
-    bin_width = _float(cfg["bin_width"], "bin_width")
+    bin_width = _positive(cfg["bin_width"], "bin_width")
     min_count = _int(cfg["min_count"], "min_count")
     sweep = RadiusSweepConfig(
         r_values=() if cfg["r_values"] is None else numbers(cfg["r_values"], "config key r_values"),
@@ -587,7 +575,7 @@ def cmd_calibrate(args) -> int:
             f"holds {count} of {len(pairs)} pairs"
         ) from None
     write_json(out / "model.json", {**model_to_dict(model), "config_hash": cfg_hash})
-    _write_xy_csv(out / "binned_radii.csv", bins, ["bin_center", "mean_optimal_radius", "count"], cfg_hash)
+    write_csv(out / "binned_radii.csv", ["bin_center", "mean_optimal_radius", "count"], bins, cfg_hash)
     logger.info(
         "calibrated %s: r = %.4f * spread + %.4f over %d bins",
         model.source_dataset, model.a, model.b, model.bin_count,
@@ -604,7 +592,7 @@ def _model_radius(i: int, model: dict) -> dict:
     if model.get("calibration") is not None:
         return {"adaptive": model["calibration"]}
     if model.get("fixed_radius") is not None:
-        return {"fixed": _radius(model["fixed_radius"], f"models[{i}].fixed_radius")}
+        return {"fixed": _positive(model["fixed_radius"], f"models[{i}].fixed_radius")}
     raise CliError(f"config key models[{i}]: needs calibration or fixed_radius")
 
 
@@ -638,7 +626,7 @@ def cmd_cross_eval(args) -> int:
         raise CliError("manifest key sampling: must be an object")
     # the radius comes from each model row, so the manifest may not set one
     sampling = _merge({key: v for key, v in SAMPLING_DEFAULTS.items() if key != "radius"}, sampling)
-    baseline_r = _radius(manifest.get("baseline_fixed_radius", 1.5), "baseline_fixed_radius")
+    baseline_r = _positive(manifest.get("baseline_fixed_radius", 1.5), "baseline_fixed_radius")
     base_cfg, threshold = _sampling_config({**sampling, "radius": {"fixed": baseline_r}}, base)
     k = base_cfg.k
     row_cfgs = [
@@ -710,7 +698,7 @@ def cmd_cross_eval(args) -> int:
          f"Relative minFDE_{k} improvement vs fixed r={baseline_r}"),
     ):
         table = [[row] + [_fmt(row, col, key) for col in col_tags] for row in row_tags]
-        _write_xy_csv(out / f"{stem}.csv", table, header, cfg_hash)
+        write_csv(out / f"{stem}.csv", header, table, cfg_hash)
         md.append(_matrix_markdown(title, header, table))
     md.append(f"config_hash: {cfg_hash}")
     (out / "report.md").write_text("\n".join(md) + "\n")
@@ -762,11 +750,9 @@ def cmd_analysis(args) -> int:
     if args.analysis_cmd == "uncertainty-error":
         cfg = _merge(ANALYSIS_UNCERTAINTY_DEFAULTS, cfg_raw)
         cfg_hash = config_hash(cfg)
-        records = read_records_csv(args.input)
-        bins = bin_by_uncertainty(
-            records, _float(cfg["bin_width"], "bin_width"), _int(cfg["min_count"], "min_count")
-        )
-        _write_xy_csv(out / "uncertainty_error.csv", bins, ["bin_lower", "mean_min_fde_1", "count"], cfg_hash)
+        bin_width, min_count = _positive(cfg["bin_width"], "bin_width"), _int(cfg["min_count"], "min_count")
+        bins = bin_by_uncertainty(read_records_csv(args.input), bin_width, min_count)
+        write_csv(out / "uncertainty_error.csv", ["bin_lower", "mean_min_fde_1", "count"], bins, cfg_hash)
         if args.svg:
             (out / "uncertainty_error.svg").write_text(
                 _svg_line_chart([b[0] for b in bins], [b[1] for b in bins],
@@ -780,18 +766,20 @@ def cmd_analysis(args) -> int:
             process_accel_std=_float(cfg["process_accel_std"], "process_accel_std"),
             obs_std=_float(cfg["obs_std"], "obs_std"),
         )
+        bin_width = _positive(cfg["bin_width"], "bin_width")
         noises = _scene_values(Path(args.input), lambda s: sample_noise(s, kcfg))
-        _write_xy_csv(out / "noise.csv", noises, ["sample_id", "noise_m"], cfg_hash)
-        hist = floor_histogram([n for _, n in noises], _float(cfg["bin_width"], "bin_width"))
+        write_csv(out / "noise.csv", ["sample_id", "noise_m"], noises, cfg_hash)
+        hist = floor_histogram([n for _, n in noises], bin_width)
         _write_hist_json(out / "noise_hist.json", hist, cfg, cfg_hash)
         _write_run_meta(out, "analysis noise-report", cfg_hash, n=len(noises))
     elif args.analysis_cmd == "speed-report":
         cfg = _merge(ANALYSIS_SPEED_DEFAULTS, cfg_raw)
         cfg_hash = config_hash(cfg)
+        bin_width = _positive(cfg["bin_width"], "bin_width")
         speeds = [v for _, v in _scene_values(Path(args.input), average_speed)]
-        hist = floor_histogram(speeds, _float(cfg["bin_width"], "bin_width"))
+        hist = floor_histogram(speeds, bin_width)
         rows = [(lo, fr, c) for lo, c, fr in hist]
-        _write_xy_csv(out / "speed_hist.csv", rows, ["bin_lower", "fraction", "count"], cfg_hash)
+        write_csv(out / "speed_hist.csv", ["bin_lower", "fraction", "count"], rows, cfg_hash)
         _write_hist_json(out / "speed_hist.json", hist, cfg, cfg_hash)
         _write_run_meta(out, "analysis speed-report", cfg_hash, n=len(speeds))
     else:  # pragma: no cover - argparse enforces choices

@@ -3,7 +3,9 @@
 A heatmap discretizes the distribution of an agent's position at the
 prediction horizon onto a regular grid. Cells are stored sparsely as
 (row-major index, probability) pairs, always sorted by index so that every
-downstream computation is independent of the storage order of the input.
+downstream computation is independent of the storage order of the input,
+and always with unit mass: a :class:`Heatmap` divides its cells by their
+sum when it is built.
 
 The spread statistic computed by :func:`uncertainty` is the trace of the
 positional covariance of the distribution, in m^2. It is the quantity the
@@ -14,7 +16,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -29,8 +31,6 @@ __all__ = [
     "UncertaintyEstimate",
     "ZeroMassError",
     "EmptyRenderError",
-    "normalize",
-    "normalize_with_mass",
     "uncertainty",
     "render_mixture",
     "grid_to_dict",
@@ -40,6 +40,8 @@ __all__ = [
     "heatmap_from_dict",
 ]
 
+# How far from unit mass the cells of a stored heatmap may sum before the
+# readers count it as renormalized.
 NORMALIZATION_TOL = 1e-6
 
 # What render_mixture warns when the grid cuts the truncation disc of a mode.
@@ -47,7 +49,7 @@ CLIPPED_WARNING = "grid does not cover the full truncation disc of every mode"
 
 
 class ZeroMassError(ValueError):
-    """Heatmap carries no positive probability mass."""
+    """Heatmap cells carry no positive, finite probability mass."""
 
 
 class EmptyRenderError(ValueError):
@@ -92,16 +94,21 @@ class GridSpec:
 
 @dataclass(eq=False)
 class Heatmap:
-    """Sparse cell probabilities on a :class:`GridSpec`.
+    """Sparse cell probabilities on a :class:`GridSpec`, with unit mass.
 
-    ``idx`` is int64 and strictly increasing, ``prob`` is float64 and
-    non-negative. Instances are immutable after construction (arrays are
-    marked read-only), so they are safe to share across workers.
+    The given probabilities are divided by their sum, taken after the cells
+    are sorted by index, and cells left at zero are dropped; ``mass`` keeps
+    that sum. A sum that is not positive, or not finite, raises a
+    :class:`ZeroMassError`. ``idx`` is int64 and strictly increasing,
+    ``prob`` is float64 and positive. Instances are immutable after
+    construction (arrays are marked read-only), so they are safe to share
+    across workers.
     """
 
     grid: GridSpec
     idx: np.ndarray
     prob: np.ndarray
+    mass: float = field(init=False)
 
     def __post_init__(self):
         idx = np.asarray(self.idx, dtype=np.int64).copy()
@@ -119,10 +126,23 @@ class Heatmap:
             raise ValueError("probabilities must be finite")
         if np.any(prob < 0):
             raise ValueError("probabilities must be non-negative")
+        with np.errstate(over="ignore"):
+            mass = float(np.sum(prob))
+        if not math.isfinite(mass):
+            raise ZeroMassError(
+                f"cannot normalize a heatmap whose mass is not finite (its cells sum to {mass!r})"
+            )
+        if not mass > 0:
+            raise ZeroMassError("cannot normalize a heatmap with no positive mass")
+        prob = prob / mass
+        keep = prob > 0
+        idx = idx[keep]
+        prob = prob[keep]
         idx.setflags(write=False)
         prob.setflags(write=False)
         object.__setattr__(self, "idx", idx)
         object.__setattr__(self, "prob", prob)
+        object.__setattr__(self, "mass", mass)
 
     @classmethod
     def from_cells(cls, grid: GridSpec, cells: Mapping[int, float] | Iterable[tuple[int, float]]) -> "Heatmap":
@@ -136,14 +156,6 @@ class Heatmap:
 
     def __len__(self) -> int:
         return int(self.idx.size)
-
-    @property
-    def total_mass(self) -> float:
-        return float(np.sum(self.prob))
-
-    @property
-    def is_normalized(self) -> bool:
-        return abs(self.total_mass - 1.0) <= NORMALIZATION_TOL
 
     def cell_centers(self) -> tuple[np.ndarray, np.ndarray]:
         return self.grid.cell_centers(self.idx)
@@ -189,34 +201,13 @@ class MixtureSpec:
             raise ValueError(f"mode weights must sum to 1, got {total}")
 
 
-def _require_normalized(h: Heatmap, op: str) -> None:
-    if len(h) == 0:
-        raise ZeroMassError(f"{op}: heatmap has no cells")
-    if not h.is_normalized:
-        raise ValueError(f"{op}: heatmap must be normalized first (mass={h.total_mass})")
-
-
-def normalize(h: Heatmap) -> Heatmap:
-    """Scale probabilities to unit mass and drop cells left with zero mass."""
-    return normalize_with_mass(h)[0]
-
-
-def normalize_with_mass(h: Heatmap) -> tuple[Heatmap, float]:
-    """:func:`normalize`, also returning the mass the heatmap had before."""
-    total = float(np.sum(h.prob))
-    if not total > 0:
-        raise ZeroMassError("cannot normalize a heatmap with no positive mass")
-    prob = h.prob / total
-    keep = prob > 0
-    return Heatmap(h.grid, h.idx[keep], prob[keep]), total
-
-
 def _moments(h: Heatmap) -> tuple[float, float, float]:
     # Coordinates are shifted to the grid bounding-box center before the
     # accumulation so the quadratic sums stay small; this keeps the spread
     # stable (and bit-identical under exact-float origin shifts). The sums
     # are numpy's pairwise sums, not BLAS dot products, whose rounding
-    # depends on how many threads BLAS splits them over.
+    # depends on how many threads BLAS splits them over. ``prob`` sums to 1
+    # only up to rounding, so the sums are still divided by its sum.
     xs, ys = h.cell_centers()
     cx, cy = h.grid.bbox_center()
     dx = xs - cx
@@ -236,7 +227,6 @@ def uncertainty(h: Heatmap) -> UncertaintyEstimate:
     Equals the trace of the 2x2 positional covariance, so it is invariant
     under translation and rotation of the cell coordinates.
     """
-    _require_normalized(h, "uncertainty")
     ex, ey, spread = _moments(h)
     return UncertaintyEstimate(spread, (ex, ey))
 
@@ -246,8 +236,8 @@ def render_mixture(m: MixtureSpec, g: GridSpec, truncate_sigmas: float = 4.0) ->
 
     Every cell within ``truncate_sigmas * sigma`` of at least one mode center
     receives the full mixture density at its cell center times resolution^2;
-    all other cells are omitted. The result is normalized. Warns if the grid
-    does not cover some mode's truncation disc.
+    all other cells are omitted; the heatmap scales them to unit mass. Warns
+    if the grid does not cover some mode's truncation disc.
     """
     if truncate_sigmas < 3.0:
         raise ValueError("truncate_sigmas must be at least 3")
@@ -293,7 +283,7 @@ def render_mixture(m: MixtureSpec, g: GridSpec, truncate_sigmas: float = 4.0) ->
     dens *= res * res
     if not float(np.sum(dens)) > 0:
         raise EmptyRenderError("rendered mixture carries no mass on the grid")
-    return normalize(Heatmap(g, idx, dens))
+    return Heatmap(g, idx, dens)
 
 
 def grid_to_dict(g: GridSpec) -> dict:
@@ -337,14 +327,12 @@ def heatmap_to_json(h: Heatmap, sample_id: str) -> str:
     "cells" sorts before "grid" and "sample_id", so it comes first.
     """
     rest = canonical_dumps({"grid": grid_to_dict(h.grid), "sample_id": sample_id})
-    if not len(h):
-        return '{"cells":[],' + rest[1:]
     pairs = zip(map(str, h.idx.tolist()), map(repr, h.prob.tolist()))
     return '{"cells":[[' + "],[".join(map(",".join, pairs)) + "]]," + rest[1:]
 
 
 def heatmap_from_dict(d: dict) -> tuple[str, Heatmap]:
-    """Parse the JSON form as stored; :func:`normalize_with_mass` gives unit mass."""
+    """Parse the JSON form; the heatmap has unit mass and its ``mass`` is the sum of the stored cells."""
     grid = grid_from_dict(d["grid"])
     cells = d["cells"]
     idx = np.array([c[0] for c in cells], dtype=np.int64)

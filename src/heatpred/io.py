@@ -1,8 +1,9 @@
-"""JSON/JSONL helpers: deterministic serialization, the one JSONL record
-loader, and the strict readers of config values."""
+"""JSON/JSONL/CSV helpers: deterministic serialization, the one JSONL record
+loader, the one CSV table writer, and the strict readers of config values."""
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import os
@@ -117,6 +118,16 @@ def write_jsonl(path, rows: Iterable[dict]) -> int:
             f.write(canonical_dumps(row) + "\n")
             n += 1
     return n
+
+
+def write_csv(path, header: list[str], rows: Iterable, cfg_hash: str) -> None:
+    """A CSV table under a config-hash comment line; floats are written by ``repr``."""
+    with open(path, "w", newline="") as f:
+        f.write(f"# config_hash={cfg_hash}\n")
+        w = csv.writer(f)
+        w.writerow(header)
+        for row in rows:
+            w.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
 
 
 def write_json(path, obj) -> None:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .binning import floor_bin_means
+from .io import write_csv
 from .sampling import PredictionSet
 
 __all__ = [
@@ -125,25 +126,19 @@ def bin_by_uncertainty(
     return floor_bin_means(pairs, bin_width, min_count)
 
 
-def write_records_csv(path, records: Sequence[EvalRecord], header_comment: str | None = None) -> None:
+def write_records_csv(path, records: Sequence[EvalRecord], cfg_hash: str) -> None:
+    """One row per record, with :func:`heatpred.io.write_csv`."""
     if not records:
         raise ValueError("no records to write")
-    k = len(records[0].fde_per_l)
-    with open(path, "w", newline="") as f:
-        if header_comment:
-            f.write(f"# {header_comment}\n")
-        w = csv.writer(f)
-        w.writerow(
-            ["sample_id", "uncertainty", "radius_used"]
-            + [f"fde_{l}" for l in range(1, k + 1)]
-            + [f"miss_{l}" for l in range(1, k + 1)]
-        )
-        for r in records:
-            w.writerow(
-                [r.sample_id, repr(float(r.uncertainty)), repr(float(r.radius_used))]
-                + [repr(float(v)) for v in r.fde_per_l]
-                + [int(v) for v in r.miss_per_l]
-            )
+    ks = range(1, len(records[0].fde_per_l) + 1)
+    header = ["sample_id", "uncertainty", "radius_used"] + [f"{m}_{l}" for m in ("fde", "miss") for l in ks]
+    rows = (
+        [r.sample_id, float(r.uncertainty), float(r.radius_used)]
+        + [float(v) for v in r.fde_per_l]
+        + [int(v) for v in r.miss_per_l]
+        for r in records
+    )
+    write_csv(path, header, rows, cfg_hash)
 
 
 def read_records_csv(path) -> list[EvalRecord]:

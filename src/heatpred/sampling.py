@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, NamedTuple, Optional, Union
 import numpy as np
 
 from . import kernels
-from .heatmap import Heatmap, UncertaintyEstimate, ZeroMassError, _require_normalized, uncertainty
+from .heatmap import Heatmap, UncertaintyEstimate, uncertainty
 
 if TYPE_CHECKING:
     from .calibration import CalibrationModel
@@ -89,9 +89,6 @@ def nms_sample(h: Heatmap, k: int, r: float) -> PredictionSet:
         raise ValueError("k must be at least 1")
     if r <= 0:
         raise ValueError("radius must be positive")
-    if len(h) == 0:
-        raise ZeroMassError("nms_sample: heatmap has no cells")
-    _require_normalized(h, "nms_sample")
     xs, ys = h.cell_centers()
     peaks, scores = kernels.nms_kernel(xs, ys, h.prob, r, k)
     order = np.argsort(-scores, kind="stable")

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 import heatpred
-from heatpred.heatmap import GridSpec, Heatmap, normalize
+from heatpred.heatmap import GridSpec, Heatmap
 from heatpred.trajectory import Sample, Trajectory
 
 
@@ -71,7 +71,7 @@ def random_heatmap(rng: np.random.Generator, grid: GridSpec, n_cells: int) -> He
     n = min(n_cells, grid.n_cells)
     idx = rng.choice(grid.n_cells, size=n, replace=False).astype(np.int64)
     prob = rng.random(n) ** 3 + 1e-9
-    return normalize(Heatmap(grid, idx, prob))
+    return Heatmap(grid, idx, prob)
 
 
 SWEEP_CASES = ("random", "tied", "fewer_cells_than_k", "prefix_doubles")
@@ -88,15 +88,15 @@ def sweep_case(name: str, rng: np.random.Generator) -> tuple[Heatmap, int]:
         idx = rng.choice(grid.n_cells, size=300, replace=False)
         prob = np.ones(300)
         prob[:3] = 2.0
-        return normalize(Heatmap(grid, idx, prob)), 6
+        return Heatmap(grid, idx, prob), 6
     if name == "fewer_cells_than_k":
-        return normalize(Heatmap.from_cells(grid, {5: 0.5, 700: 0.3, 2000: 0.2})), 6
+        return Heatmap.from_cells(grid, {5: 0.5, 700: 0.3, 2000: 0.2}), 6
     if name == "prefix_doubles":
         # every cell populated around one smooth bump: at large radii the
         # first peak suppresses more than the initial prefix of sorted cells
         xs, ys = grid.cell_centers(np.arange(grid.n_cells))
         prob = np.exp(-(xs * xs + ys * ys) / 50.0) + 1e-3 * rng.random(grid.n_cells)
-        return normalize(Heatmap(grid, np.arange(grid.n_cells), prob)), 6
+        return Heatmap(grid, np.arange(grid.n_cells), prob), 6
     raise ValueError(f"unknown sweep case {name!r}")
 
 
@@ -200,7 +200,7 @@ def _planted_one(target_u: float, slope: float, intercept: float, sweep_max: flo
     cells, gt = build(length, rho)
     idx = np.array([c[0] for c in cells], dtype=np.int64)
     prob = np.array([c[1] for c in cells], dtype=np.float64)
-    return normalize(Heatmap(grid, idx, prob)), gt
+    return Heatmap(grid, idx, prob), gt
 
 
 def planted_calibration_dataset(

@@ -22,7 +22,6 @@ from heatpred.heatmap import (
     GridSpec,
     Heatmap,
     MixtureSpec,
-    normalize,
     render_mixture,
     uncertainty,
 )
@@ -34,7 +33,7 @@ from helpers import SWEEP_CASES, planted_calibration_dataset, random_heatmap, sw
 class TestOptimalRadius:
     def test_point_mass_at_gt_returns_smallest(self):
         g = GridSpec(0.0, 0.0, 0.5, 8, 8)
-        h = normalize(Heatmap.from_cells(g, {27: 1.0}))
+        h = Heatmap.from_cells(g, {27: 1.0})
         xs, ys = h.cell_centers()
         gt = (float(xs[0]), float(ys[0]))
         sweep = RadiusSweepConfig()
@@ -92,11 +91,6 @@ class TestSweepMatchesPerRadiusSampling:
             gt = tuple(rng.uniform(-5, 5, 2))
             expected = [min_fde(nms_sample(h, 6, r), gt, 6) for r in sweep.r_values]
             assert radius_sweep_errors(h, gt, 6, sweep).tolist() == expected
-
-    def test_rejects_unnormalized_heatmap(self):
-        h = Heatmap.from_cells(GridSpec(0.0, 0.0, 0.5, 8, 8), {3: 2.0})
-        with pytest.raises(ValueError, match="normalized"):
-            radius_sweep_errors(h, (0.0, 0.0), 6, RadiusSweepConfig())
 
 
 class TestBinnedOptimalRadii:
@@ -186,7 +180,7 @@ class TestCalibrate:
 
     def test_constant_spread_insufficient_bins(self):
         g = GridSpec(0.0, 0.0, 0.5, 8, 8)
-        h = normalize(Heatmap.from_cells(g, {27: 1.0}))
+        h = Heatmap.from_cells(g, {27: 1.0})
         data = [(h, (0.0, 0.0))] * 30
         with pytest.raises(InsufficientBinsError):
             calibrate(spread_radius(data), bin_width=1.0, min_count=1)

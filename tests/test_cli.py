@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import heatpred.io
 from heatpred.cli import EXIT_FAILURE, EXIT_OK, EXIT_PARTIAL, main
-from heatpred.heatmap import CLIPPED_WARNING, GridSpec, Heatmap, heatmap_to_dict, normalize, uncertainty
+from heatpred.heatmap import CLIPPED_WARNING, GridSpec, Heatmap, heatmap_to_dict, uncertainty
 from heatpred.io import read_json, write_json, write_jsonl
 from heatpred.metrics import EvalRecord, write_records_csv
 from heatpred.synth import ScenarioConfig, generate_dataset, sample_scenario
@@ -56,7 +56,7 @@ def point_mass_pairs(n=12):
     pairs = []
     for _ in range(n):
         idx = int(rng.integers(0, g.n_cells))
-        h = normalize(Heatmap.from_cells(g, {idx: 1.0}))
+        h = Heatmap.from_cells(g, {idx: 1.0})
         xs, ys = h.cell_centers()
         pairs.append((h, (float(xs[0]), float(ys[0]))))
     return pairs
@@ -414,6 +414,15 @@ class TestConfigAndFlags:
         assert named in caplog.text
         assert not (out / "heatmaps.jsonl").exists()
 
+    @pytest.mark.parametrize("command", ["calibrate", "uncertainty-error", "noise-report", "speed-report"])
+    def test_non_positive_bin_width_named_before_inputs_are_read(self, tmp_path, caplog, command):
+        write_json(tmp_path / "cfg.json", {"bin_width": 0.0})
+        missing = str(tmp_path / "missing.jsonl")
+        argv = [command, missing, missing] if command == "calibrate" else ["analysis", command, missing]
+        argv += ["--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out")]
+        assert main(argv) == EXIT_FAILURE
+        assert "config key bin_width: must be positive, got 0.0" in caplog.text
+
     def test_workers_below_one_rejected(self, tmp_path, caplog):
         hm, gt = write_pairs(tmp_path, point_mass_pairs(3))
         out = tmp_path / "out"
@@ -603,9 +612,11 @@ class TestMalformedRecord:
             ("heatmaps", lambda d: d["grid"].update(width=10**30), "Python int too large to convert to C long"),
             ("heatmaps", lambda d: d.update(cells=[[10**30, 1.0]]), "Python int too large to convert to C long"),
             ("heatmaps", lambda d: d.update(cells=[[0, 10**400]]), "int too large to convert to float"),
+            ("heatmaps", lambda d: d.update(cells=[[0, 1e308], [1, 1e308]]),
+             "cannot normalize a heatmap whose mass is not finite (its cells sum to inf)"),
             ("ground_truth", lambda d: d.update(gt=[10**400, 0.0]), "int too large to convert to float"),
         ],
-        ids=["grid-width", "cell-index", "cell-probability", "ground-truth"],
+        ids=["grid-width", "cell-index", "cell-probability", "cell-mass", "ground-truth"],
     )
     def test_number_too_large_is_a_bad_line(self, tmp_path, caplog, kind, edit, named):
         hm, gt = write_pairs(tmp_path / "d", point_mass_pairs(2))
@@ -613,7 +624,10 @@ class TestMalformedRecord:
         rows = [json.loads(ln) for ln in path.read_text().splitlines()]
         edit(rows[1])
         write_jsonl(path, rows)
-        assert main(["evaluate", str(hm), str(gt), "--out", str(tmp_path / "o")]) == EXIT_FAILURE
+        # a numpy overflow warning would escape as an exception, in a worker too
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["evaluate", str(hm), str(gt), "--out", str(tmp_path / "o")]) == EXIT_FAILURE
         assert f"{path}:2 (sample c0001): {named}" in caplog.text
 
     def test_non_object_ground_truth_line(self, tmp_path, caplog):
@@ -835,7 +849,7 @@ class TestAnalysis:
             u = 0.3 * i
             recs.append(EvalRecord(f"r{i:02d}", u, 1.0, [u / 2] * 6, [False] * 6))
         path = tmp_path / "records.csv"
-        write_records_csv(path, recs)
+        write_records_csv(path, recs, "deadbeef")
         out = tmp_path / "out"
         cfg = tmp_path / "a.json"
         write_json(cfg, {"min_count": 1})

@@ -15,7 +15,6 @@ from heatpred.heatmap import (
     heatmap_from_dict,
     heatmap_to_dict,
     heatmap_to_json,
-    normalize,
     render_mixture,
     uncertainty,
 )
@@ -77,43 +76,43 @@ class TestHeatmapType:
 class TestNormalize:
     def test_halves(self):
         g = GridSpec(0, 0, 1.0, 4, 4)
-        h = normalize(Heatmap.from_cells(g, {0: 2.0, 1: 2.0}))
+        h = Heatmap.from_cells(g, {0: 2.0, 1: 2.0})
         assert h.prob.tolist() == [0.5, 0.5]
 
     def test_idempotent(self, rng):
-        h = normalize(random_heatmap(rng, GridSpec(0, 0, 0.5, 32, 32), 100))
-        h2 = normalize(h)
+        h = random_heatmap(rng, GridSpec(0, 0, 0.5, 32, 32), 100)
+        h2 = Heatmap(h.grid, h.idx, h.prob)
+        assert h2.mass == pytest.approx(1.0, abs=1e-12)
         assert np.max(np.abs(h2.prob - h.prob)) < 1e-12
 
     def test_drops_zero_cells(self):
         g = GridSpec(0, 0, 1.0, 4, 4)
-        h = normalize(Heatmap.from_cells(g, {0: 1.0, 3: 0.0}))
+        h = Heatmap.from_cells(g, {0: 1.0, 3: 0.0})
         assert h.idx.tolist() == [0]
 
     def test_all_zero_is_error(self):
+        """No cells, only zero cells, or cells whose sum overflows leave no mass to divide by."""
         g = GridSpec(0, 0, 1.0, 4, 4)
-        with pytest.raises(ZeroMassError):
-            normalize(Heatmap.from_cells(g, {0: 0.0}))
+        for cells, named in (({}, "no positive mass"), ({0: 0.0, 5: 0.0}, "no positive mass"),
+                             ({0: 1e308, 1: 1e308}, "not finite")):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ZeroMassError, match=named):
+                    Heatmap.from_cells(g, cells)
 
 
 class TestMoments:
     def test_single_cell_point_mass(self):
         g = GridSpec(3.0, 4.0, 1.0, 1, 1)
-        h = normalize(Heatmap.from_cells(g, {0: 1.0}))
+        h = Heatmap.from_cells(g, {0: 1.0})
         assert uncertainty(h).mean == (3.0, 4.0)
         assert uncertainty(h).spread == 0.0
 
     def test_two_cells_symmetric(self):
         g = GridSpec(0.0, 0.0, 1.0, 2, 1)
-        h = normalize(Heatmap.from_cells(g, {0: 1.0, 1: 1.0}))
+        h = Heatmap.from_cells(g, {0: 1.0, 1: 1.0})
         assert uncertainty(h).mean == (0.5, 0.0)
         assert uncertainty(h).spread == pytest.approx(0.25, abs=1e-12)
-
-    def test_requires_normalized(self):
-        g = GridSpec(0.0, 0.0, 1.0, 2, 1)
-        h = Heatmap.from_cells(g, {0: 1.0, 1: 1.0})
-        with pytest.raises(ValueError, match="normalized"):
-            uncertainty(h)
 
     def test_gaussian_mean_recovered(self):
         h = rendered_gaussian((5.0, -2.0), 2.0)
@@ -251,11 +250,10 @@ class TestJsonRoundTrip:
     def test_round_trip_and_reader_normalization(self, rng):
         h = random_heatmap(rng, GridSpec(-3.0, 2.0, 0.25, 20, 30), 50)
         d = heatmap_to_dict(h, "abc")
-        # scale probabilities: the reader keeps them, normalize restores unit mass
+        # scale probabilities: the reader restores unit mass and keeps the stored sum
         d["cells"] = [[i, p * 7.5] for i, p in d["cells"]]
         sid, back = heatmap_from_dict(d)
-        assert back.total_mass == pytest.approx(7.5 * h.total_mass, rel=1e-12)
-        back = normalize(back)
+        assert back.mass == pytest.approx(7.5, rel=1e-12)
         assert sid == "abc"
         assert back.grid == h.grid
         assert np.array_equal(back.idx, h.idx)
@@ -282,9 +280,15 @@ class TestJsonEncoder:
         self.assert_same_bytes(h, "abc")
 
     def test_empty_heatmap(self):
-        h = Heatmap(GridSpec(0.0, 0.0, 1.0, 4, 4), np.array([], np.int64), np.array([]))
-        self.assert_same_bytes(h, "empty")
-        assert heatmap_to_json(h, "empty").startswith('{"cells":[],"grid":')
+        # a heatmap with no cells has no mass: it cannot be built, so it never
+        # reaches the encoder, and a record with no cells is refused on read
+        g = GridSpec(0.0, 0.0, 1.0, 4, 4)
+        with pytest.raises(ZeroMassError, match="no positive mass"):
+            Heatmap(g, np.array([], np.int64), np.array([]))
+        d = heatmap_to_dict(Heatmap.from_cells(g, {0: 1.0}), "empty")
+        d["cells"] = []
+        with pytest.raises(ZeroMassError, match="no positive mass"):
+            heatmap_from_dict(d)
 
     def test_single_cell_at_last_index(self):
         g = GridSpec(-1.5, 2.25, 0.1, 7, 5)
@@ -292,9 +296,11 @@ class TestJsonEncoder:
         self.assert_same_bytes(Heatmap.from_cells(g, {0: 1.0}), "first")
 
     def test_extreme_and_long_probabilities(self):
-        probs = [5e-324, 1e-300, 1.0, 0.1, 0.1 + 0.2, 1 / 3, 2 / 3, 0.0, 123456789.12345678]
+        # these sum to exactly 1.0, so the constructor keeps every value
+        probs = [5e-324, 1e-300, 0.1, 0.1 + 0.2, 1 / 3, 0.2666666666666666]
         g = GridSpec(0.0, 0.0, 0.5, 10, 10)
         h = Heatmap(g, np.arange(len(probs), dtype=np.int64) * 11, np.array(probs))
+        assert h.mass == 1.0 and h.prob.tolist() == probs
         self.assert_same_bytes(h, "probs")
         assert "0.30000000000000004" in heatmap_to_json(h, "probs")
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from heatpred import kernels
-from heatpred.heatmap import GridSpec, Heatmap, normalize
+from heatpred.heatmap import GridSpec, Heatmap
 from helpers import SWEEP_CASES, dense_from_heatmap, dense_nms_oracle, random_heatmap, sweep_case
 
 
@@ -50,7 +50,7 @@ class TestAgainstDenseOracle:
 
     def test_tie_break_lowest_row_major_index(self):
         grid = GridSpec(0.0, 0.0, 1.0, 8, 8)
-        h = normalize(Heatmap.from_cells(grid, {10: 1.0, 30: 1.0, 50: 1.0}))
+        h = Heatmap.from_cells(grid, {10: 1.0, 30: 1.0, 50: 1.0})
         peaks, _ = run_kernel(h, 0.5, 3)
         assert h.idx[peaks[0]] == 10
         assert h.idx[peaks[1]] == 30
@@ -60,10 +60,13 @@ class TestAgainstDenseOracle:
 class TestStorageOrderIndependence:
     def test_shuffled_cells_same_result(self, rng):
         grid = GridSpec(0.0, 0.0, 0.5, 32, 32)
-        base = random_heatmap(rng, grid, 200)
-        perm = rng.permutation(len(base))
-        # constructor re-sorts by cell index, so content is bit-identical
-        shuffled = Heatmap(grid, base.idx[perm], base.prob[perm])
+        idx = rng.choice(grid.n_cells, size=200, replace=False)
+        prob = rng.random(200) ** 3 + 1e-9
+        perm = rng.permutation(200)
+        # the constructor sorts by cell index before it sums, so content is bit-identical
+        base = Heatmap(grid, idx, prob)
+        shuffled = Heatmap(grid, idx[perm], prob[perm])
+        assert np.array_equal(base.idx, shuffled.idx) and np.array_equal(base.prob, shuffled.prob)
         a = run_kernel(base, 1.5, 6)
         b = run_kernel(shuffled, 1.5, 6)
         assert np.array_equal(a[0], b[0])

@@ -197,7 +197,7 @@ class TestRecordsCsv:
                 EvalRecord(f"s{i:03d}", float(rng.uniform(0, 40)), 1.5, fde, [v > 2 for v in fde])
             )
         path = tmp_path / "records.csv"
-        write_records_csv(path, recs, header_comment="config_hash=deadbeef")
+        write_records_csv(path, recs, "deadbeef")
         back = read_records_csv(path)
         assert [r.sample_id for r in back] == [r.sample_id for r in recs]
         for a, b in zip(recs, back):

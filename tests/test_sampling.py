@@ -12,7 +12,6 @@ from heatpred.heatmap import (
     GridSpec,
     Heatmap,
     MixtureSpec,
-    normalize,
     render_mixture,
     uncertainty,
 )
@@ -56,7 +55,7 @@ class TestNmsSample:
 
     def test_single_cell_any_radius(self):
         g = GridSpec(2.0, 3.0, 0.5, 4, 4)
-        h = normalize(Heatmap.from_cells(g, {5: 3.0}))
+        h = Heatmap.from_cells(g, {5: 3.0})
         for r in (0.1, 1.0, 50.0):
             ps = nms_sample(h, 6, r)
             assert len(ps.endpoints) == 1
@@ -84,7 +83,7 @@ class TestNmsSample:
         cells = {1: 0.2}
         cluster = {20 + i: 0.16 for i in range(5)}
         cells.update(cluster)
-        h = normalize(Heatmap.from_cells(g, cells))
+        h = Heatmap.from_cells(g, cells)
         ps = nms_sample(h, 2, 8.0)
         assert ps.endpoints[0].score > ps.endpoints[1].score
         # equal cluster cells tie-break to the lowest index, and the cluster
@@ -106,16 +105,11 @@ class TestNmsSample:
 
     def test_empty_heatmap_error(self):
         g = GridSpec(0, 0, 1.0, 4, 4)
-        h = Heatmap(g, np.array([], dtype=np.int64), np.array([], dtype=np.float64))
         from heatpred.heatmap import ZeroMassError
 
+        # the constructor refuses a heatmap with no cells before nms_sample can see it
         with pytest.raises(ZeroMassError):
-            nms_sample(h, 6, 1.0)
-
-    def test_requires_normalized(self):
-        g = GridSpec(0, 0, 1.0, 4, 4)
-        h = Heatmap.from_cells(g, {0: 2.0, 1: 1.0})
-        with pytest.raises(ValueError, match="normalized"):
+            h = Heatmap(g, np.array([], dtype=np.int64), np.array([], dtype=np.float64))
             nms_sample(h, 6, 1.0)
 
 
