@@ -2,10 +2,13 @@
 """Time the synth write path per scenario: render, then encode one heatmap line.
 
 For each scenario of the default ``ScenarioConfig`` it times
-``render_mixture``, the direct line encoder ``heatmap_to_json`` and the
-dict route ``canonical_dumps(heatmap_to_dict(...))`` it replaced (both give
-the same bytes). Each figure is the best of ``--repeats`` calls, summed over
-the scenarios. End-to-end numbers come from ``perfbench/``.
+``render_mixture``, the direct line encoder ``heatmap_to_json``, the dict
+route ``canonical_dumps(heatmap_to_dict(...))`` it replaced (both give the
+same bytes), and the float ``repr`` of the probabilities alone, which every
+route pays and so is the encoder's floor. The last line gives the encoder's
+time above that floor: the index text, the separators and the joins. Each
+figure is the best of ``--repeats`` calls, summed over the scenarios.
+End-to-end numbers come from ``perfbench/``.
 
 Usage: python benchmarks/bench_write.py [--n N] [--seed S] [--repeats R]
 """
@@ -35,7 +38,7 @@ def main():
     args = parser.parse_args()
 
     cfg = ScenarioConfig(seed=args.seed)
-    render_s = encode_s = dict_s = 0.0
+    render_s = encode_s = dict_s = floor_s = 0.0
     cells = 0
     for i in range(args.n):
         mix, _ = draw_mixture(cfg, i)
@@ -46,6 +49,8 @@ def main():
         encode_s += t
         t, ref = best_of(lambda: canonical_dumps(heatmap_to_dict(h, sid)), args.repeats)
         dict_s += t
+        t, _ = best_of(lambda: list(map(repr, h.prob.tolist())), args.repeats)
+        floor_s += t
         if line != ref:
             raise SystemExit(f"scenario {i}: encoder bytes differ from the dict route")
         cells += len(h)
@@ -56,6 +61,8 @@ def main():
         ("render_mixture", render_s),
         ("heatmap_to_json", encode_s),
         ("canonical_dumps(heatmap_to_dict(...))", dict_s),
+        ("float repr floor", floor_s),
+        ("heatmap_to_json above the floor", encode_s - floor_s),
     ):
         print(f"{name:<40} {s:>9.3f} {s / args.n * 1e3:>12.2f}")
 

@@ -347,6 +347,15 @@ def _score_rows(
     return [make_eval_record(sid, sample_with_uncertainty(h, cfg, est), gt, cfg.k, threshold) for cfg in cfgs]
 
 
+def _clamped_radii(cfg: SamplingConfig, records: list[EvalRecord]) -> dict | None:
+    """How many of the records' adaptive radii the clamp put at ``r_min`` and
+    how many at ``r_max``; None for a fixed radius."""
+    if not isinstance(cfg.radius_mode, AdaptiveRadius):
+        return None
+    used = [r.radius_used for r in records]
+    return {"r_min": used.count(cfg.r_min), "r_max": used.count(cfg.r_max)}
+
+
 def _write_run_meta(out_dir: Path, command: str, cfg_hash: str, **extra) -> None:
     meta = {
         "command": command,
@@ -457,7 +466,10 @@ def cmd_evaluate(args) -> int:
     rep = aggregate(records)
     write_records_csv(out / "records.csv", records, cfg_hash)
     write_json(out / "aggregate.json", {"config_hash": cfg_hash, **report_to_dict(rep)})
-    _write_run_meta(out, "evaluate", cfg_hash, n=rep.count, input_mass=masses, workers=args.workers)
+    _write_run_meta(
+        out, "evaluate", cfg_hash, n=rep.count, clamped_radii=_clamped_radii(sampling, records),
+        input_mass=masses, workers=args.workers,
+    )
     logger.info(
         "evaluated %d samples: minFDE_%d=%.4f MR_%d=%.4f",
         rep.count, sampling.k, rep.min_fde_l[-1], sampling.k, rep.mr_l[-1],
@@ -645,6 +657,7 @@ def cmd_cross_eval(args) -> int:
                 raise CliError(f"test set {tag}: missing file {p}")
 
     cells: dict[str, dict[str, dict]] = {r: {} for r in row_tags}
+    clamped: dict[str, dict[str, dict | None]] = {r: {} for r in row_tags}
     baselines: dict[str, dict] = {}
     masses: dict = {}
     n_failed = 0
@@ -659,12 +672,15 @@ def cmd_cross_eval(args) -> int:
                 n_failed += 1
             baselines[col] = {"status": "failed", "error": str(results)}
             continue
-        base_rep, *row_reps = [aggregate(records) for records in zip(*(r for _, r in results))]
+        base_records, *row_records = zip(*(r for _, r in results))
+        base_rep = aggregate(base_records)
         base_fde = base_rep.min_fde_l[-1]
         baselines[col] = {
             "status": "ok", "min_fde": base_fde, "mr": base_rep.mr_l[-1], "count": base_rep.count,
         }
-        for row, rep in zip(row_tags, row_reps):
+        for row, cfg, records in zip(row_tags, row_cfgs, row_records):
+            rep = aggregate(records)
+            clamped[row][col] = _clamped_radii(cfg, records)
             cells[row][col] = {
                 "status": "ok",
                 "min_fde": rep.min_fde_l[-1],
@@ -706,8 +722,8 @@ def cmd_cross_eval(args) -> int:
         (out / "matrices.svg").write_text(_svg_matrix(row_tags, col_tags, cells))
     _write_run_meta(
         out, "cross-eval", cfg_hash,
-        n_cells=len(row_tags) * len(col_tags), n_failed=n_failed, input_mass=masses,
-        workers=args.workers,
+        n_cells=len(row_tags) * len(col_tags), n_failed=n_failed, clamped_radii=clamped,
+        input_mass=masses, workers=args.workers,
     )
     if n_failed == len(row_tags) * len(col_tags):
         return EXIT_FAILURE

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from array import array
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -319,23 +320,93 @@ def heatmap_to_dict(h: Heatmap, sample_id: str) -> dict:
     }
 
 
+# The last three digits of a cell index and the comma after them: entry i
+# is "i," for an index below 1000, entry 1000 + i is i zero-padded to three
+# digits, for the digits after a thousands head. Entries from 100 on are
+# the same text in both halves, and the same str objects.
+_PADDED = [f"{i:03d}," for i in range(1000)]
+_LOW_DIGITS = np.array([f"{i}," for i in range(100)] + _PADDED[100:] + _PADDED, dtype=object)
+
+
+def _index_text(idx: np.ndarray) -> tuple[list[str], list[str]]:
+    """The text before the probability of each cell of a sorted ``idx``, in
+    two pieces: ``],[`` with the digits of ``index // 1000`` (none when that
+    is 0), and the last three digits with the comma. Each thousands value is
+    formatted once, and the digits come from a fixed table. The numpy arrays
+    built here are freed when it returns, before the caller's join."""
+    high, low = np.divmod(idx, 1000)
+    # idx is sorted, so each distinct thousands value is one run of cells
+    starts = np.r_[True, high[1:] != high[:-1]]
+    heads = np.array([f"],[{v or ''}" for v in high[starts].tolist()], dtype=object)
+    return heads[np.cumsum(starts) - 1].tolist(), _LOW_DIGITS[low + 1000 * (high > 0)].tolist()
+
+
 def heatmap_to_json(h: Heatmap, sample_id: str) -> str:
     """``canonical_dumps(heatmap_to_dict(h, sample_id))``, byte for byte, without the dict.
 
-    The cells text is joined straight from the arrays: ``tolist()`` gives
-    Python ints and floats, and the json encoder writes those by ``repr``.
-    "cells" sorts before "grid" and "sample_id", so it comes first.
+    The cells text is one join of three pieces per cell: the two of
+    :func:`_index_text`, then the ``repr`` of the probability, which is how
+    the json encoder writes a float. "cells" sorts before "grid" and
+    "sample_id", so it comes first.
     """
     rest = canonical_dumps({"grid": grid_to_dict(h.grid), "sample_id": sample_id})
-    pairs = zip(map(str, h.idx.tolist()), map(repr, h.prob.tolist()))
-    return '{"cells":[[' + "],[".join(map(",".join, pairs)) + "]]," + rest[1:]
+    parts = [None] * (3 * len(h))
+    parts[0::3], parts[1::3] = _index_text(h.idx)
+    parts[2::3] = map(repr, h.prob.tolist())
+    # the first cell opens the list with "[" instead of "],["
+    parts[0] = parts[0][2:]
+    return '{"cells":[' + "".join(parts) + "]]," + rest[1:]
+
+
+def _bad_cell(cells) -> str:
+    """What is wrong with the first bad cell of a record's ``cells``."""
+    if not isinstance(cells, list):
+        return f"cells: must be a list, not a {type(cells).__name__}"
+    for j, c in enumerate(cells):
+        where = f"cells[{j}]"
+        if not isinstance(c, list) or len(c) != 2:
+            return f"{where}: not an [index, probability] pair"
+        try:
+            i = integer(c[0], f"{where} index")
+            number(c[1], f"{where} probability")
+        except ValueError as e:
+            return str(e)
+        if not -(2**63) <= i < 2**63:
+            return f"{where} index: {i} does not fit in 64 bits"
+    return "cells: indices must be JSON integers and probabilities JSON numbers"
+
+
+def _holds_bool(cells, values: np.ndarray, col: int) -> bool:
+    """Whether column ``col`` of ``cells``, read into ``values``, holds a JSON
+    true or false, which read as 1 and 0; only the entries equal to 0 or 1
+    are looked at."""
+    suspects = np.flatnonzero((values == 0) | (values == 1)).tolist()
+    return any(isinstance(cells[j][col], bool) for j in suspects)
+
+
+def _cell_arrays(cells) -> tuple[np.ndarray, np.ndarray]:
+    """The index and probability arrays of the ``cells`` of a heatmap record.
+
+    Each cell must be an [index, probability] pair of a JSON integer and a
+    JSON number. Unpacking the pairs refuses cells of another length, and
+    the typed arrays of the ``array`` module refuse, as they convert, an
+    index that is not an integer within 64 bits and a probability that is
+    not a number, with no pass of their own. A bad cell raises a ValueError
+    naming the first one.
+    """
+    try:
+        idx = np.frombuffer(array("q", [i for i, _ in cells]), dtype=np.int64)
+        prob = np.frombuffer(array("d", [p for _, p in cells]), dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(_bad_cell(cells)) from None
+    if _holds_bool(cells, idx, 0) or _holds_bool(cells, prob, 1):
+        raise ValueError(_bad_cell(cells))
+    return idx, prob
 
 
 def heatmap_from_dict(d: dict) -> tuple[str, Heatmap]:
     """Parse the JSON form; the heatmap has unit mass and its ``mass`` is the sum of the stored cells."""
     grid = grid_from_dict(d["grid"])
-    cells = d["cells"]
-    idx = np.array([c[0] for c in cells], dtype=np.int64)
-    prob = np.array([c[1] for c in cells], dtype=np.float64)
+    idx, prob = _cell_arrays(d["cells"])
     h = Heatmap(grid, idx, prob)
     return str(d["sample_id"]), h

@@ -97,12 +97,12 @@ def staged_files(*paths) -> Iterator[list[TextIO]]:
     ``.tmp``) and moved onto the path with ``os.replace`` once the block has
     ended without an exception; otherwise the temporary files are removed
     and ``paths`` are left as they were. So no reader finds a half-written
-    file under a final name.
+    file under a final name. Line ends are written as given.
     """
     tmps = [Path(f"{p}.tmp") for p in paths]
     try:
         with ExitStack() as stack:
-            yield [stack.enter_context(open(t, "w")) for t in tmps]
+            yield [stack.enter_context(open(t, "w", newline="")) for t in tmps]
         for t, p in zip(tmps, paths):
             os.replace(t, p)
     except BaseException:
@@ -111,9 +111,13 @@ def staged_files(*paths) -> Iterator[list[TextIO]]:
         raise
 
 
+# The writers below write through staged_files: a failure part-way leaves
+# the path as it was.
+
+
 def write_jsonl(path, rows: Iterable[dict]) -> int:
     n = 0
-    with open(path, "w") as f:
+    with staged_files(path) as (f,):
         for row in rows:
             f.write(canonical_dumps(row) + "\n")
             n += 1
@@ -122,7 +126,7 @@ def write_jsonl(path, rows: Iterable[dict]) -> int:
 
 def write_csv(path, header: list[str], rows: Iterable, cfg_hash: str) -> None:
     """A CSV table under a config-hash comment line; floats are written by ``repr``."""
-    with open(path, "w", newline="") as f:
+    with staged_files(path) as (f,):
         f.write(f"# config_hash={cfg_hash}\n")
         w = csv.writer(f)
         w.writerow(header)
@@ -131,7 +135,8 @@ def write_csv(path, header: list[str], rows: Iterable, cfg_hash: str) -> None:
 
 
 def write_json(path, obj) -> None:
-    Path(path).write_text(canonical_dumps(obj, indent=2) + "\n")
+    with staged_files(path) as (f,):
+        f.write(canonical_dumps(obj, indent=2) + "\n")
 
 
 def read_json(path) -> dict:

@@ -278,6 +278,39 @@ class TestEvaluate:
         assert (out1 / "records.csv").read_bytes() == (out2 / "records.csv").read_bytes()
         assert (out1 / "aggregate.json").read_bytes() == (out2 / "aggregate.json").read_bytes()
 
+    @pytest.mark.parametrize(
+        "model, clamped, radius",
+        [
+            # falls from 0.05 at spread 0, so below r_min = 0.1 for every spread
+            ({"a": -1.0, "b": 0.05}, {"r_min": 10, "r_max": 0}, "0.1"),
+            ({"a": 0.0, "b": 50.0}, {"r_min": 0, "r_max": 10}, "10.0"),
+            ({"a": 0.0, "b": 1.0}, {"r_min": 0, "r_max": 0}, "1.0"),
+        ],
+        ids=["below-r-min", "above-r-max", "inside"],
+    )
+    def test_clamped_radii_in_run_meta(self, tmp_path, model, clamped, radius):
+        hm, gt = write_pairs(tmp_path / "d", point_mass_pairs(10))
+        write_json(tmp_path / "model.json", model)
+        write_json(tmp_path / "adaptive.json", {"radius": {"adaptive": "model.json"}})
+        out = tmp_path / "adaptive"
+        argv = ["evaluate", str(hm), str(gt), "--config", str(tmp_path / "adaptive.json"), "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        assert read_json(out / "run_meta.json")["clamped_radii"] == clamped
+        assert {r["radius_used"] for r in read_csv_rows(out / "records.csv")} == {radius}
+        assert main(["evaluate", str(hm), str(gt), "--out", str(tmp_path / "fixed")]) == EXIT_OK
+        assert read_json(tmp_path / "fixed" / "run_meta.json")["clamped_radii"] is None
+        manifest = tmp_path / "manifest.json"
+        write_json(manifest, {
+            "models": [
+                {"train_dataset": "fixed", "fixed_radius": 1.0},
+                {"train_dataset": "adaptive", "calibration": "model.json"},
+            ],
+            "test_sets": [{"dataset": "t0", "heatmaps": str(hm), "ground_truth": str(gt)}],
+        })
+        assert main(["cross-eval", str(manifest), "--out", str(tmp_path / "xe")]) == EXIT_OK
+        meta = read_json(tmp_path / "xe" / "run_meta.json")
+        assert meta["clamped_radii"] == {"fixed": {"t0": None}, "adaptive": {"t0": clamped}}
+
     def test_records_do_not_depend_on_blas_threads(self, tmp_path):
         # OpenBLAS splits a dot product over its threads above about 10,000
         # cells, which changed the rounding of the spread with the thread count
@@ -610,8 +643,9 @@ class TestMalformedRecord:
         "kind, edit, named",
         [
             ("heatmaps", lambda d: d["grid"].update(width=10**30), "Python int too large to convert to C long"),
-            ("heatmaps", lambda d: d.update(cells=[[10**30, 1.0]]), "Python int too large to convert to C long"),
-            ("heatmaps", lambda d: d.update(cells=[[0, 10**400]]), "int too large to convert to float"),
+            ("heatmaps", lambda d: d.update(cells=[[10**30, 1.0]]),
+             "cells[0] index: 1000000000000000000000000000000 does not fit in 64 bits"),
+            ("heatmaps", lambda d: d.update(cells=[[0, 10**400]]), "cells[0] probability: 1" + "0" * 400 + " is too large for a float"),
             ("heatmaps", lambda d: d.update(cells=[[0, 1e308], [1, 1e308]]),
              "cannot normalize a heatmap whose mass is not finite (its cells sum to inf)"),
             ("ground_truth", lambda d: d.update(gt=[10**400, 0.0]), "int too large to convert to float"),
@@ -629,6 +663,50 @@ class TestMalformedRecord:
             warnings.simplefilter("error", RuntimeWarning)
             assert main(["evaluate", str(hm), str(gt), "--out", str(tmp_path / "o")]) == EXIT_FAILURE
         assert f"{path}:2 (sample c0001): {named}" in caplog.text
+
+    @pytest.mark.parametrize(
+        "cell, named",
+        [
+            ([1.5, 0.5], "cells[1] index: 1.5 is not a valid int"),
+            (["5", 0.5], "cells[1] index: '5' is not a valid int"),
+            ([True, 0.5], "cells[1] index: True is not a valid int"),
+            ([1, 0.5, 9], "cells[1]: not an [index, probability] pair"),
+            ([1], "cells[1]: not an [index, probability] pair"),
+            ([1, "0.2"], "cells[1] probability: '0.2' is not a valid float"),
+            ([1, True], "cells[1] probability: True is not a valid float"),
+            ([1, None], "cells[1] probability: None is not a valid float"),
+        ],
+        ids=["fraction-index", "string-index", "true-index", "three-values", "one-value",
+             "string-probability", "true-probability", "null-probability"],
+    )
+    def test_bad_cell_is_named(self, tmp_path, caplog, cell, named):
+        # the bad cell follows a good one, so a true is read among numbers
+        hm, gt = write_pairs(tmp_path / "bad", point_mass_pairs(2))
+        rows = [json.loads(ln) for ln in hm.read_text().splitlines()]
+        rows[1]["cells"] = [[2, 0.5], cell]
+        write_jsonl(hm, rows)
+        message = f"{hm}:2 (sample c0001): {named}"
+        for command in ("sample", "evaluate", "calibrate"):
+            caplog.clear()
+            argv = _argv(command, hm, gt, tmp_path) + ["--workers", "1", "--out", str(tmp_path / command)]
+            assert main(argv) == EXIT_FAILURE
+            assert message in caplog.text
+            assert "Traceback" not in caplog.text
+        # cross-eval fails only the test set that holds the bad cell
+        good_hm, good_gt = write_pairs(tmp_path / "good", point_mass_pairs(3))
+        manifest = tmp_path / "manifest.json"
+        write_json(manifest, {
+            "models": [{"train_dataset": "m0", "fixed_radius": 1.0}],
+            "test_sets": [
+                {"dataset": "good", "heatmaps": str(good_hm), "ground_truth": str(good_gt)},
+                {"dataset": "bad", "heatmaps": str(hm), "ground_truth": str(gt)},
+            ],
+        })
+        out = tmp_path / "xe"
+        assert main(["cross-eval", str(manifest), "--workers", "1", "--out", str(out)]) == EXIT_PARTIAL
+        cells = read_json(out / "cross_eval.json")["cells"]["m0"]
+        assert cells["good"]["status"] == "ok"
+        assert cells["bad"] == {"status": "failed", "error": message}
 
     def test_non_object_ground_truth_line(self, tmp_path, caplog):
         hm, gt = write_pairs(tmp_path / "d", point_mass_pairs(2))

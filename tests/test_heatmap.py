@@ -304,6 +304,33 @@ class TestJsonEncoder:
         self.assert_same_bytes(h, "probs")
         assert "0.30000000000000004" in heatmap_to_json(h, "probs")
 
+    def test_indices_at_digit_boundaries(self):
+        # the index text is a thousands head plus three table digits, padded
+        # only after a head; a grid of 10^12 cells holds every boundary
+        g = GridSpec(0.0, 0.0, 1.0, 10**6, 10**6)
+        idx = [0, 9, 10, 999, 1000, 1001, 1005, 9999, 10000, 1_000_007, g.n_cells - 1]
+        h = Heatmap(g, np.array(idx, dtype=np.int64), np.linspace(1.0, 2.0, len(idx)))
+        self.assert_same_bytes(h, "digits")
+        line = heatmap_to_json(h, "digits")
+        assert "[1005," in line and "[1000007," in line and "[999999999999," in line
+
+    def test_indices_all_below_1000(self):
+        g = GridSpec(0.0, 0.0, 0.5, 40, 25)
+        idx = np.array([0, 1, 7, 10, 99, 100, 998, 999], dtype=np.int64)
+        self.assert_same_bytes(Heatmap(g, idx, np.arange(1.0, 9.0)), "low")
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_random_sparse_grids(self, data):
+        width = data.draw(st.integers(1, 10**6), label="width")
+        height = data.draw(st.integers(1, 10**6), label="height")
+        g = GridSpec(0.0, 0.0, 1.0, width, height)
+        idx = data.draw(st.lists(st.integers(0, g.n_cells - 1), min_size=1, max_size=40, unique=True), label="idx")
+        prob = data.draw(
+            st.lists(st.floats(0.0, 1e300, exclude_min=True), min_size=len(idx), max_size=len(idx)), label="prob"
+        )
+        self.assert_same_bytes(Heatmap(g, np.array(idx, dtype=np.int64), np.array(prob)), "sparse")
+
     @pytest.mark.parametrize("sid", ['quote"d', "back\\slash", "caf\u00e9", "tab\tnew\nline", ""])
     def test_sample_id_escaping(self, sid):
         h = Heatmap.from_cells(GridSpec(0.0, 0.0, 1.0, 3, 3), {4: 0.25, 8: 0.75})

@@ -1,6 +1,6 @@
 import pytest
 
-from heatpred.io import integer, jsonl_ranges, number, numbers, read_jsonl
+from heatpred.io import integer, jsonl_ranges, number, numbers, read_jsonl, write_csv, write_json, write_jsonl
 
 
 def _as_read(r):
@@ -100,3 +100,45 @@ def test_strict_readers_return_values_as_stored():
     assert integer(7, "k", at_least=7) == 7
     assert numbers([1, 2.5], "k") == (1, 2.5)
     assert numbers([], "k") == ()
+
+
+class WriteFailed(RuntimeError):
+    pass
+
+
+def _rows_then_failure(rows):
+    yield from rows
+    raise WriteFailed("no more rows")
+
+
+# Each writer, handed rows (or an object) that fail part-way.
+_FAILING_WRITES = {
+    "jsonl": lambda path: write_jsonl(path, _rows_then_failure([{"a": 1}, {"b": 2}])),
+    "csv": lambda path: write_csv(path, ["x", "y"], _rows_then_failure([(1, 0.5), (2, 0.25)]), "abc"),
+    "json": lambda path: write_json(path, {"a": 1, "b": WriteFailed("not JSON")}),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_FAILING_WRITES))
+@pytest.mark.parametrize("earlier", [None, b"an earlier run's bytes\n"], ids=["new", "existing"])
+def test_failed_write_leaves_the_path_as_it_was(tmp_path, kind, earlier):
+    path = tmp_path / f"out.{kind}"
+    if earlier is not None:
+        path.write_bytes(earlier)
+    with pytest.raises((WriteFailed, TypeError)):
+        _FAILING_WRITES[kind](path)
+    assert [p.name for p in tmp_path.iterdir()] == ([] if earlier is None else [path.name])
+    if earlier is not None:
+        assert path.read_bytes() == earlier
+
+
+def test_writers_replace_an_earlier_file(tmp_path):
+    path = tmp_path / "out"
+    path.write_text("an earlier run's bytes, longer than what replaces them\n")
+    assert write_jsonl(path, [{"b": 1, "a": [0.5, None]}, {}]) == 2
+    assert path.read_bytes() == b'{"a":[0.5,null],"b":1}\n{}\n'
+    write_csv(path, ["x", "y"], [(1, 0.5), ("s", 2)], "abc")
+    assert path.read_bytes() == b"# config_hash=abc\nx,y\r\n1,0.5\r\ns,2\r\n"
+    write_json(path, {"b": 1, "a": 2})
+    assert path.read_bytes() == b'{\n  "a": 2,\n  "b": 1\n}\n'
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
