@@ -10,7 +10,9 @@ per-heatmap work (spread and radius sweep). Parse time per heatmap is the
 first figure, sweep time per heatmap the difference; both are wall time of
 the whole read divided by the heatmap count, so they fall with the worker
 count when the read scales. Last, whole ``heatpred calibrate`` processes run
-at each worker count. Each figure is the best of ``--repeats`` runs.
+at each worker count; their ``model.json``, ``binned_radii.csv`` and the
+``dropped_bins`` of their ``run_meta.json`` must not differ. Each figure is
+the best of ``--repeats`` runs.
 
 Usage: python benchmarks/bench_read.py [--n N] [--seed S] [--repeats R] [--dir DIR]
 """
@@ -25,7 +27,7 @@ from pathlib import Path
 
 from heatpred import cli
 from heatpred.calibration import RadiusSweepConfig
-from heatpred.io import write_json
+from heatpred.io import read_json, write_json
 
 WORKERS = (1, 2)
 
@@ -85,9 +87,14 @@ def main():
                     "--workers", str(w), "--out", str(data / f"calibrate-w{w}")]
             walls[w] = best_of(lambda: heatpred(argv), args.repeats)
             print(f"heatpred calibrate --workers {w}: {walls[w]:.3f} s")
-        models = {(data / f"calibrate-w{w}" / "model.json").read_bytes() for w in WORKERS}
-        if len(models) != 1:
-            raise SystemExit("model.json differs between worker counts")
+        for name, value_of in (
+            ("model.json", Path.read_bytes),
+            ("binned_radii.csv", Path.read_bytes),
+            ("run_meta.json", lambda path: read_json(path)["dropped_bins"]),
+        ):
+            first, *rest = (value_of(data / f"calibrate-w{w}" / name) for w in WORKERS)
+            if any(value != first for value in rest):
+                raise SystemExit(f"{name} differs between worker counts")
         print(f"--workers {WORKERS[-1]} saves {1 - walls[WORKERS[-1]] / walls[WORKERS[0]]:.0%} of the wall time")
 
 

@@ -3,12 +3,12 @@
 from .calibration import (
     CalibrationModel,
     RadiusSweepConfig,
-    binned_optimal_radii,
     calibrate,
     learned_uncertainty_loss,
     load_preset,
     ols_fit,
     optimal_radius,
+    spread_bins,
 )
 from .heatmap import (
     GaussianMode,

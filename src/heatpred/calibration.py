@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from importlib import resources
 from typing import Iterable, Sequence
 
@@ -32,7 +32,7 @@ __all__ = [
     "InsufficientBinsError",
     "radius_sweep_errors",
     "optimal_radius",
-    "binned_optimal_radii",
+    "spread_bins",
     "ols_fit",
     "calibrate",
     "fit_bins",
@@ -126,15 +126,9 @@ def optimal_radius(
     return float(sweep.r_values[int(np.argmin(errs))])
 
 
-def binned_optimal_radii(
-    records: Iterable[tuple[float, float]], bin_width: float = 1.0, min_count: int = 100
-) -> list[tuple[float, float, int]]:
-    """Mean optimal radius per spread floor bin, as (bin_center, mean_r, count)."""
-    means = floor_bin_means(records, bin_width, min_count)
-    if not means:
-        raise InsufficientBinsError(
-            f"no spread bin holds at least {min_count} records"
-        )
+def spread_bins(pairs: Iterable[tuple[float, float]], bin_width: float = 1.0) -> list[tuple[float, float, int]]:
+    """Mean optimal radius of every spread floor bin, as (bin_center, mean_r, count)."""
+    means = floor_bin_means(pairs, bin_width, 0)
     return [(lower + bin_width / 2.0, mean_r, count) for lower, mean_r, count in means]
 
 
@@ -180,34 +174,39 @@ def calibrate(
     """Fit the affine spread-to-radius model on (spread, optimal radius) pairs.
 
     Each pair is one sample's heatmap spread and its sweep-optimal radius
-    (``optimal_radius``). The optima are binned by spread
-    (``binned_optimal_radii``) and the line is fit through the bin means
-    (``fit_bins``).
+    (``optimal_radius``). The optima are binned by spread (``spread_bins``)
+    and the line is fit through the bin means (``fit_bins``).
     """
-    if not pairs:
-        raise InsufficientBinsError("calibration dataset is empty")
-    bins = binned_optimal_radii(pairs, bin_width=bin_width, min_count=min_count)
-    return fit_bins(bins, source_dataset=source_dataset)
+    return fit_bins(spread_bins(pairs, bin_width), min_count, source_dataset)[0]
 
 
 def fit_bins(
-    bins: Sequence[tuple[float, float, int]], source_dataset: str = "unknown"
-) -> CalibrationModel:
-    """The line through ``binned_optimal_radii`` bins, weighted by bin population."""
-    if len(bins) < 2:
+    bins: Sequence[tuple[float, float, int]], min_count: int = 100, source_dataset: str = "unknown"
+) -> tuple[CalibrationModel, list[tuple[float, float, int]]]:
+    """The line through the ``spread_bins`` bins that hold at least ``min_count``
+    pairs, weighted by bin population, and those bins.
+
+    Too few such bins raise an InsufficientBinsError that names the fullest bin.
+    """
+    if not bins:
+        raise InsufficientBinsError("calibration dataset is empty")
+    kept = [b for b in bins if b[2] >= min_count]
+    if len(kept) < 2:
+        center, _, count = max(bins, key=lambda b: b[2])
         raise InsufficientBinsError(
-            f"need at least 2 populated spread bins to fit, got {len(bins)}"
+            (f"need at least 2 populated spread bins to fit, got {len(kept)}" if kept
+             else f"no spread bin holds at least {min_count} records")
+            + f"; the fullest spread bin, centred at {center!r}, holds {count} of {sum(b[2] for b in bins)} pairs"
         )
-    centers_means = [(c, m) for c, m, _ in bins]
-    counts = [float(n) for _, _, n in bins]
+    centers_means = [(c, m) for c, m, _ in kept]
+    counts = [float(n) for _, _, n in kept]
     a, b = ols_fit(centers_means, counts)
     if b <= 0:
         raise DegenerateFitError(f"rejected fit with non-positive intercept b={b}")
     res2 = math.fsum(w * (m - (a * c + b)) ** 2 for (c, m), w in zip(centers_means, counts))
     rms = math.sqrt(res2 / math.fsum(counts))
-    return CalibrationModel(
-        a=a, b=b, source_dataset=source_dataset, bin_count=len(bins), residual_rms=rms
-    )
+    model = CalibrationModel(a=a, b=b, source_dataset=source_dataset, bin_count=len(kept), residual_rms=rms)
+    return model, kept
 
 
 def learned_uncertainty_loss(log_variance: float, error: float) -> tuple[float, float]:
@@ -225,13 +224,8 @@ def learned_uncertainty_loss(log_variance: float, error: float) -> tuple[float, 
 
 
 def model_to_dict(m: CalibrationModel) -> dict:
-    return {
-        "a": m.a,
-        "b": m.b,
-        "source_dataset": m.source_dataset,
-        "bin_count": m.bin_count,
-        "residual_rms": m.residual_rms,
-    }
+    """The JSON form of a model: one key per field."""
+    return asdict(m)
 
 
 def model_from_dict(d: dict) -> CalibrationModel:

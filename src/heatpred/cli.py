@@ -25,13 +25,12 @@ import numpy as np
 from . import __version__, io
 from .calibration import (
     CalibrationModel,
-    InsufficientBinsError,
     RadiusSweepConfig,
-    binned_optimal_radii,
     fit_bins,
     model_from_dict,
     model_to_dict,
     optimal_radius,
+    spread_bins,
 )
 from .heatmap import (
     CLIPPED_WARNING,
@@ -41,16 +40,17 @@ from .heatmap import (
     uncertainty,
 )
 from .io import (
-    canonical_dumps,
     config_hash,
     integer,
     jsonl_ranges,
     number,
     numbers,
     read_json,
+    string,
     write_csv,
     write_json,
     write_jsonl,
+    write_text,
 )
 from .metrics import (
     EvalRecord,
@@ -216,7 +216,8 @@ def _default_workers() -> int:
 
 
 def _ground_truth_row(d: dict) -> tuple[str, tuple[float, float]]:
-    return str(d["sample_id"]), (float(d["gt"][0]), float(d["gt"][1]))
+    gx, gy = numbers(d["gt"], "gt", 2)
+    return string(d["sample_id"], "sample_id"), (float(gx), float(gy))
 
 
 def _load_ground_truth(path: Path) -> dict[str, tuple[float, float]]:
@@ -386,22 +387,24 @@ def cmd_standardize(args) -> int:
     std = StandardizationConfig(**{key: _float(cfg[key], key) for key in STANDARDIZE_DEFAULTS})
     out = _out_dir(args)
     cfg_hash = config_hash(cfg)
-    n_ok = n_failed = 0
     out_path = out / "standardized.jsonl"
-    with open(out_path, "w") as f:
+    failed: list[ValueError] = []
+
+    def standardized():
         for s in io.read_jsonl(Path(args.input), lambda d: standardize_sample(sample_from_dict(d), std)):
             if isinstance(s, ValueError):
                 logger.warning("skipping %s", s)
-                n_failed += 1
+                failed.append(s)
             else:
-                f.write(canonical_dumps(sample_to_dict(s)) + "\n")
-                n_ok += 1
-    _write_run_meta(out, "standardize", cfg_hash, n_ok=n_ok, n_failed=n_failed)
+                yield sample_to_dict(s)
+
+    n_ok = write_jsonl(out_path, standardized())
+    _write_run_meta(out, "standardize", cfg_hash, n_ok=n_ok, n_failed=len(failed))
     if n_ok == 0:
         logger.error("no sample could be standardized")
         return EXIT_FAILURE
-    logger.info("standardized %d samples (%d failed) -> %s", n_ok, n_failed, out_path)
-    return EXIT_PARTIAL if n_failed else EXIT_OK
+    logger.info("standardized %d samples (%d failed) -> %s", n_ok, len(failed), out_path)
+    return EXIT_PARTIAL if failed else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -563,11 +566,11 @@ def cmd_calibrate(args) -> int:
     loaded = [_raised(r) for r in _read_sets(sets, partial(_sweep, k=k, sweep=sweep), args.workers, masses)]
     pairs = _mixed_draws(loaded, weights, n, args.seed or 0) if sources else loaded[0]
     spread_radius = [sr for _, sr in pairs]
-    hist = floor_histogram([s for s, _ in spread_radius], bin_width)
+    bins = spread_bins(spread_radius, bin_width)
     # optima on the first or last sweep radius suggest the sweep is too narrow
     n_edge = sum(1 for _, r in spread_radius if r in (sweep.r_values[0], sweep.r_values[-1]))
-    # spread bins the fit left out for holding fewer than min_count pairs
-    dropped = [[lower + bin_width / 2.0, count] for lower, count, _ in hist if count < min_count]
+    # spread bins the fit leaves out for holding fewer than min_count pairs
+    dropped = [[center, count] for center, _, count in bins if count < min_count]
     # written first, so that a failed fit is explained too
     _write_run_meta(
         out, "calibrate", cfg_hash, n=len(pairs),
@@ -575,19 +578,14 @@ def cmd_calibrate(args) -> int:
         input_mass=masses, workers=args.workers,
     )
     try:
-        bins = binned_optimal_radii(spread_radius, bin_width=bin_width, min_count=min_count)
-        model = fit_bins(bins, source_dataset=str(cfg["dataset_tag"]))
-    except InsufficientBinsError as e:
+        model, kept = fit_bins(bins, min_count, str(cfg["dataset_tag"]))
+    except ValueError:
         # an earlier run's fit in ``out`` would not match this run_meta.json
         for name in ("model.json", "binned_radii.csv"):
             (out / name).unlink(missing_ok=True)
-        lower, count, _ = max(hist, key=lambda b: b[1])
-        raise CliError(
-            f"{e}; the fullest spread bin, centred at {lower + bin_width / 2.0!r}, "
-            f"holds {count} of {len(pairs)} pairs"
-        ) from None
+        raise
     write_json(out / "model.json", {**model_to_dict(model), "config_hash": cfg_hash})
-    write_csv(out / "binned_radii.csv", ["bin_center", "mean_optimal_radius", "count"], bins, cfg_hash)
+    write_csv(out / "binned_radii.csv", ["bin_center", "mean_optimal_radius", "count"], kept, cfg_hash)
     logger.info(
         "calibrated %s: r = %.4f * spread + %.4f over %d bins",
         model.source_dataset, model.a, model.b, model.bin_count,
@@ -717,9 +715,9 @@ def cmd_cross_eval(args) -> int:
         write_csv(out / f"{stem}.csv", header, table, cfg_hash)
         md.append(_matrix_markdown(title, header, table))
     md.append(f"config_hash: {cfg_hash}")
-    (out / "report.md").write_text("\n".join(md) + "\n")
+    write_text(out / "report.md", "\n".join(md) + "\n")
     if args.svg:
-        (out / "matrices.svg").write_text(_svg_matrix(row_tags, col_tags, cells))
+        write_text(out / "matrices.svg", _svg_matrix(row_tags, col_tags, cells))
     _write_run_meta(
         out, "cross-eval", cfg_hash,
         n_cells=len(row_tags) * len(col_tags), n_failed=n_failed, clamped_radii=clamped,
@@ -770,10 +768,9 @@ def cmd_analysis(args) -> int:
         bins = bin_by_uncertainty(read_records_csv(args.input), bin_width, min_count)
         write_csv(out / "uncertainty_error.csv", ["bin_lower", "mean_min_fde_1", "count"], bins, cfg_hash)
         if args.svg:
-            (out / "uncertainty_error.svg").write_text(
-                _svg_line_chart([b[0] for b in bins], [b[1] for b in bins],
-                                "uncertainty bin", "mean minFDE_1")
-            )
+            write_text(out / "uncertainty_error.svg", _svg_line_chart(
+                [b[0] for b in bins], [b[1] for b in bins], "uncertainty bin", "mean minFDE_1"
+            ))
         _write_run_meta(out, "analysis uncertainty-error", cfg_hash, n_bins=len(bins))
     elif args.analysis_cmd == "noise-report":
         cfg = _merge(ANALYSIS_NOISE_DEFAULTS, cfg_raw)

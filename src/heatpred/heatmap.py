@@ -22,7 +22,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .io import canonical_dumps, integer, number
+from .io import canonical_dumps, integer, number, string
 
 __all__ = [
     "GridSpec",
@@ -406,7 +406,4 @@ def _cell_arrays(cells) -> tuple[np.ndarray, np.ndarray]:
 
 def heatmap_from_dict(d: dict) -> tuple[str, Heatmap]:
     """Parse the JSON form; the heatmap has unit mass and its ``mass`` is the sum of the stored cells."""
-    grid = grid_from_dict(d["grid"])
-    idx, prob = _cell_arrays(d["cells"])
-    h = Heatmap(grid, idx, prob)
-    return str(d["sample_id"]), h
+    return string(d["sample_id"], "sample_id"), Heatmap(grid_from_dict(d["grid"]), *_cell_arrays(d["cells"]))

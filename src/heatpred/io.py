@@ -1,5 +1,6 @@
 """JSON/JSONL/CSV helpers: deterministic serialization, the one JSONL record
-loader, the one CSV table writer, and the strict readers of config values."""
+loader, the staged writers of every output, and the strict readers of config
+values and sample ids."""
 
 from __future__ import annotations
 
@@ -68,7 +69,7 @@ def read_jsonl(path, parse: Callable[[dict], object], start: int = 0, end: int |
             value = parse(record)
         except (KeyError, IndexError, TypeError, ValueError, OverflowError) as e:
             sid = record.get("sample_id", record.get("id")) if isinstance(record, dict) else None
-            who = "" if sid is None else f" (sample {sid})"
+            who = "" if sid is None else f" (sample {sid if isinstance(sid, str) else _shown(sid)})"
             why = f"missing key {e}" if isinstance(e, KeyError) else str(e)
             value = ValueError(f"{path}:{_line_number(path, offset)}{who}: {why}")
         yield value
@@ -135,26 +136,36 @@ def write_csv(path, header: list[str], rows: Iterable, cfg_hash: str) -> None:
 
 
 def write_json(path, obj) -> None:
+    write_text(path, canonical_dumps(obj, indent=2) + "\n")
+
+
+def write_text(path, text: str) -> None:
     with staged_files(path) as (f,):
-        f.write(canonical_dumps(obj, indent=2) + "\n")
+        f.write(text)
 
 
 def read_json(path) -> dict:
     return json.loads(Path(path).read_text())
 
 
-# Strict readers of the values of configs, manifests, scenario configs and
-# model files. Each returns ``value`` as stored, or raises a ValueError that
-# starts with ``where``, such as "config key k".
+# Strict readers of the values of configs, manifests, scenario configs, model
+# files and the sample ids of records. Each returns ``value`` as stored, or
+# raises a ValueError that starts with ``where``, such as "config key k".
+
+
+def _shown(value) -> str:
+    """``repr(value)`` for a message, cut after 40 characters with a mark that says how long it was."""
+    text = repr(value)
+    return text if len(text) <= 40 else f"{text[:40]}... ({len(text)} characters)"
 
 
 def number(value, where: str):
     """A JSON number that converts to a float; neither a bool nor NaN, which
     Python's json module reads but JSON does not have, is one."""
     if isinstance(value, bool) or not isinstance(value, (int, float)) or value != value:
-        raise ValueError(f"{where}: {value!r} is not a valid float")
+        raise ValueError(f"{where}: {_shown(value)} is not a valid float")
     if isinstance(value, int) and abs(value) > sys.float_info.max:
-        raise ValueError(f"{where}: {value} is too large for a float")
+        raise ValueError(f"{where}: {_shown(value)} is too large for a float")
     return value
 
 
@@ -162,14 +173,21 @@ def integer(value, where: str, at_least: int | None = None) -> int:
     """A JSON integer, not below ``at_least`` unless that is None; neither a
     bool nor a number written with a fraction or exponent, such as 6.0, is one."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{where}: {value!r} is not a valid int")
+        raise ValueError(f"{where}: {_shown(value)} is not a valid int")
     if at_least is not None and value < at_least:
-        raise ValueError(f"{where}: must be at least {at_least}, got {value}")
+        raise ValueError(f"{where}: must be at least {at_least}, got {_shown(value)}")
     return value
 
 
 def numbers(value, where: str, n: int | None = None, item=number) -> tuple:
     """A JSON list of values read by ``item``, as a tuple; of length ``n`` unless ``n`` is None."""
     if not isinstance(value, list) or n is not None and len(value) != n:
-        raise ValueError(f"{where}: {value!r} is not a list" + ("" if n is None else f" of {n} values"))
+        raise ValueError(f"{where}: {_shown(value)} is not a list" + ("" if n is None else f" of {n} values"))
     return tuple(item(v, f"{where}[{i}]") for i, v in enumerate(value))
+
+
+def string(value, where: str) -> str:
+    """A JSON string, such as the sample id of a heatmap or ground-truth line."""
+    if not isinstance(value, str):
+        raise ValueError(f"{where}: {_shown(value)} is not a string")
+    return value

@@ -104,14 +104,6 @@ class StandardizationConfig:
         if abs(steps - round(steps)) > 1e-9:
             raise ValueError("rate_hz * horizon_s must be an integer step count")
 
-    @property
-    def n_future(self) -> int:
-        return int(round(self.horizon_s * self.rate_hz))
-
-    @property
-    def n_past(self) -> int:
-        return int(round(self.history_s * self.rate_hz)) + 1
-
 
 def resample_trajectory(traj: Trajectory, rate_hz: float, t_start: float, t_end: float) -> Trajectory:
     """Linearly interpolate a track onto the grid t_start + i/rate_hz.

@@ -8,14 +8,15 @@ from heatpred.calibration import (
     DegenerateFitError,
     InsufficientBinsError,
     RadiusSweepConfig,
-    binned_optimal_radii,
     calibrate,
+    fit_bins,
     learned_uncertainty_loss,
     load_preset,
     model_from_dict,
     model_to_dict,
     optimal_radius,
     radius_sweep_errors,
+    spread_bins,
 )
 from heatpred.heatmap import (
     GaussianMode,
@@ -95,24 +96,42 @@ class TestSweepMatchesPerRadiusSampling:
 
 class TestBinnedOptimalRadii:
     def test_single_record(self):
-        out = binned_optimal_radii([(0.2, 1.0)], bin_width=1.0, min_count=1)
-        assert out == [(0.5, 1.0, 1)]
+        assert spread_bins([(0.2, 1.0)], bin_width=1.0) == [(0.5, 1.0, 1)]
 
     def test_two_in_same_bin(self):
-        out = binned_optimal_radii([(0.1, 1.0), (0.9, 3.0)], bin_width=1.0, min_count=1)
-        assert out == [(0.5, 2.0, 1 + 1)]
+        out = spread_bins([(0.1, 1.0), (0.9, 3.0), (1.5, 2.0)], bin_width=1.0)
+        assert out == [(0.5, 2.0, 2), (1.5, 2.0, 1)]
+        # the fit keeps only the bins that hold min_count pairs, and returns them
+        with pytest.raises(InsufficientBinsError):
+            fit_bins(out, min_count=2)
+        model, kept = fit_bins(out, min_count=1)
+        assert kept == out and model.bin_count == 2
 
     def test_planted_line_within_discretization(self, rng):
         # r values exactly on a line: bin means stay within slope*width/2 of it
         a, b, w = 0.02, 0.8, 1.0
         us = rng.uniform(0, 50, 5000)
         records = [(u, a * u + b) for u in us]
-        for center, mean_r, _ in binned_optimal_radii(records, w, min_count=10):
+        bins = spread_bins(records, w)
+        # every bin is kept, also those below min_count, and no pair is lost
+        counts = sorted(count for _, _, count in bins)
+        assert sum(counts) == len(records)
+        min_count = counts[len(counts) // 2]
+        _, kept = fit_bins(bins, min_count)
+        assert counts[0] < min_count and kept == [b for b in bins if b[2] >= min_count]
+        for center, mean_r, _ in bins:
             assert abs(mean_r - (a * center + b)) <= a * w / 2 + 1e-12
 
     def test_empty_after_filter_error(self):
-        with pytest.raises(InsufficientBinsError):
-            binned_optimal_radii([(0.5, 1.0)], bin_width=1.0, min_count=2)
+        bins = spread_bins([(0.5, 1.0), (3.2, 1.0), (3.7, 2.0)], bin_width=1.0)
+        with pytest.raises(InsufficientBinsError) as e:
+            fit_bins(bins, min_count=3)
+        assert str(e.value) == (
+            "no spread bin holds at least 3 records; "
+            "the fullest spread bin, centred at 3.5, holds 2 of 3 pairs"
+        )
+        with pytest.raises(InsufficientBinsError, match="calibration dataset is empty"):
+            fit_bins(spread_bins([], bin_width=1.0))
 
 
 class TestOlsFit:
@@ -182,8 +201,13 @@ class TestCalibrate:
         g = GridSpec(0.0, 0.0, 0.5, 8, 8)
         h = Heatmap.from_cells(g, {27: 1.0})
         data = [(h, (0.0, 0.0))] * 30
-        with pytest.raises(InsufficientBinsError):
+        # the library fit names the fullest bin, as the command does
+        with pytest.raises(InsufficientBinsError) as e:
             calibrate(spread_radius(data), bin_width=1.0, min_count=1)
+        assert str(e.value) == (
+            "need at least 2 populated spread bins to fit, got 1; "
+            "the fullest spread bin, centred at 0.5, holds 30 of 30 pairs"
+        )
 
     def test_deterministic_under_input_order(self):
         data = planted_calibration_dataset(60, u_lo=20.0, u_hi=120.0)

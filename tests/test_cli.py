@@ -33,6 +33,10 @@ NARROW_SYNTH = {
 }
 
 
+class WriteFailed(RuntimeError):
+    pass
+
+
 def write_scenes(path, samples):
     write_jsonl(path, [sample_to_dict(s) for s in samples])
 
@@ -122,6 +126,27 @@ class TestStandardize:
         assert [json.loads(ln)["id"] for ln in lines] == ["ok0", "ok1", "ok2"]
         meta = read_json(out / "run_meta.json")
         assert (meta["n_ok"], meta["n_failed"]) == (3, 1)
+
+    def test_failure_part_way_leaves_an_earlier_output(self, tmp_path, monkeypatch):
+        scenes = tmp_path / "scenes.jsonl"
+        write_scenes(scenes, [straight_sample(5.0, sample_id=f"ok{i}") for i in range(3)])
+        out = tmp_path / "out"
+        assert main(["standardize", str(scenes), "--out", str(out)]) == EXIT_OK
+        earlier = (out / "standardized.jsonl").read_bytes()
+        written = []
+
+        def fail_on_second(sample):
+            if written:
+                raise WriteFailed("no more rows")
+            written.append(sample)
+            return sample_to_dict(sample)
+
+        monkeypatch.setattr("heatpred.cli.sample_to_dict", fail_on_second)
+        with pytest.raises(WriteFailed):
+            main(["standardize", str(scenes), "--out", str(out)])
+        assert written
+        assert (out / "standardized.jsonl").read_bytes() == earlier
+        assert sorted(p.name for p in out.iterdir()) == ["run_meta.json", "standardized.jsonl"]
 
     def test_empty_file_fails(self, tmp_path):
         scenes = tmp_path / "scenes.jsonl"
@@ -614,6 +639,11 @@ class TestCalibrateCli:
         assert dropped
         kept = read_csv_rows(out / "binned_radii.csv")
         assert sum(c for _, c in dropped) + sum(int(r["count"]) for r in kept) == len(pairs)
+        assert read_json(out / "run_meta.json")["n"] == len(pairs)
+
+
+# A rejected value is echoed up to its 40th character.
+_LONG_ID = repr(["c0001"] * 20)[:40] + "... (180 characters)"
 
 
 class TestMalformedRecord:
@@ -645,10 +675,12 @@ class TestMalformedRecord:
             ("heatmaps", lambda d: d["grid"].update(width=10**30), "Python int too large to convert to C long"),
             ("heatmaps", lambda d: d.update(cells=[[10**30, 1.0]]),
              "cells[0] index: 1000000000000000000000000000000 does not fit in 64 bits"),
-            ("heatmaps", lambda d: d.update(cells=[[0, 10**400]]), "cells[0] probability: 1" + "0" * 400 + " is too large for a float"),
+            ("heatmaps", lambda d: d.update(cells=[[0, 10**400]]),
+             "cells[0] probability: 1" + "0" * 39 + "... (401 characters) is too large for a float"),
             ("heatmaps", lambda d: d.update(cells=[[0, 1e308], [1, 1e308]]),
              "cannot normalize a heatmap whose mass is not finite (its cells sum to inf)"),
-            ("ground_truth", lambda d: d.update(gt=[10**400, 0.0]), "int too large to convert to float"),
+            ("ground_truth", lambda d: d.update(gt=[10**400, 0.0]),
+             "gt[0]: 1" + "0" * 39 + "... (401 characters) is too large for a float"),
         ],
         ids=["grid-width", "cell-index", "cell-probability", "cell-mass", "ground-truth"],
     )
@@ -707,6 +739,38 @@ class TestMalformedRecord:
         cells = read_json(out / "cross_eval.json")["cells"]["m0"]
         assert cells["good"]["status"] == "ok"
         assert cells["bad"] == {"status": "failed", "error": message}
+
+    @pytest.mark.parametrize(
+        "command, kind, edit, named",
+        [
+            pytest.param(command, kind, edit, named, id=f"{command}-{name}")
+            for name, kind, edit, named in [
+                ("int-id", "heatmaps", {"sample_id": 5}, ":2 (sample 5): sample_id: 5 is not a string"),
+                ("null-id", "heatmaps", {"sample_id": None}, ":2: sample_id: None is not a string"),
+                ("gt-int-id", "ground_truth", {"sample_id": 5}, ":2 (sample 5): sample_id: 5 is not a string"),
+                ("gt-list-id", "ground_truth", {"sample_id": ["c0001"] * 20},
+                 f":2 (sample {_LONG_ID}): sample_id: {_LONG_ID} is not a string"),
+                ("gt-string", "ground_truth", {"gt": ["1.5", 0.0]},
+                 ":2 (sample c0001): gt[0]: '1.5' is not a valid float"),
+                ("gt-true", "ground_truth", {"gt": [1.5, True]}, ":2 (sample c0001): gt[1]: True is not a valid float"),
+                ("gt-three", "ground_truth", {"gt": [1.5, 0.0, 9]},
+                 ":2 (sample c0001): gt: [1.5, 0.0, 9] is not a list of 2 values"),
+            ]
+            for command in ("sample", "evaluate", "calibrate", "cross-eval")
+            if not (command == "sample" and kind == "ground_truth")
+        ],
+    )
+    def test_sample_id_and_ground_truth_are_strict(self, tmp_path, caplog, command, kind, edit, named):
+        # an id is a JSON string and a ground truth two JSON numbers, as a cell is strict
+        hm, gt = write_pairs(tmp_path / "d", point_mass_pairs(2))
+        path = hm if kind == "heatmaps" else gt
+        rows = [json.loads(ln) for ln in path.read_text().splitlines()]
+        rows[1].update(edit)
+        write_jsonl(path, rows)
+        argv = _argv(command, hm, gt, tmp_path) + ["--workers", "1", "--out", str(tmp_path / "o")]
+        assert main(argv) == EXIT_FAILURE
+        assert f"{path}{named}" in caplog.text
+        assert "Traceback" not in caplog.text
 
     def test_non_object_ground_truth_line(self, tmp_path, caplog):
         hm, gt = write_pairs(tmp_path / "d", point_mass_pairs(2))
@@ -871,7 +935,7 @@ class TestWorkerCounts:
             caplog.clear()
             argv = _argv(command, hm, gt, tmp_path) + ["--out", str(tmp_path / f"w{workers}")]
             assert main(argv + ["--workers", str(workers)]) == EXIT_FAILURE
-            assert f"{gt}:9 (sample c0008): list index out of range" in caplog.text
+            assert f"{gt}:9 (sample c0008): gt: [1.0] is not a list of 2 values" in caplog.text
             assert "Traceback" not in caplog.text
 
 

@@ -1,6 +1,17 @@
 import pytest
 
-from heatpred.io import integer, jsonl_ranges, number, numbers, read_jsonl, write_csv, write_json, write_jsonl
+from heatpred.io import (
+    integer,
+    jsonl_ranges,
+    number,
+    numbers,
+    read_jsonl,
+    string,
+    write_csv,
+    write_json,
+    write_jsonl,
+    write_text,
+)
 
 
 def _as_read(r):
@@ -77,7 +88,7 @@ def test_bad_lines_name_path_line_and_sample(tmp_path):
         (number, "2", "k: '2' is not a valid float"),
         (number, None, "k: None is not a valid float"),
         (number, float("nan"), "k: nan is not a valid float"),
-        (number, 10**400, f"k: {10**400} is too large for a float"),
+        (number, 10**400, "k: 1" + "0" * 39 + "... (401 characters) is too large for a float"),
         (integer, 6.7, "k: 6.7 is not a valid int"),
         (integer, 6.0, "k: 6.0 is not a valid int"),
         (integer, False, "k: False is not a valid int"),
@@ -86,6 +97,10 @@ def test_bad_lines_name_path_line_and_sample(tmp_path):
         (numbers, [0.5, "x"], "k[1]: 'x' is not a valid float"),
         (lambda v, where: numbers(v, where, 2), [1, 2, 3], "k: [1, 2, 3] is not a list of 2 values"),
         (lambda v, where: numbers(v, where, 2, integer), [1, 2.5], "k[1]: 2.5 is not a valid int"),
+        (number, "x" * 5000, "k: '" + "x" * 39 + "... (5002 characters) is not a valid float"),
+        (string, 5, "k: 5 is not a string"),
+        (string, None, "k: None is not a string"),
+        (string, ["a"], "k: ['a'] is not a string"),
     ],
 )
 def test_strict_readers_reject_naming_the_key(read, value, message):
@@ -100,6 +115,7 @@ def test_strict_readers_return_values_as_stored():
     assert integer(7, "k", at_least=7) == 7
     assert numbers([1, 2.5], "k") == (1, 2.5)
     assert numbers([], "k") == ()
+    assert string("5", "k") == "5"
 
 
 class WriteFailed(RuntimeError):
@@ -116,6 +132,8 @@ _FAILING_WRITES = {
     "jsonl": lambda path: write_jsonl(path, _rows_then_failure([{"a": 1}, {"b": 2}])),
     "csv": lambda path: write_csv(path, ["x", "y"], _rows_then_failure([(1, 0.5), (2, 0.25)]), "abc"),
     "json": lambda path: write_json(path, {"a": 1, "b": WriteFailed("not JSON")}),
+    # a lone surrogate cannot be encoded, so the file is opened but never written
+    "text": lambda path: write_text(path, "<svg>\udcff</svg>"),
 }
 
 
@@ -125,7 +143,7 @@ def test_failed_write_leaves_the_path_as_it_was(tmp_path, kind, earlier):
     path = tmp_path / f"out.{kind}"
     if earlier is not None:
         path.write_bytes(earlier)
-    with pytest.raises((WriteFailed, TypeError)):
+    with pytest.raises((WriteFailed, TypeError, UnicodeEncodeError)):
         _FAILING_WRITES[kind](path)
     assert [p.name for p in tmp_path.iterdir()] == ([] if earlier is None else [path.name])
     if earlier is not None:
@@ -141,4 +159,6 @@ def test_writers_replace_an_earlier_file(tmp_path):
     assert path.read_bytes() == b"# config_hash=abc\nx,y\r\n1,0.5\r\ns,2\r\n"
     write_json(path, {"b": 1, "a": 2})
     assert path.read_bytes() == b'{\n  "a": 2,\n  "b": 1\n}\n'
+    write_text(path, "| a |\n")
+    assert path.read_bytes() == b"| a |\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out"]
