@@ -10,9 +10,9 @@ per-heatmap work (spread and radius sweep). Parse time per heatmap is the
 first figure, sweep time per heatmap the difference; both are wall time of
 the whole read divided by the heatmap count, so they fall with the worker
 count when the read scales. Last, whole ``heatpred calibrate`` processes run
-at each worker count; their ``model.json``, ``binned_radii.csv`` and the
-``dropped_bins`` of their ``run_meta.json`` must not differ. Each figure is
-the best of ``--repeats`` runs.
+at each worker count; their ``model.json``, ``binned_radii.csv`` and their
+``run_meta.json`` apart from ``timestamp_utc`` and ``workers`` must not differ.
+Each figure is the best of ``--repeats`` runs.
 
 Usage: python benchmarks/bench_read.py [--n N] [--seed S] [--repeats R] [--dir DIR]
 """
@@ -42,7 +42,7 @@ def parse_only(sid, h, gt):
 
 def read(sets, work, workers):
     """The rows of the one set in ``sets``; a set that fails raises."""
-    return cli._raised(cli._read_sets(sets, work, workers, {})[0])
+    return cli._raised(cli._read_sets(sets, work, {"workers": workers})[0])
 
 
 def best_of(fn, repeats):
@@ -90,7 +90,9 @@ def main():
         for name, value_of in (
             ("model.json", Path.read_bytes),
             ("binned_radii.csv", Path.read_bytes),
-            ("run_meta.json", lambda path: read_json(path)["dropped_bins"]),
+            ("run_meta.json", lambda path: {
+                key: value for key, value in read_json(path).items() if key not in ("timestamp_utc", "workers")
+            }),
         ):
             first, *rest = (value_of(data / f"calibrate-w{w}" / name) for w in WORKERS)
             if any(value != first for value in rest):

@@ -3,8 +3,9 @@
 Subcommands: standardize, synth, sample, evaluate, calibrate, cross-eval and
 analysis {uncertainty-error, noise-report, speed-report}. Every run embeds a
 stable hash of its effective configuration in its primary outputs; wall-clock
-metadata goes to a separate run_meta.json so primary outputs are byte-stable
-across reruns and worker counts.
+metadata goes to a separate run_meta.json, which :func:`main` writes for every
+run that made its output directory, so primary outputs are byte-stable across
+reruns and worker counts.
 """
 
 from __future__ import annotations
@@ -259,23 +260,25 @@ def _read_range(task) -> tuple[list[tuple[str, float, object]], str | None]:
     return rows, None
 
 
-def _read_sets(sets: list[tuple[Path, Path | None]], work, workers: int, masses: dict) -> list:
+def _read_sets(sets: list[tuple[Path, Path | None]], work, run: dict) -> list:
     """``work(sid, heatmap, ground truth)`` on every heatmap of each (heatmaps,
-    ground truth or None) set, in one pool.
+    ground truth or None) set, in one pool of ``run["workers"]`` workers.
 
     Per set, the (sample id, result) rows sorted by id, or the CliError the
     set failed with. A set fails on, in this order: its first failing
     heatmap line by file position, no heatmaps, duplicate ids, its ground
-    truth, and ids without a match on the other side. ``masses[str(heatmaps)]``
-    gets, before the ground truth is checked, the largest |mass - 1| before
-    renormalization and how many heatmaps were further than
-    ``NORMALIZATION_TOL`` from unit mass.
+    truth, and ids without a match on the other side. The run record's
+    ``input_mass[str(heatmaps)]`` gets, before the ground truth is checked,
+    the largest |mass - 1| before renormalization and how many heatmaps were
+    further than ``NORMALIZATION_TOL`` from unit mass.
 
     Workers read their byte ranges themselves and get all else through
-    picklable arguments, so no heatmap crosses a process boundary.
-    ``workers`` changes only how the files are split, and every check is
+    picklable arguments, so no heatmap crosses a process boundary. The
+    worker count changes only how the files are split, and every check is
     order-independent, so results do not depend on it.
     """
+    workers = run["workers"]
+    run["input_mass"] = masses = {}
     gts, gt_errors = [], {}
     for i, (_, gp) in enumerate(sets):
         try:
@@ -357,21 +360,14 @@ def _clamped_radii(cfg: SamplingConfig, records: list[EvalRecord]) -> dict | Non
     return {"r_min": used.count(cfg.r_min), "r_max": used.count(cfg.r_max)}
 
 
-def _write_run_meta(out_dir: Path, command: str, cfg_hash: str, **extra) -> None:
-    meta = {
-        "command": command,
-        "config_hash": cfg_hash,
-        "version": __version__,
-        "timestamp_utc": datetime.now(timezone.utc).isoformat(),
-    }
-    meta.update(extra)
-    write_json(out_dir / "run_meta.json", meta)
-
-
-def _out_dir(args) -> Path:
+def _out_dir(args, run: dict, cfg) -> tuple[Path, str]:
+    """Make the ``--out`` directory and put the hash of ``cfg`` into the run
+    record; from then on :func:`main` writes the record there when the run
+    ends. Returns the directory and the hash."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    return out
+    run["config_hash"] = cfg_hash = config_hash(cfg)
+    return out, cfg_hash
 
 
 # ---------------------------------------------------------------------------
@@ -381,12 +377,11 @@ def _out_dir(args) -> Path:
 STANDARDIZE_DEFAULTS = {"history_s": 1.0, "horizon_s": 3.0, "rate_hz": 10.0}
 
 
-def cmd_standardize(args) -> int:
+def cmd_standardize(args, run: dict) -> int:
     cfg_raw, _ = _load_config(args.config)
     cfg = _merge(STANDARDIZE_DEFAULTS, cfg_raw)
     std = StandardizationConfig(**{key: _float(cfg[key], key) for key in STANDARDIZE_DEFAULTS})
-    out = _out_dir(args)
-    cfg_hash = config_hash(cfg)
+    out, _ = _out_dir(args, run, cfg)
     out_path = out / "standardized.jsonl"
     failed: list[ValueError] = []
 
@@ -399,10 +394,9 @@ def cmd_standardize(args) -> int:
                 yield sample_to_dict(s)
 
     n_ok = write_jsonl(out_path, standardized())
-    _write_run_meta(out, "standardize", cfg_hash, n_ok=n_ok, n_failed=len(failed))
+    run.update(n_ok=n_ok, n_failed=len(failed))
     if n_ok == 0:
-        logger.error("no sample could be standardized")
-        return EXIT_FAILURE
+        raise CliError("no sample could be standardized")
     logger.info("standardized %d samples (%d failed) -> %s", n_ok, len(failed), out_path)
     return EXIT_PARTIAL if failed else EXIT_OK
 
@@ -411,22 +405,19 @@ def cmd_standardize(args) -> int:
 # synth
 
 
-def cmd_synth(args) -> int:
+def cmd_synth(args, run: dict) -> int:
     cfg_raw, _ = _load_config(args.config)
     cfg = _merge({**ScenarioConfig().to_dict(), "n": None}, cfg_raw)
     n_cfg = cfg.pop("n")
-    n = args.n if args.n is not None else (_int(n_cfg, "n") if n_cfg is not None else 100)
+    n = args.n if args.n is not None else (_int(n_cfg, "n", at_least=1) if n_cfg is not None else 100)
     if args.seed is not None:
         cfg["seed"] = args.seed
     scen = ScenarioConfig.from_dict(cfg)
-    out = _out_dir(args)
-    stats: dict = {}
-    paths = generate_dataset(scen, n, out, args.workers, stats)
-    if stats["clipped_scenarios"]:
-        logger.warning(
-            "%s in %d of %d scenarios", CLIPPED_WARNING, stats["clipped_scenarios"], n,
-        )
-    _write_run_meta(out, "synth", config_hash(scen.to_dict()), n=n, workers=args.workers, **stats)
+    out, _ = _out_dir(args, run, scen.to_dict())
+    run["n"] = n
+    paths = generate_dataset(scen, n, out, args.workers, run)
+    if run["clipped_scenarios"]:
+        logger.warning("%s in %d of %d scenarios", CLIPPED_WARNING, run["clipped_scenarios"], n)
     logger.info("wrote %d scenarios to %s", n, paths["heatmaps"].parent)
     return EXIT_OK
 
@@ -435,18 +426,15 @@ def cmd_synth(args) -> int:
 # sample
 
 
-def cmd_sample(args) -> int:
+def cmd_sample(args, run: dict) -> int:
     cfg_raw, base = _load_config(args.config)
     cfg = _merge(SAMPLING_DEFAULTS, cfg_raw)
     sampling, _ = _sampling_config(cfg, base)
-    out = _out_dir(args)
-    cfg_hash = config_hash(cfg)
-    masses: dict = {}
+    out, _ = _out_dir(args, run, cfg)
     work = partial(_predict, cfg=sampling)
-    predictions = _raised(_read_sets([(Path(args.heatmaps), None)], work, args.workers, masses)[0])
+    predictions = _raised(_read_sets([(Path(args.heatmaps), None)], work, run)[0])
     out_path = out / "predictions.jsonl"
-    n = write_jsonl(out_path, (d for _, d in predictions))
-    _write_run_meta(out, "sample", cfg_hash, n=n, input_mass=masses, workers=args.workers)
+    run["n"] = n = write_jsonl(out_path, (d for _, d in predictions))
     logger.info("sampled %d heatmaps -> %s", n, out_path)
     return EXIT_OK
 
@@ -455,24 +443,18 @@ def cmd_sample(args) -> int:
 # evaluate
 
 
-def cmd_evaluate(args) -> int:
+def cmd_evaluate(args, run: dict) -> int:
     cfg_raw, base = _load_config(args.config)
     cfg = _merge(SAMPLING_DEFAULTS, cfg_raw)
     sampling, threshold = _sampling_config(cfg, base)
-    out = _out_dir(args)
-    cfg_hash = config_hash(cfg)
-    masses: dict = {}
+    out, cfg_hash = _out_dir(args, run, cfg)
     sets = [(Path(args.heatmaps), Path(args.ground_truth))]
     work = partial(_score_rows, cfgs=[sampling], threshold=threshold)
-    loaded = _read_sets(sets, work, args.workers, masses)[0]
-    records = [r for _, (r,) in _raised(loaded)]
+    records = [r for _, (r,) in _raised(_read_sets(sets, work, run)[0])]
     rep = aggregate(records)
     write_records_csv(out / "records.csv", records, cfg_hash)
     write_json(out / "aggregate.json", {"config_hash": cfg_hash, **report_to_dict(rep)})
-    _write_run_meta(
-        out, "evaluate", cfg_hash, n=rep.count, clamped_radii=_clamped_radii(sampling, records),
-        input_mass=masses, workers=args.workers,
-    )
+    run.update(n=rep.count, clamped_radii=_clamped_radii(sampling, records))
     logger.info(
         "evaluated %d samples: minFDE_%d=%.4f MR_%d=%.4f",
         rep.count, sampling.k, rep.min_fde_l[-1], sampling.k, rep.mr_l[-1],
@@ -530,7 +512,7 @@ def _source_weight(i: int, src: dict) -> float:
     return w
 
 
-def cmd_calibrate(args) -> int:
+def cmd_calibrate(args, run: dict) -> int:
     cfg_raw, base = _load_config(args.config)
     cfg = _merge(CALIBRATE_DEFAULTS, cfg_raw)
     k = _int(cfg["k"], "k", at_least=1)
@@ -540,10 +522,7 @@ def cmd_calibrate(args) -> int:
         r_values=() if cfg["r_values"] is None else numbers(cfg["r_values"], "config key r_values"),
         l_for_objective=_int(cfg["l_for_objective"], "l_for_objective"),
     )
-    out = _out_dir(args)
-    cfg_hash = config_hash(cfg)
     sources = _objects(cfg, "mixed_sources")
-    masses: dict = {}
     if sources:
         n = 0 if cfg["mixed_n"] is None else _int(cfg["mixed_n"], "mixed_n")
         if n < 1:
@@ -562,20 +541,18 @@ def cmd_calibrate(args) -> int:
         if not args.heatmaps or not args.ground_truth:
             raise CliError("calibrate needs HEATMAPS and GROUND_TRUTH (or mixed_sources config)")
         sets = [(Path(args.heatmaps), Path(args.ground_truth))]
+    out, cfg_hash = _out_dir(args, run, cfg)
     # every heatmap of every source is swept, drawn into the mix or not
-    loaded = [_raised(r) for r in _read_sets(sets, partial(_sweep, k=k, sweep=sweep), args.workers, masses)]
+    loaded = [_raised(r) for r in _read_sets(sets, partial(_sweep, k=k, sweep=sweep), run)]
     pairs = _mixed_draws(loaded, weights, n, args.seed or 0) if sources else loaded[0]
     spread_radius = [sr for _, sr in pairs]
     bins = spread_bins(spread_radius, bin_width)
     # optima on the first or last sweep radius suggest the sweep is too narrow
     n_edge = sum(1 for _, r in spread_radius if r in (sweep.r_values[0], sweep.r_values[-1]))
-    # spread bins the fit leaves out for holding fewer than min_count pairs
-    dropped = [[center, count] for center, _, count in bins if count < min_count]
-    # written first, so that a failed fit is explained too
-    _write_run_meta(
-        out, "calibrate", cfg_hash, n=len(pairs),
-        sweep_edge_count=n_edge, sweep_edge_share=n_edge / len(pairs), dropped_bins=dropped,
-        input_mass=masses, workers=args.workers,
+    run.update(
+        n=len(pairs), sweep_edge_count=n_edge, sweep_edge_share=n_edge / len(pairs),
+        # spread bins the fit leaves out for holding fewer than min_count pairs
+        dropped_bins=[[center, count] for center, _, count in bins if count < min_count],
     )
     try:
         model, kept = fit_bins(bins, min_count, str(cfg["dataset_tag"]))
@@ -613,15 +590,12 @@ def _matrix_markdown(title: str, header: list[str], table: list[list[str]]) -> s
     return "\n".join(lines)
 
 
-def cmd_cross_eval(args) -> int:
+def cmd_cross_eval(args, run: dict) -> int:
     manifest_path = Path(args.manifest)
     if not manifest_path.exists():
         raise CliError(f"manifest not found: {manifest_path}")
     manifest = _read_object(manifest_path)
     base = manifest_path.parent
-    cfg_hash = config_hash(manifest)
-    out = _out_dir(args)
-
     models = _objects(manifest, "models")
     test_sets = _objects(manifest, "test_sets")
     if not models or not test_sets:
@@ -653,15 +627,15 @@ def cmd_cross_eval(args) -> int:
         for p in (hp, gp):
             if not p.exists():
                 raise CliError(f"test set {tag}: missing file {p}")
+    out, cfg_hash = _out_dir(args, run, manifest)
 
     cells: dict[str, dict[str, dict]] = {r: {} for r in row_tags}
     clamped: dict[str, dict[str, dict | None]] = {r: {} for r in row_tags}
     baselines: dict[str, dict] = {}
-    masses: dict = {}
     n_failed = 0
     # one pool for the whole matrix, one spread per test heatmap
     work = partial(_score_rows, cfgs=[base_cfg] + row_cfgs, threshold=threshold)
-    loaded = _read_sets([set_paths[col] for col in col_tags], work, args.workers, masses)
+    loaded = _read_sets([set_paths[col] for col in col_tags], work, run)
     for col, results in zip(col_tags, loaded):
         if isinstance(results, Exception):
             logger.error("test set %s failed to load: %s", col, results)
@@ -718,13 +692,10 @@ def cmd_cross_eval(args) -> int:
     write_text(out / "report.md", "\n".join(md) + "\n")
     if args.svg:
         write_text(out / "matrices.svg", _svg_matrix(row_tags, col_tags, cells))
-    _write_run_meta(
-        out, "cross-eval", cfg_hash,
-        n_cells=len(row_tags) * len(col_tags), n_failed=n_failed, clamped_radii=clamped,
-        input_mass=masses, workers=args.workers,
-    )
-    if n_failed == len(row_tags) * len(col_tags):
-        return EXIT_FAILURE
+    n_cells = len(row_tags) * len(col_tags)
+    run.update(n_cells=n_cells, n_failed=n_failed, clamped_radii=clamped)
+    if n_failed == n_cells:
+        raise CliError("every cell of the matrix failed")
     return EXIT_PARTIAL if n_failed else EXIT_OK
 
 
@@ -758,43 +729,42 @@ def _write_hist_json(path: Path, hist: list[tuple[float, int, float]], cfg: dict
     })
 
 
-def cmd_analysis(args) -> int:
+def cmd_analysis(args, run: dict) -> int:
     cfg_raw, _ = _load_config(args.config)
-    out = _out_dir(args)
     if args.analysis_cmd == "uncertainty-error":
         cfg = _merge(ANALYSIS_UNCERTAINTY_DEFAULTS, cfg_raw)
-        cfg_hash = config_hash(cfg)
         bin_width, min_count = _positive(cfg["bin_width"], "bin_width"), _int(cfg["min_count"], "min_count")
+        out, cfg_hash = _out_dir(args, run, cfg)
         bins = bin_by_uncertainty(read_records_csv(args.input), bin_width, min_count)
         write_csv(out / "uncertainty_error.csv", ["bin_lower", "mean_min_fde_1", "count"], bins, cfg_hash)
         if args.svg:
             write_text(out / "uncertainty_error.svg", _svg_line_chart(
                 [b[0] for b in bins], [b[1] for b in bins], "uncertainty bin", "mean minFDE_1"
             ))
-        _write_run_meta(out, "analysis uncertainty-error", cfg_hash, n_bins=len(bins))
+        run["n_bins"] = len(bins)
     elif args.analysis_cmd == "noise-report":
         cfg = _merge(ANALYSIS_NOISE_DEFAULTS, cfg_raw)
-        cfg_hash = config_hash(cfg)
         kcfg = KalmanConfig(
             process_accel_std=_float(cfg["process_accel_std"], "process_accel_std"),
             obs_std=_float(cfg["obs_std"], "obs_std"),
         )
         bin_width = _positive(cfg["bin_width"], "bin_width")
+        out, cfg_hash = _out_dir(args, run, cfg)
         noises = _scene_values(Path(args.input), lambda s: sample_noise(s, kcfg))
         write_csv(out / "noise.csv", ["sample_id", "noise_m"], noises, cfg_hash)
         hist = floor_histogram([n for _, n in noises], bin_width)
         _write_hist_json(out / "noise_hist.json", hist, cfg, cfg_hash)
-        _write_run_meta(out, "analysis noise-report", cfg_hash, n=len(noises))
+        run["n"] = len(noises)
     elif args.analysis_cmd == "speed-report":
         cfg = _merge(ANALYSIS_SPEED_DEFAULTS, cfg_raw)
-        cfg_hash = config_hash(cfg)
         bin_width = _positive(cfg["bin_width"], "bin_width")
+        out, cfg_hash = _out_dir(args, run, cfg)
         speeds = [v for _, v in _scene_values(Path(args.input), average_speed)]
         hist = floor_histogram(speeds, bin_width)
         rows = [(lo, fr, c) for lo, c, fr in hist]
         write_csv(out / "speed_hist.csv", ["bin_lower", "fraction", "count"], rows, cfg_hash)
         _write_hist_json(out / "speed_hist.json", hist, cfg, cfg_hash)
-        _write_run_meta(out, "analysis speed-report", cfg_hash, n=len(speeds))
+        run["n"] = len(speeds)
     else:  # pragma: no cover - argparse enforces choices
         raise CliError(f"unknown analysis subcommand {args.analysis_cmd}")
     return EXIT_OK
@@ -941,11 +911,26 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(levelname)s %(message)s")
+    # the run record, to which each command adds its own figures
+    run: dict = {}
     try:
         args = _build_parser().parse_args(argv)
         if getattr(args, "workers", 1) < 1:
             raise CliError(f"--workers must be at least 1, got {args.workers}")
-        return args.func(args)
+        run.update(
+            command=" ".join(filter(None, (args.command, getattr(args, "analysis_cmd", None)))),
+            version=__version__, timestamp_utc=datetime.now(timezone.utc).isoformat(),
+        )
+        if "workers" in args:
+            run["workers"] = args.workers
+        try:
+            return args.func(args, run)
+        except Exception as e:
+            run.update(status="failed", error=str(e))
+            raise
+        finally:
+            if "config_hash" in run:  # _out_dir has made the output directory
+                write_json(Path(args.out) / "run_meta.json", run)
     except (CliError, ValueError, OSError) as e:
         logger.error("%s", e)
         return EXIT_FAILURE

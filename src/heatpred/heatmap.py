@@ -22,7 +22,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .io import canonical_dumps, integer, number, string
+from .io import _shown, canonical_dumps, integer, number, string
 
 __all__ = [
     "GridSpec",
@@ -372,7 +372,7 @@ def _bad_cell(cells) -> str:
         except ValueError as e:
             return str(e)
         if not -(2**63) <= i < 2**63:
-            return f"{where} index: {i} does not fit in 64 bits"
+            return f"{where} index: {_shown(i)} does not fit in 64 bits"
     return "cells: indices must be JSON integers and probabilities JSON numbers"
 
 

@@ -41,10 +41,14 @@ def _jsonl_lines(path, start: int, end: int | None) -> Iterator[tuple[int, bytes
             offset += len(raw)
 
 
-def _line_number(path, offset: int) -> int:
-    """1-based number of the line of ``path`` that starts at byte ``offset``."""
+def _line_number(path, offset: int, known: tuple[int, int]) -> int:
+    """1-based number of the line of ``path`` that starts at byte ``offset``,
+    counted on from ``known``, the (byte offset, number) of a line that starts
+    at or before it."""
+    at, number = known
     with open(path, "rb") as f:
-        return f.read(offset).count(b"\n") + 1
+        f.seek(at)
+        return number + f.read(offset - at).count(b"\n")
 
 
 def read_jsonl(path, parse: Callable[[dict], object], start: int = 0, end: int | None = None) -> Iterator:
@@ -55,8 +59,9 @@ def read_jsonl(path, parse: Callable[[dict], object], start: int = 0, end: int |
     KeyError, IndexError, TypeError, ValueError or OverflowError, yields
     instead a ValueError reading ``path:line (sample <id>): <reason>``, the
     sample id (or scene id) named when the record has one; reading goes on
-    after it.
+    after it. Each line number is counted on from the last one.
     """
+    numbered = (0, 1)  # (byte offset, number) of the last line numbered
     for offset, line in _jsonl_lines(path, start, end):
         record = None
         try:
@@ -71,7 +76,8 @@ def read_jsonl(path, parse: Callable[[dict], object], start: int = 0, end: int |
             sid = record.get("sample_id", record.get("id")) if isinstance(record, dict) else None
             who = "" if sid is None else f" (sample {sid if isinstance(sid, str) else _shown(sid)})"
             why = f"missing key {e}" if isinstance(e, KeyError) else str(e)
-            value = ValueError(f"{path}:{_line_number(path, offset)}{who}: {why}")
+            numbered = (offset, _line_number(path, offset, numbered))
+            value = ValueError(f"{path}:{numbered[1]}{who}: {why}")
         yield value
 
 

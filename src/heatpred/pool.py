@@ -3,8 +3,13 @@
 from __future__ import annotations
 
 import gc
+import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Iterator, Sequence
+
+# Workers are forked wherever the platform can fork, whatever its default start
+# method (forkserver on Linux from Python 3.14), so they share the parent's heap.
+_CONTEXT = multiprocessing.get_context("fork" if "fork" in multiprocessing.get_all_start_methods() else None)
 
 # Tasks per worker: several, so that a worker whose tasks cost more does not
 # finish long after the others.
@@ -25,7 +30,7 @@ def map_ordered(fn: Callable, tasks: Sequence, workers: int) -> Iterator:
         # do not copy the parent's pages just to scan them (see gc.freeze).
         gc.freeze()
         try:
-            with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as ex:
+            with ProcessPoolExecutor(max_workers=min(workers, len(tasks)), mp_context=_CONTEXT) as ex:
                 yield from ex.map(fn, tasks)
         finally:
             gc.unfreeze()

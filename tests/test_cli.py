@@ -66,6 +66,14 @@ def point_mass_pairs(n=12):
     return pairs
 
 
+def failed_run_meta(out, caplog) -> dict:
+    """The run_meta.json of a run that exited 1: it says so and holds the error it logged last."""
+    meta = read_json(out / "run_meta.json")
+    assert meta["status"] == "failed"
+    assert meta["error"] == [r.getMessage() for r in caplog.records if r.levelname == "ERROR"][-1]
+    return meta
+
+
 def read_csv_rows(path):
     with open(path) as f:
         lines = [ln for ln in f if not ln.startswith("#")]
@@ -148,11 +156,50 @@ class TestStandardize:
         assert (out / "standardized.jsonl").read_bytes() == earlier
         assert sorted(p.name for p in out.iterdir()) == ["run_meta.json", "standardized.jsonl"]
 
-    def test_empty_file_fails(self, tmp_path):
+    def test_empty_file_fails(self, tmp_path, caplog):
         scenes = tmp_path / "scenes.jsonl"
         scenes.write_text("")
         out = tmp_path / "out"
         assert main(["standardize", str(scenes), "--out", str(out)]) == EXIT_FAILURE
+        meta = failed_run_meta(out, caplog)
+        assert meta["error"] == "no sample could be standardized"
+        assert (meta["n_ok"], meta["n_failed"]) == (0, 0)
+
+    def test_file_of_bad_lines_fails(self, tmp_path, caplog):
+        scenes = tmp_path / "scenes.jsonl"
+        scenes.write_text("[1, 2]\nnot json\n")
+        out = tmp_path / "out"
+        assert main(["standardize", str(scenes), "--out", str(out)]) == EXIT_FAILURE
+        meta = failed_run_meta(out, caplog)
+        assert (meta["error"], meta["n_ok"], meta["n_failed"]) == ("no sample could be standardized", 0, 2)
+
+    def test_many_bad_lines_are_numbered_reading_each_byte_once(self, tmp_path, caplog, monkeypatch):
+        # bad lines among good and blank ones, each named by its own number
+        good = [json.dumps(sample_to_dict(straight_sample(5.0, sample_id=f"ok{i}"))) for i in range(4)]
+        lines, bad = [], []
+        for i in range(1, 601):
+            if i % 150 == 0:
+                lines.append(good[i // 150 - 1])
+            elif i % 7 == 0:
+                lines.append("")
+            else:
+                lines.append("not json")
+                bad.append(i)
+        scenes = tmp_path / "scenes.jsonl"
+        scenes.write_text("\n".join(lines) + "\n")
+        counted = []
+        line_number = heatpred.io._line_number
+        monkeypatch.setattr(
+            heatpred.io, "_line_number",
+            lambda path, offset, known: counted.append(offset - known[0]) or line_number(path, offset, known),
+        )
+        out = tmp_path / "out"
+        assert main(["standardize", str(scenes), "--out", str(out)]) == EXIT_PARTIAL
+        skipped = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert [m.split(": invalid JSON")[0] for m in skipped] == [f"skipping {scenes}:{i}" for i in bad]
+        assert len(counted) == len(bad)
+        assert sum(counted) < scenes.stat().st_size
+        assert read_json(out / "run_meta.json")["n_failed"] == len(bad)
 
     def test_already_standard_round_trip(self, tmp_path):
         scenes = tmp_path / "scenes.jsonl"
@@ -221,7 +268,12 @@ class TestSynthCli:
                 f"synth-{first:06d}: no grid cell lies within the truncation disc of any mode"
             ]
             assert "Traceback" not in caplog.text
-            assert list((tmp_path / f"w{workers}").iterdir()) == []
+            # no JSONL is left behind, and the run record says why
+            out = tmp_path / f"w{workers}"
+            assert [p.name for p in out.iterdir()] == ["run_meta.json"]
+            meta = failed_run_meta(out, caplog)
+            assert (meta["command"], meta["n"], meta["workers"]) == ("synth", 8, workers)
+            assert "clipped_scenarios" not in meta
 
     def test_clipped_scenarios_counted_once_per_run(self, tmp_path, caplog, capfd):
         # modes near the grid's edge: some truncation discs are cut, none is empty
@@ -377,6 +429,8 @@ class TestConfigAndFlags:
         argv = ["evaluate", str(hm), str(gt), "--config", str(cfg), "--out", str(tmp_path / "out")]
         assert main(argv) == EXIT_FAILURE
         assert (named or str(cfg)) in caplog.text
+        # a rejected config leaves no output directory
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "command, edit, named",
@@ -426,6 +480,7 @@ class TestConfigAndFlags:
         assert main(argv + ["--out", str(tmp_path / "out")]) == EXIT_FAILURE
         assert named in caplog.text
         assert "Traceback" not in caplog.text
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["sample", "evaluate", "cross-eval"])
     @pytest.mark.parametrize(
@@ -462,15 +517,16 @@ class TestConfigAndFlags:
             ({"n_modes_range": 3}, "config key n_modes_range"),
             ({"seed": "x"}, "config key seed"),
             ({"n": "many"}, "config key n"),
+            ({"n": 0}, "config key n: must be at least 1, got 0"),
         ],
-        ids=["unknown-key", "grid-partial", "n_modes_range-number", "seed-string", "n-string"],
+        ids=["unknown-key", "grid-partial", "n_modes_range-number", "seed-string", "n-string", "n-zero"],
     )
     def test_bad_synth_config_names_key(self, tmp_path, caplog, cfg, named):
         write_json(tmp_path / "cfg.json", cfg)
         out = tmp_path / "out"
         assert main(["synth", "--config", str(tmp_path / "cfg.json"), "--out", str(out)]) == EXIT_FAILURE
         assert named in caplog.text
-        assert not (out / "heatmaps.jsonl").exists()
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["calibrate", "uncertainty-error", "noise-report", "speed-report"])
     def test_non_positive_bin_width_named_before_inputs_are_read(self, tmp_path, caplog, command):
@@ -480,6 +536,7 @@ class TestConfigAndFlags:
         argv += ["--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out")]
         assert main(argv) == EXIT_FAILURE
         assert "config key bin_width: must be positive, got 0.0" in caplog.text
+        assert not (tmp_path / "out").exists()
 
     def test_workers_below_one_rejected(self, tmp_path, caplog):
         hm, gt = write_pairs(tmp_path, point_mass_pairs(3))
@@ -524,6 +581,47 @@ class TestConfigAndFlags:
             main(argv)
         assert e.value.code == 0
         assert capsys.readouterr().out.startswith(("usage: heatpred", "heatpred "))
+
+
+class TestRunMeta:
+    # The keys of a successful run's run_meta.json besides those of every run
+    KEYS = {
+        "standardize": {"n_ok", "n_failed"},
+        "synth": {"n", "clipped_scenarios", "workers"},
+        "sample": {"n", "input_mass", "workers"},
+        "evaluate": {"n", "clamped_radii", "input_mass", "workers"},
+        "calibrate": {"n", "sweep_edge_count", "sweep_edge_share", "dropped_bins", "input_mass", "workers"},
+        "cross-eval": {"n_cells", "n_failed", "clamped_radii", "input_mass", "workers"},
+        "analysis uncertainty-error": {"n_bins"},
+        "analysis noise-report": {"n"},
+        "analysis speed-report": {"n"},
+    }
+
+    @pytest.mark.parametrize("command", list(KEYS))
+    def test_keys_of_a_successful_run(self, tmp_path, command):
+        hm, gt = write_pairs(tmp_path / "d", planted_calibration_dataset(20))
+        scenes = tmp_path / "scenes.jsonl"
+        write_scenes(scenes, [straight_sample(5.0, sample_id=f"s{i}") for i in range(3)])
+        records = tmp_path / "records.csv"
+        write_records_csv(records, [EvalRecord(f"r{i}", 0.3 * i, 1.0, [0.5] * 6, [False] * 6) for i in range(5)], "0")
+        cfg = tmp_path / "cfg.json"
+        write_json(cfg, {"bin_width": 10.0, "min_count": 1})
+        argv = {
+            "standardize": ["standardize", str(scenes)],
+            "synth": ["synth", "--n", "2", "--workers", "1"],
+            "sample": ["sample", str(hm), "--workers", "1"],
+            "evaluate": ["evaluate", str(hm), str(gt), "--workers", "1"],
+            "calibrate": ["calibrate", str(hm), str(gt), "--config", str(cfg), "--workers", "1"],
+            "cross-eval": _argv("cross-eval", hm, gt, tmp_path) + ["--workers", "1"],
+            "analysis uncertainty-error": ["analysis", "uncertainty-error", str(records), "--config", str(cfg)],
+            "analysis noise-report": ["analysis", "noise-report", str(scenes)],
+            "analysis speed-report": ["analysis", "speed-report", str(scenes)],
+        }[command]
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == EXIT_OK
+        meta = read_json(out / "run_meta.json")
+        assert set(meta) == {"command", "config_hash", "version", "timestamp_utc"} | self.KEYS[command]
+        assert meta["command"] == command
 
 
 class TestCalibrateCli:
@@ -571,7 +669,8 @@ class TestCalibrateCli:
             # every spread is 0, so all 8 pairs fall in the bin centred at 0.5
             assert f"{reason}; the fullest spread bin, centred at 0.5, holds 8 of 8 pairs" in caplog.text
             assert sorted(p.name for p in out.iterdir()) == ["run_meta.json"]
-            meta = read_json(out / "run_meta.json")
+            meta = failed_run_meta(out, caplog)
+            assert meta["error"].startswith(reason)
             assert meta["n"] == 8
             assert meta["dropped_bins"] == ([] if min_count == 1 else [[0.5, 8]])
             assert meta["sweep_edge_count"] == meta["sweep_edge_share"] * 8
@@ -666,8 +765,17 @@ class TestMalformedRecord:
         else:
             argv = [command, str(hm), str(gt)]
         assert main(argv + ["--out", str(out)]) == EXIT_FAILURE
-        assert f"{hm}:2 (sample c0001): probabilities must be non-negative" in caplog.text
+        message = f"{hm}:2 (sample c0001): probabilities must be non-negative"
+        assert message in caplog.text
         assert "Traceback" not in caplog.text
+        meta = failed_run_meta(out, caplog)
+        if command == "cross-eval":
+            # the one cell failed, and so the run
+            assert meta["error"] == "every cell of the matrix failed"
+            assert meta["n_failed"] == meta["n_cells"] == 1
+        else:
+            assert meta["error"] == message
+        assert meta["input_mass"] == {}
 
     @pytest.mark.parametrize(
         "kind, edit, named",
@@ -675,6 +783,8 @@ class TestMalformedRecord:
             ("heatmaps", lambda d: d["grid"].update(width=10**30), "Python int too large to convert to C long"),
             ("heatmaps", lambda d: d.update(cells=[[10**30, 1.0]]),
              "cells[0] index: 1000000000000000000000000000000 does not fit in 64 bits"),
+            ("heatmaps", lambda d: d.update(cells=[[10**400, 1.0]]),
+             "cells[0] index: 1" + "0" * 39 + "... (401 characters) does not fit in 64 bits"),
             ("heatmaps", lambda d: d.update(cells=[[0, 10**400]]),
              "cells[0] probability: 1" + "0" * 39 + "... (401 characters) is too large for a float"),
             ("heatmaps", lambda d: d.update(cells=[[0, 1e308], [1, 1e308]]),
@@ -682,7 +792,7 @@ class TestMalformedRecord:
             ("ground_truth", lambda d: d.update(gt=[10**400, 0.0]),
              "gt[0]: 1" + "0" * 39 + "... (401 characters) is too large for a float"),
         ],
-        ids=["grid-width", "cell-index", "cell-probability", "cell-mass", "ground-truth"],
+        ids=["grid-width", "cell-index", "cell-index-400-digits", "cell-probability", "cell-mass", "ground-truth"],
     )
     def test_number_too_large_is_a_bad_line(self, tmp_path, caplog, kind, edit, named):
         hm, gt = write_pairs(tmp_path / "d", point_mass_pairs(2))
@@ -1015,9 +1125,13 @@ class TestAnalysis:
     def test_uncertainty_error_bad_records_names_file(self, tmp_path, caplog, text, named):
         path = tmp_path / "records.csv"
         path.write_text(text)
-        assert main(["analysis", "uncertainty-error", str(path), "--out", str(tmp_path / "out")]) == EXIT_FAILURE
+        out = tmp_path / "out"
+        assert main(["analysis", "uncertainty-error", str(path), "--out", str(out)]) == EXIT_FAILURE
         assert f"{path}" in caplog.text
         assert named in caplog.text
+        meta = failed_run_meta(out, caplog)
+        assert meta["command"] == "analysis uncertainty-error"
+        assert str(path) in meta["error"] and named in meta["error"]
 
     def test_speed_report_stationary(self, tmp_path):
         scenes = tmp_path / "scenes.jsonl"
@@ -1171,6 +1285,8 @@ class TestCrossEval:
         })
         out = tmp_path / "xe"
         assert main(["cross-eval", str(manifest), "--out", str(out)]) == EXIT_FAILURE
+        # checked with the manifest, before the output directory is made
+        assert not out.exists()
 
     def test_partial_failure_marks_cell_and_continues(self, tmp_path):
         pairs = point_mass_pairs(6)
