@@ -234,16 +234,20 @@ def _load_ground_truth(path: Path) -> dict[str, tuple[float, float]]:
     return gts
 
 
-def _read_range(task) -> tuple[list[tuple[str, float, object]], str | None]:
+def _read_range(state, task) -> tuple[list[tuple[str, float, object]], str | None]:
     """Run ``work(sid, heatmap, ground truth)`` on each heatmap line that starts in one byte range.
 
+    ``state`` is ``(sets, work)``, with the (heatmap path, ground truth by
+    sample id or None) of every set; ``task`` is ``(set index, start, end)``.
     Returns ``(rows, None)`` with one (sample id, stored mass, result) row
     per line, in file order, or, at the first line that fails,
     ``([], its error message)``. With ground truth ``gts`` None every heatmap
     gets ``gt`` None; otherwise a heatmap whose id has no ground truth gets
     no work and the result None, and the parent's id match fails.
     """
-    path, start, end, gts, work = task
+    sets, work = state
+    i, start, end = task
+    path, gts = sets[i]
 
     def row(d: dict) -> tuple[str, float, object]:
         sid, h = heatmap_from_dict(d)
@@ -272,9 +276,11 @@ def _read_sets(sets: list[tuple[Path, Path | None]], work, run: dict) -> list:
     the largest |mass - 1| before renormalization and how many heatmaps were
     further than ``NORMALIZATION_TOL`` from unit mass.
 
-    Workers read their byte ranges themselves and get all else through
-    picklable arguments, so no heatmap crosses a process boundary. The
-    worker count changes only how the files are split, and every check is
+    Workers read their byte ranges themselves, and each set's path, ground
+    truth and ``work`` reach them once, as the pool's state; a task is only
+    ``(set index, start, end)``. So no heatmap crosses a process boundary,
+    and the ground truth does not cross it once per range. The worker count
+    changes only how the files are split, and every check is
     order-independent, so results do not depend on it.
     """
     workers = run["workers"]
@@ -288,8 +294,9 @@ def _read_sets(sets: list[tuple[Path, Path | None]], work, run: dict) -> list:
             gt_errors[i] = CliError(str(e))
     parts = workers * RANGES_PER_WORKER if workers > 1 else 1
     ranges = [jsonl_ranges(hp, parts) for hp, _ in sets]
-    tasks = [(hp, a, b, g, work) for (hp, _), g, rs in zip(sets, gts, ranges) for a, b in rs]
-    results = iter(list(map_ordered(_read_range, tasks, workers)))
+    state = ([(hp, g) for (hp, _), g in zip(sets, gts)], work)
+    tasks = [(i, a, b) for i, rs in enumerate(ranges) for a, b in rs]
+    results = iter(list(map_ordered(_read_range, tasks, workers, state)))
     out = []
     for i, ((hp, gp), g, rs) in enumerate(zip(sets, gts, ranges)):
         done = [next(results) for _ in rs]
@@ -409,6 +416,8 @@ def cmd_synth(args, run: dict) -> int:
     cfg_raw, _ = _load_config(args.config)
     cfg = _merge({**ScenarioConfig().to_dict(), "n": None}, cfg_raw)
     n_cfg = cfg.pop("n")
+    if args.n is not None and args.n < 1:
+        raise CliError(f"--n must be at least 1, got {args.n}")
     n = args.n if args.n is not None else (_int(n_cfg, "n", at_least=1) if n_cfg is not None else 100)
     if args.seed is not None:
         cfg["seed"] = args.seed

@@ -13,7 +13,9 @@ do not change the data.
 
 from __future__ import annotations
 
+import shutil
 import warnings
+from contextlib import closing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -152,31 +154,47 @@ def scenario_id(index: int) -> str:
 
 
 # Scenarios per index range. Scenario cost varies a lot with the sigmas and
-# the mode count, so many small ranges keep the workers finishing together;
-# they also keep small the text that waits in the parent, whose peak RSS grows
-# with the range size.
+# the mode count, so many small ranges keep the workers finishing together.
 SCENARIOS_PER_RANGE = 2
 
 
-def _encode_range(task) -> tuple[list[str], list[str], int, str | None]:
-    """``(heatmap lines, ground-truth lines, clipped, None)`` for the scenarios of
-    one index range, where ``clipped`` counts those with a mode whose truncation
-    disc the grid cuts; or ``([], [], 0, error)`` naming the first that fails."""
-    cfg, start, stop = task
-    heatmaps, gts, clipped = [], [], 0
-    with warnings.catch_warnings(record=True) as caught:
+def _range_files(out: Path, start: int) -> tuple[Path, Path]:
+    """The heatmap and ground-truth files that the index range from ``start``
+    is written to before the parent copies them into place."""
+    return out / f"heatmaps.jsonl.{start}.part", out / f"ground_truth.jsonl.{start}.part"
+
+
+def _encode_range(state: tuple[ScenarioConfig, Path], task: tuple[int, int]) -> tuple[int, str | None]:
+    """Write the heatmap and ground-truth lines of the scenarios of one index
+    range, one by one, to the range's two files under the output directory.
+
+    ``state`` is the config and the output directory, ``task`` the range's
+    ``(start, stop)``. Returns ``(clipped, None)``, where ``clipped`` counts
+    the scenarios with a mode whose truncation disc the grid cuts; or, at the
+    first scenario that fails, ``(0, error)`` naming it.
+    """
+    cfg, out = state
+    start, stop = task
+    hp, gp = _range_files(out, start)
+    clipped = 0
+    # opened as io.staged_files opens the JSONL files, so the copies keep their bytes
+    with (
+        open(hp, "w", newline="") as hf,
+        open(gp, "w", newline="") as gf,
+        warnings.catch_warnings(record=True) as caught,
+    ):
         warnings.simplefilter("always")
         for i in range(start, stop):
             sid = scenario_id(i)
             try:
                 h, gt, _ = sample_scenario(cfg, i)
             except ValueError as e:
-                return [], [], 0, f"{sid}: {e}"
+                return 0, f"{sid}: {e}"
             clipped += any(str(w.message) == CLIPPED_WARNING for w in caught)
             caught.clear()
-            heatmaps.append(heatmap_to_json(h, sid) + "\n")
-            gts.append(canonical_dumps({"sample_id": sid, "gt": [gt[0], gt[1]]}) + "\n")
-    return heatmaps, gts, clipped, None
+            hf.write(heatmap_to_json(h, sid) + "\n")
+            gf.write(canonical_dumps({"sample_id": sid, "gt": [gt[0], gt[1]]}) + "\n")
+    return clipped, None
 
 
 def generate_dataset(
@@ -184,11 +202,13 @@ def generate_dataset(
 ) -> dict[str, Path]:
     """Write ``n`` scenarios as heatmap and ground-truth JSONL plus a manifest.
 
-    Contiguous index ranges of scenarios are rendered by ``workers`` forked
-    processes when it is more than 1, and written in index order, so the
-    files are byte-identical for every worker count and every rerun. The
-    failing scenario of lowest index raises a ValueError that names it, and
-    then neither JSONL file is written (see :func:`io.staged_files`).
+    Contiguous index ranges of scenarios are rendered and written to range
+    files by ``workers`` forked processes when it is more than 1, and the
+    range files are copied into the JSONL files in index order, so the files
+    are byte-identical for every worker count and every rerun, and no range's
+    text passes through this process's memory. The failing scenario of
+    lowest index raises a ValueError that names it, and then neither JSONL
+    file is written (see :func:`io.staged_files`) and no range file is left.
     ``render_mixture``'s warning about a grid that cuts a mode's truncation
     disc is not shown; ``stats["clipped_scenarios"]``, when ``stats`` is
     given, counts the scenarios it was raised for.
@@ -203,16 +223,26 @@ def generate_dataset(
         "manifest": out / "manifest.json",
     }
     cfg_dict = cfg.to_dict()
-    tasks = [(cfg, a, min(a + SCENARIOS_PER_RANGE, n)) for a in range(0, n, SCENARIOS_PER_RANGE)]
+    tasks = [(a, min(a + SCENARIOS_PER_RANGE, n)) for a in range(0, n, SCENARIOS_PER_RANGE)]
     clipped = 0
     try:
-        with staged_files(paths["heatmaps"], paths["ground_truth"]) as (hf, gf):
-            for heatmaps, gts, range_clipped, error in map_ordered(_encode_range, tasks, workers):
-                if error is not None:
-                    raise ValueError(error)
-                hf.writelines(heatmaps)
-                gf.writelines(gts)
-                clipped += range_clipped
+        with staged_files(paths["heatmaps"], paths["ground_truth"]) as staged:
+            try:
+                with closing(map_ordered(_encode_range, tasks, workers, (cfg, out))) as results:
+                    for (start, _), (range_clipped, error) in zip(tasks, results):
+                        if error is not None:
+                            raise ValueError(error)
+                        for part, f in zip(_range_files(out, start), staged):
+                            with open(part, "rb") as src:
+                                shutil.copyfileobj(src, f.buffer)
+                            part.unlink()
+                        clipped += range_clipped
+            except BaseException:
+                # closing has shut the pool down, so no range file is still being written
+                for start, _ in tasks:
+                    for part in _range_files(out, start):
+                        part.unlink(missing_ok=True)
+                raise
         manifest = {"config": cfg_dict, "config_hash": config_hash(cfg_dict), "n": n}
         write_json(paths["manifest"], manifest)
     except OSError as e:

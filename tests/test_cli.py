@@ -1,10 +1,12 @@
 import csv
 import json
 import math
+import pickle
 import subprocess
 import sys
 import warnings
 from collections import Counter
+from functools import partial
 
 import numpy as np
 import pytest
@@ -12,6 +14,8 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import heatpred.io
+from heatpred import cli
+from heatpred.calibration import RadiusSweepConfig
 from heatpred.cli import EXIT_FAILURE, EXIT_OK, EXIT_PARTIAL, main
 from heatpred.heatmap import CLIPPED_WARNING, GridSpec, Heatmap, heatmap_to_dict, uncertainty
 from heatpred.io import read_json, write_json, write_jsonl
@@ -234,24 +238,28 @@ class TestSynthCli:
             out = tmp_path / f"w{workers}"
             assert main(argv + ["--out", str(out), "--workers", str(workers)]) == EXIT_OK
             assert read_json(out / "run_meta.json")["workers"] == workers
+            # no range file is left beside the outputs
+            assert sorted(p.name for p in out.iterdir()) == sorted([*SYNTH_OUTPUTS, "run_meta.json"])
             seen[workers] = [(out / name).read_bytes() for name in SYNTH_OUTPUTS]
         assert seen[1] == seen[2] == seen[3]
 
     @pytest.mark.parametrize(
-        "cfg",
+        "cfg, n",
         [
             # one mode, mostly off the grid: scenarios 4, 5 and 7 of the first 8 render nothing
-            {**NARROW_SYNTH, "mean_region": [[0, 30], [-2, 2]], "seed": 9},
-            {"mean_region": [[500, 600], [500, 600]]},
+            ({**NARROW_SYNTH, "mean_region": [[0, 30], [-2, 2]], "seed": 9}, 8),
+            ({"mean_region": [[500, 600], [500, 600]]}, 8),
+            # scenario 29 is the first to render nothing, and ranges after it are still being written
+            ({**NARROW_SYNTH, "mean_region": [[0, 14], [-2, 2]], "seed": 9}, 2000),
         ],
-        ids=["some-fail", "all-fail"],
+        ids=["some-fail", "all-fail", "fail-in-flight"],
     )
-    def test_empty_render_names_lowest_failing_scenario(self, tmp_path, caplog, cfg):
+    def test_empty_render_names_lowest_failing_scenario(self, tmp_path, caplog, cfg, n):
         scen = ScenarioConfig.from_dict(cfg)
         first = None
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
-            for i in range(8):
+            for i in range(n):
                 try:
                     sample_scenario(scen, i)
                 except ValueError:
@@ -261,18 +269,18 @@ class TestSynthCli:
         write_json(tmp_path / "cfg.json", cfg)
         for workers in (1, 2):
             caplog.clear()
-            argv = ["synth", "--n", "8", "--config", str(tmp_path / "cfg.json"), "--workers", str(workers)]
+            argv = ["synth", "--n", str(n), "--config", str(tmp_path / "cfg.json"), "--workers", str(workers)]
             assert main(argv + ["--out", str(tmp_path / f"w{workers}")]) == EXIT_FAILURE
             errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
             assert errors == [
                 f"synth-{first:06d}: no grid cell lies within the truncation disc of any mode"
             ]
             assert "Traceback" not in caplog.text
-            # no JSONL is left behind, and the run record says why
+            # no JSONL or range file is left behind, and the run record says why
             out = tmp_path / f"w{workers}"
             assert [p.name for p in out.iterdir()] == ["run_meta.json"]
             meta = failed_run_meta(out, caplog)
-            assert (meta["command"], meta["n"], meta["workers"]) == ("synth", 8, workers)
+            assert (meta["command"], meta["n"], meta["workers"]) == ("synth", n, workers)
             assert "clipped_scenarios" not in meta
 
     def test_clipped_scenarios_counted_once_per_run(self, tmp_path, caplog, capfd):
@@ -510,21 +518,22 @@ class TestConfigAndFlags:
         assert named in caplog.text
 
     @pytest.mark.parametrize(
-        "cfg, named",
+        "cfg, flags, named",
         [
-            ({"sigma_rnage": [1.0, 2.0]}, "unknown config keys: sigma_rnage"),
-            ({"grid": {"origin_x": 0}}, "config key grid: missing key 'origin_y'"),
-            ({"n_modes_range": 3}, "config key n_modes_range"),
-            ({"seed": "x"}, "config key seed"),
-            ({"n": "many"}, "config key n"),
-            ({"n": 0}, "config key n: must be at least 1, got 0"),
+            ({"sigma_rnage": [1.0, 2.0]}, [], "unknown config keys: sigma_rnage"),
+            ({"grid": {"origin_x": 0}}, [], "config key grid: missing key 'origin_y'"),
+            ({"n_modes_range": 3}, [], "config key n_modes_range"),
+            ({"seed": "x"}, [], "config key seed"),
+            ({"n": "many"}, [], "config key n"),
+            ({"n": 0}, [], "config key n: must be at least 1, got 0"),
+            ({}, ["--n", "0"], "--n must be at least 1, got 0"),
         ],
-        ids=["unknown-key", "grid-partial", "n_modes_range-number", "seed-string", "n-string", "n-zero"],
+        ids=["unknown-key", "grid-partial", "n_modes_range-number", "seed-string", "n-string", "n-zero", "n-flag-zero"],
     )
-    def test_bad_synth_config_names_key(self, tmp_path, caplog, cfg, named):
+    def test_bad_synth_config_names_key(self, tmp_path, caplog, cfg, flags, named):
         write_json(tmp_path / "cfg.json", cfg)
         out = tmp_path / "out"
-        assert main(["synth", "--config", str(tmp_path / "cfg.json"), "--out", str(out)]) == EXIT_FAILURE
+        assert main(["synth", "--config", str(tmp_path / "cfg.json"), *flags, "--out", str(out)]) == EXIT_FAILURE
         assert named in caplog.text
         assert not out.exists()
 
@@ -1047,6 +1056,31 @@ class TestWorkerCounts:
             assert main(argv + ["--workers", str(workers)]) == EXIT_FAILURE
             assert f"{gt}:9 (sample c0008): gt: [1.0] is not a list of 2 values" in caplog.text
             assert "Traceback" not in caplog.text
+
+    def test_read_tasks_do_not_grow_with_the_ground_truth(self, tmp_path, monkeypatch):
+        # the ground truth and the work reach the workers once, not in every task
+        hm, gt = write_pairs(tmp_path / "d", point_mass_pairs(10))
+        big = tmp_path / "big.jsonl"
+        write_jsonl(big, ({"sample_id": f"s{i:05d}", "gt": [0.0, 0.0]} for i in range(10_000)))
+
+        class Taken(Exception):
+            pass
+
+        taken = []
+
+        def take(fn, tasks, *rest):
+            taken.append(tasks)
+            raise Taken
+
+        monkeypatch.setattr(cli, "map_ordered", take)
+        work = partial(cli._sweep, k=6, sweep=RadiusSweepConfig())
+        for ground_truth in (gt, big):
+            with pytest.raises(Taken):
+                cli._read_sets([(hm, ground_truth)], work, {"workers": 2})
+        small, large = ([len(pickle.dumps(task)) for task in tasks] for tasks in taken)
+        assert len(small) > 1
+        assert small == large
+        assert all(isinstance(value, int) for tasks in taken for task in tasks for value in task)
 
 
 class TestInputMassDiagnostics:
