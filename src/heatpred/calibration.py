@@ -25,24 +25,6 @@ from .binning import floor_bin_means
 from .heatmap import Heatmap
 from .io import integer, number
 
-__all__ = [
-    "CalibrationModel",
-    "RadiusSweepConfig",
-    "DegenerateFitError",
-    "InsufficientBinsError",
-    "radius_sweep_errors",
-    "optimal_radius",
-    "spread_bins",
-    "ols_fit",
-    "calibrate",
-    "fit_bins",
-    "learned_uncertainty_loss",
-    "model_to_dict",
-    "model_from_dict",
-    "load_preset",
-    "PRESET_NAMES",
-]
-
 PRESET_NAMES = ("argoverse", "interaction", "nuscenes", "shifts")
 
 
@@ -86,12 +68,14 @@ class RadiusSweepConfig:
         if not self.r_values:
             object.__setattr__(self, "r_values", _default_r_values())
         rv = tuple(float(r) for r in self.r_values)
-        if any(r <= 0 for r in rv):
-            raise ValueError("all sweep radii must be positive")
-        if any(b <= a for a, b in zip(rv, rv[1:])):
-            raise ValueError("sweep radii must be strictly ascending")
+        # each message starts with the field it rejects
+        for i, r in enumerate(rv):
+            if not r > 0:
+                raise ValueError(f"r_values[{i}]: must be positive, got {r!r}")
+            if i and not r > rv[i - 1]:
+                raise ValueError(f"r_values[{i}]: radii must be strictly ascending, got {r!r} after {rv[i - 1]!r}")
         if self.l_for_objective < 1:
-            raise ValueError("l_for_objective must be at least 1")
+            raise ValueError(f"l_for_objective: must be at least 1, got {self.l_for_objective!r}")
         object.__setattr__(self, "r_values", rv)
 
 

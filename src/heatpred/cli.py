@@ -134,6 +134,16 @@ def _positive(value, key: str) -> float:
     return v
 
 
+def _checked(cls, **values):
+    """``cls(**values)`` for a config class whose checks raise a ValueError
+    that starts with the field it rejects; that error becomes a CliError
+    naming the config key."""
+    try:
+        return cls(**values)
+    except ValueError as e:
+        raise CliError(f"config key {e}") from None
+
+
 def _objects(cfg: dict, key: str) -> list[dict]:
     """The list of JSON objects under config key ``key``; absent or null gives []."""
     entries = [] if cfg.get(key) is None else cfg[key]
@@ -195,7 +205,8 @@ def _sampling_config(cfg: dict, base_dir: Path | None) -> tuple[SamplingConfig, 
         mode = AdaptiveRadius(_read_model(model_path))
     else:
         raise CliError('config key radius: must be an object with "fixed" or "adaptive"')
-    sampling = SamplingConfig(
+    sampling = _checked(
+        SamplingConfig,
         k=_int(cfg["k"], "k"),
         radius_mode=mode,
         r_min=_float(cfg["r_min"], "r_min"),
@@ -387,7 +398,7 @@ STANDARDIZE_DEFAULTS = {"history_s": 1.0, "horizon_s": 3.0, "rate_hz": 10.0}
 def cmd_standardize(args, run: dict) -> int:
     cfg_raw, _ = _load_config(args.config)
     cfg = _merge(STANDARDIZE_DEFAULTS, cfg_raw)
-    std = StandardizationConfig(**{key: _float(cfg[key], key) for key in STANDARDIZE_DEFAULTS})
+    std = _checked(StandardizationConfig, **{key: _float(cfg[key], key) for key in STANDARDIZE_DEFAULTS})
     out, _ = _out_dir(args, run, cfg)
     out_path = out / "standardized.jsonl"
     failed: list[ValueError] = []
@@ -527,15 +538,14 @@ def cmd_calibrate(args, run: dict) -> int:
     k = _int(cfg["k"], "k", at_least=1)
     bin_width = _positive(cfg["bin_width"], "bin_width")
     min_count = _int(cfg["min_count"], "min_count")
-    sweep = RadiusSweepConfig(
+    sweep = _checked(
+        RadiusSweepConfig,
         r_values=() if cfg["r_values"] is None else numbers(cfg["r_values"], "config key r_values"),
         l_for_objective=_int(cfg["l_for_objective"], "l_for_objective"),
     )
     sources = _objects(cfg, "mixed_sources")
     if sources:
-        n = 0 if cfg["mixed_n"] is None else _int(cfg["mixed_n"], "mixed_n")
-        if n < 1:
-            raise CliError("mixed_sources requires a positive mixed_n")
+        n = _int(cfg["mixed_n"], "mixed_n", at_least=1)
         weights = [_source_weight(i, src) for i, src in enumerate(sources)]
         if sum(weights) == 0:
             raise CliError("config key mixed_sources: weights must not all be 0")
@@ -753,7 +763,8 @@ def cmd_analysis(args, run: dict) -> int:
         run["n_bins"] = len(bins)
     elif args.analysis_cmd == "noise-report":
         cfg = _merge(ANALYSIS_NOISE_DEFAULTS, cfg_raw)
-        kcfg = KalmanConfig(
+        kcfg = _checked(
+            KalmanConfig,
             process_accel_std=_float(cfg["process_accel_std"], "process_accel_std"),
             obs_std=_float(cfg["obs_std"], "obs_std"),
         )

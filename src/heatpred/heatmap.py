@@ -24,23 +24,6 @@ import numpy as np
 
 from .io import _shown, canonical_dumps, integer, number, string
 
-__all__ = [
-    "GridSpec",
-    "Heatmap",
-    "GaussianMode",
-    "MixtureSpec",
-    "UncertaintyEstimate",
-    "ZeroMassError",
-    "EmptyRenderError",
-    "uncertainty",
-    "render_mixture",
-    "grid_to_dict",
-    "grid_from_dict",
-    "heatmap_to_dict",
-    "heatmap_to_json",
-    "heatmap_from_dict",
-]
-
 # How far from unit mass the cells of a stored heatmap may sum before the
 # readers count it as renormalized.
 NORMALIZATION_TOL = 1e-6

@@ -1,6 +1,6 @@
 """JSON/JSONL/CSV helpers: deterministic serialization, the one JSONL record
 loader, the staged writers of every output, and the strict readers of config
-values and sample ids."""
+values and of the fields of records."""
 
 from __future__ import annotations
 
@@ -155,7 +155,7 @@ def read_json(path) -> dict:
 
 
 # Strict readers of the values of configs, manifests, scenario configs, model
-# files and the sample ids of records. Each returns ``value`` as stored, or
+# files and the fields of records. Each returns ``value`` as stored, or
 # raises a ValueError that starts with ``where``, such as "config key k".
 
 
@@ -196,4 +196,11 @@ def string(value, where: str) -> str:
     """A JSON string, such as the sample id of a heatmap or ground-truth line."""
     if not isinstance(value, str):
         raise ValueError(f"{where}: {_shown(value)} is not a string")
+    return value
+
+
+def boolean(value, where: str) -> bool:
+    """A JSON ``true`` or ``false``; neither 0, 1 nor a string such as "no" is one."""
+    if not isinstance(value, bool):
+        raise ValueError(f"{where}: {_shown(value)} is not a bool")
     return value

@@ -16,21 +16,6 @@ from .binning import floor_bin_means
 from .io import write_csv
 from .sampling import PredictionSet
 
-__all__ = [
-    "MISS_THRESHOLD_M",
-    "EvalRecord",
-    "AggregateReport",
-    "EmptyPredictionError",
-    "min_fde",
-    "is_miss",
-    "make_eval_record",
-    "aggregate",
-    "bin_by_uncertainty",
-    "write_records_csv",
-    "read_records_csv",
-    "report_to_dict",
-]
-
 MISS_THRESHOLD_M = 2.0
 
 

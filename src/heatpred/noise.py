@@ -14,14 +14,6 @@ import numpy as np
 
 from .trajectory import Sample, Trajectory
 
-__all__ = [
-    "KalmanConfig",
-    "NonUniformSamplingError",
-    "kalman_filter_cv",
-    "perception_noise",
-    "sample_noise",
-]
-
 
 class NonUniformSamplingError(ValueError):
     """Filter requires uniformly sampled timestamps."""
@@ -40,8 +32,11 @@ class KalmanConfig:
     obs_std: float = 0.5
 
     def __post_init__(self):
-        if self.process_accel_std <= 0 or self.obs_std <= 0:
-            raise ValueError("noise parameters must be positive")
+        # each message starts with the field it rejects
+        for name in ("process_accel_std", "obs_std"):
+            value = getattr(self, name)
+            if not 0 < value < np.inf:
+                raise ValueError(f"{name}: must be positive and finite, got {value!r}")
 
 
 def _filter_states(positions: np.ndarray, dt: float, cfg: KalmanConfig):

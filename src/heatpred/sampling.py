@@ -20,18 +20,6 @@ from .heatmap import Heatmap, UncertaintyEstimate, uncertainty
 if TYPE_CHECKING:
     from .calibration import CalibrationModel
 
-__all__ = [
-    "Endpoint",
-    "PredictionSet",
-    "FixedRadius",
-    "AdaptiveRadius",
-    "SamplingConfig",
-    "nms_sample",
-    "adaptive_radius",
-    "sample_with_uncertainty",
-    "prediction_to_dict",
-]
-
 
 class Endpoint(NamedTuple):
     x: float
@@ -71,10 +59,13 @@ class SamplingConfig:
     r_max: float = 10.0
 
     def __post_init__(self):
+        # each message starts with the field it rejects
         if self.k < 1:
-            raise ValueError("k must be at least 1")
-        if not 0 < self.r_min <= self.r_max:
-            raise ValueError("need 0 < r_min <= r_max")
+            raise ValueError(f"k: must be at least 1, got {self.k!r}")
+        if not self.r_min > 0:
+            raise ValueError(f"r_min: must be positive, got {self.r_min!r}")
+        if not self.r_max >= self.r_min:
+            raise ValueError(f"r_max: must be at least r_min ({self.r_min!r}), got {self.r_max!r}")
 
 
 def nms_sample(h: Heatmap, k: int, r: float) -> PredictionSet:

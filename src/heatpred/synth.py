@@ -35,14 +35,6 @@ from .heatmap import (
 from .io import canonical_dumps, config_hash, integer, number, numbers, staged_files, write_json
 from .pool import map_ordered
 
-__all__ = [
-    "ScenarioConfig",
-    "default_grid",
-    "draw_mixture",
-    "sample_scenario",
-    "generate_dataset",
-]
-
 
 def default_grid() -> GridSpec:
     # covers the default mean region plus a 4-sigma reach of the widest mode
@@ -62,18 +54,19 @@ class ScenarioConfig:
     truncate_sigmas: float = 4.0
 
     def __post_init__(self):
+        # each message starts with the field it rejects
         lo, hi = self.n_modes_range
         if not 1 <= lo <= hi:
-            raise ValueError("n_modes_range must be a non-empty range of counts >= 1")
+            raise ValueError("n_modes_range: must be a non-empty range of counts >= 1")
         if self.sigma_range[0] <= 0 or self.sigma_range[1] < self.sigma_range[0]:
-            raise ValueError("sigma_range must be positive and non-empty")
+            raise ValueError("sigma_range: must be positive and non-empty")
         if self.weight_floor < 0 or self.weight_floor * hi > 1:
-            raise ValueError("weight_floor * max modes must not exceed 1")
+            raise ValueError(f"weight_floor: must be in [0, 1 / {hi}], got {self.weight_floor!r}")
         (x0, x1), (y0, y1) = self.mean_region
         if x1 < x0 or y1 < y0:
-            raise ValueError("mean_region must be a non-empty rectangle")
+            raise ValueError("mean_region: must be a non-empty rectangle")
         if not self.truncate_sigmas >= 3.0:
-            raise ValueError("truncate_sigmas must be at least 3")
+            raise ValueError("truncate_sigmas: must be at least 3")
 
     def to_dict(self) -> dict:
         return {
@@ -89,10 +82,13 @@ class ScenarioConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioConfig":
         """Inverse of :meth:`to_dict`; absent keys keep their defaults. A value
-        that does not parse raises a ValueError naming its key."""
-        return cls(**{
-            key: read(d[key], f"config key {key}") for key, read in _FIELD_READERS.items() if key in d
-        })
+        that does not parse, or that the checks reject, raises a ValueError
+        naming its key."""
+        values = {key: read(d[key], f"config key {key}") for key, read in _FIELD_READERS.items() if key in d}
+        try:
+            return cls(**values)
+        except ValueError as e:
+            raise ValueError(f"config key {e}") from None
 
 
 def _grid(value, where: str) -> GridSpec:

@@ -9,22 +9,10 @@ and the future covers (0, horizon], both resampled to a fixed rate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
 
 import numpy as np
 
-__all__ = [
-    "Trajectory",
-    "Sample",
-    "StandardizationConfig",
-    "CoverageError",
-    "DegenerateTrajectoryError",
-    "resample_trajectory",
-    "standardize_sample",
-    "average_speed",
-    "sample_to_dict",
-    "sample_from_dict",
-]
+from .io import boolean, numbers, string
 
 # slack for float fuzz when checking window coverage / standardization
 TIME_TOL = 1e-6
@@ -56,10 +44,6 @@ class Trajectory:
             raise ValueError("timestamps must be strictly increasing")
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
-
-    @classmethod
-    def from_points(cls, points: Iterable[Sequence[float]]) -> "Trajectory":
-        return cls(np.array([[p[0], p[1], p[2]] for p in points], dtype=np.float64))
 
     @property
     def ts(self) -> np.ndarray:
@@ -98,11 +82,16 @@ class StandardizationConfig:
     rate_hz: float = 10.0
 
     def __post_init__(self):
-        if self.history_s <= 0 or self.horizon_s <= 0 or self.rate_hz <= 0:
-            raise ValueError("history, horizon and rate must be positive")
+        # each message starts with the field it rejects
+        for name in ("history_s", "horizon_s", "rate_hz"):
+            value = getattr(self, name)
+            if not 0 < value < np.inf:
+                raise ValueError(f"{name}: must be positive and finite, got {value!r}")
         steps = self.horizon_s * self.rate_hz
-        if abs(steps - round(steps)) > 1e-9:
-            raise ValueError("rate_hz * horizon_s must be an integer step count")
+        if not np.isfinite(steps) or abs(steps - round(steps)) > 1e-9:
+            raise ValueError(
+                f"horizon_s: must be a whole number of steps at rate_hz {self.rate_hz!r}, got {self.horizon_s!r}"
+            )
 
 
 def resample_trajectory(traj: Trajectory, rate_hz: float, t_start: float, t_end: float) -> Trajectory:
@@ -198,12 +187,19 @@ def sample_to_dict(s: Sample) -> dict:
     return d
 
 
+def _track(value, where: str) -> Trajectory:
+    """A track stored as a JSON list of points, each exactly three JSON numbers (t, x, y)."""
+    return Trajectory(numbers(value, where, item=lambda p, w: numbers(p, w, 3)))
+
+
 def sample_from_dict(d: dict) -> Sample:
+    """The scene of one JSONL line; a field of the wrong type raises a
+    ValueError naming it, such as ``past[0][0]: '-0.2' is not a valid float``."""
     return Sample(
-        id=str(d["id"]),
-        dataset=str(d["dataset"]),
-        past=Trajectory.from_points(d["past"]),
-        future=Trajectory.from_points(d["future"]),
-        neighbors=[Trajectory.from_points(nb) for nb in d.get("neighbors", [])],
-        is_predefined_target=bool(d.get("is_predefined_target", True)),
+        id=string(d["id"], "id"),
+        dataset=string(d["dataset"], "dataset"),
+        past=_track(d["past"], "past"),
+        future=_track(d["future"], "future"),
+        neighbors=list(numbers(d.get("neighbors", []), "neighbors", item=_track)),
+        is_predefined_target=boolean(d.get("is_predefined_target", True), "is_predefined_target"),
     )

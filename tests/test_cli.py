@@ -424,10 +424,13 @@ class TestConfigAndFlags:
             ('{"k": 6.7}', "config key k: 6.7 is not a valid int"),
             ('{"miss_threshold": "2"}', "config key miss_threshold: '2' is not a valid float"),
             ('{"miss_threshold": NaN}', "config key miss_threshold: nan is not a valid float"),
+            ('{"k": 0}', "config key k: must be at least 1, got 0"),
+            ('{"r_min": 5, "r_max": 1}', "config key r_max: must be at least r_min (5.0), got 1.0"),
+            ('{"r_min": 0}', "config key r_min: must be positive, got 0.0"),
         ],
         ids=[
             "array", "string", "radius-number", "k-null", "k-bool", "k-fraction", "miss_threshold-string",
-            "miss_threshold-nan",
+            "miss_threshold-nan", "k-zero", "r_max-below-r_min", "r_min-zero",
         ],
     )
     def test_bad_config_fails_naming_file_or_key(self, tmp_path, caplog, text, named):
@@ -463,12 +466,33 @@ class TestConfigAndFlags:
             ("calibrate", lambda c: c.update(mixed_sources=False), "config key mixed_sources: must be a list of objects"),
             ("calibrate", lambda c: c.update(r_values=[0.5, "x"]),
              "config key r_values[1]: 'x' is not a valid float"),
+            ("cross-eval", lambda m: m.update(sampling={"k": 0}), "config key k: must be at least 1, got 0"),
+            ("sample", lambda c: c.update(k=0), "config key k: must be at least 1, got 0"),
+            ("sample", lambda c: c.update(r_min=5, r_max=1),
+             "config key r_max: must be at least r_min (5.0), got 1.0"),
+            ("calibrate", lambda c: c.update(l_for_objective=0),
+             "config key l_for_objective: must be at least 1, got 0"),
+            ("calibrate", lambda c: c.update(r_values=[0.5, 0.2]),
+             "config key r_values[1]: radii must be strictly ascending, got 0.2 after 0.5"),
+            ("calibrate", lambda c: c.update(r_values=[-1, 0.2]), "config key r_values[0]: must be positive, got -1.0"),
+            ("calibrate", lambda c: c.update(mixed_n=0), "config key mixed_n: must be at least 1, got 0"),
+            ("standardize", lambda c: c.update(rate_hz=0), "config key rate_hz: must be positive and finite, got 0.0"),
+            ("standardize", lambda c: c.update(rate_hz=math.inf),
+             "config key rate_hz: must be positive and finite, got inf"),
+            ("standardize", lambda c: c.update(horizon_s=0.15),
+             "config key horizon_s: must be a whole number of steps at rate_hz 10.0, got 0.15"),
+            ("noise-report", lambda c: c.update(obs_std=0), "config key obs_std: must be positive and finite, got 0.0"),
+            ("noise-report", lambda c: c.update(process_accel_std=math.inf),
+             "config key process_accel_std: must be positive and finite, got inf"),
         ],
         ids=[
             "model-no-train_dataset", "models-not-a-list", "test-set-no-dataset", "test-set-no-heatmaps",
             "test-set-no-ground_truth", "sampling-k-null", "sampling-radius", "fixed_radius-string",
             "source-no-heatmaps", "weights-all-zero", "weight-negative", "weight-not-a-number",
-            "r_values-string", "r_values-item-string", "mixed_sources-false",
+            "r_values-string", "r_values-item-string", "mixed_sources-false", "sampling-k-zero", "sample-k-zero",
+            "sample-r_max-below-r_min", "l_for_objective-zero", "r_values-descending", "r_values-negative",
+            "mixed_n-zero", "rate_hz-zero", "rate_hz-infinite", "horizon_s-fractional-steps", "obs_std-zero",
+            "process_accel_std-infinite",
         ],
     )
     def test_bad_manifest_entry_fails_naming_entry_and_key(self, tmp_path, caplog, command, edit, named):
@@ -479,12 +503,20 @@ class TestConfigAndFlags:
                 "models": [{"train_dataset": "m0", "fixed_radius": 1.0}],
                 "test_sets": [{"dataset": "t0", **files}],
             }
-        else:
+        elif command == "calibrate":
             cfg = {"min_count": 1, "mixed_n": 4, "mixed_sources": [dict(files), dict(files)]}
+        else:
+            cfg = {}
         edit(cfg)
         path = tmp_path / "cfg.json"
         write_json(path, cfg)
-        argv = ["cross-eval", str(path)] if command == "cross-eval" else ["calibrate", "--config", str(path)]
+        argv = {
+            "cross-eval": ["cross-eval", str(path)],
+            "calibrate": ["calibrate", "--config", str(path)],
+            "sample": ["sample", str(hm), "--config", str(path)],
+            "standardize": ["standardize", str(hm), "--config", str(path)],
+            "noise-report": ["analysis", "noise-report", str(hm), "--config", str(path)],
+        }[command]
         assert main(argv + ["--out", str(tmp_path / "out")]) == EXIT_FAILURE
         assert named in caplog.text
         assert "Traceback" not in caplog.text
@@ -527,8 +559,12 @@ class TestConfigAndFlags:
             ({"n": "many"}, [], "config key n"),
             ({"n": 0}, [], "config key n: must be at least 1, got 0"),
             ({}, ["--n", "0"], "--n must be at least 1, got 0"),
+            ({"n_modes_range": [2, 1]}, [], "config key n_modes_range: must be a non-empty range"),
         ],
-        ids=["unknown-key", "grid-partial", "n_modes_range-number", "seed-string", "n-string", "n-zero", "n-flag-zero"],
+        ids=[
+            "unknown-key", "grid-partial", "n_modes_range-number", "seed-string", "n-string", "n-zero", "n-flag-zero",
+            "n_modes_range-empty",
+        ],
     )
     def test_bad_synth_config_names_key(self, tmp_path, caplog, cfg, flags, named):
         write_json(tmp_path / "cfg.json", cfg)
@@ -1128,6 +1164,22 @@ class TestInputMassDiagnostics:
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 
+# (id suffix, edit of a scene line, reason named): each field is read
+# strictly, so none of these stands for another value
+BAD_SCENE_LINES = [
+    ("", lambda d: d.pop("past"), "missing key 'past'"),
+    ("-id-number", lambda d: d.update(id=5), "id: 5 is not a string"),
+    ("-dataset-bool", lambda d: d.update(dataset=True), "dataset: True is not a string"),
+    ("-past-time-string", lambda d: d["past"][0].__setitem__(0, "-0.2"), "past[0][0]: '-0.2' is not a valid float"),
+    ("-past-x-bool", lambda d: d["past"][1].__setitem__(1, True), "past[1][1]: True is not a valid float"),
+    ("-future-point-of-two", lambda d: d["future"].__setitem__(0, [0.1, 0.0]),
+     "future[0]: [0.1, 0.0] is not a list of 3 values"),
+    ("-neighbor-point-of-four", lambda d: d.update(neighbors=[[[0.0, 1.0, 2.0, 3.0]]]),
+     "neighbors[0][0]: [0.0, 1.0, 2.0, 3.0] is not a list of 3 values"),
+    ("-target-string", lambda d: d.update(is_predefined_target="no"), "is_predefined_target: 'no' is not a bool"),
+]
+
+
 class TestAnalysis:
     def test_uncertainty_error_table(self, tmp_path):
         recs = []
@@ -1177,14 +1229,26 @@ class TestAnalysis:
         assert float(rows[0]["bin_lower"]) == 0.0
         assert float(rows[0]["fraction"]) == 1.0
 
-    @pytest.mark.parametrize("report", ["speed-report", "noise-report"])
-    def test_scene_without_past_names_line_and_sample(self, tmp_path, caplog, report):
+    @pytest.mark.parametrize(
+        "report, edit, named",
+        [
+            pytest.param(report, edit, named, id=report + suffix)
+            for report in ("speed-report", "noise-report", "standardize")
+            for suffix, edit, named in BAD_SCENE_LINES
+            if report != "standardize" or suffix  # TestStandardize already covers skipping a bad line
+        ],
+    )
+    def test_scene_without_past_names_line_and_sample(self, tmp_path, caplog, report, edit, named):
+        # speed-report and noise-report stop at a bad scene line; standardize
+        # skips it and exits 2, as other lines succeed
         scenes = tmp_path / "scenes.jsonl"
         rows = [sample_to_dict(straight_sample(1.0, sample_id=f"s{i}")) for i in range(2)]
-        del rows[1]["past"]
+        edit(rows[1])
         write_jsonl(scenes, rows)
-        assert main(["analysis", report, str(scenes), "--out", str(tmp_path / "out")]) == EXIT_FAILURE
-        assert f"{scenes}:2 (sample s1): missing key 'past'" in caplog.text
+        argv = ["standardize"] if report == "standardize" else ["analysis", report]
+        code = main(argv + [str(scenes), "--out", str(tmp_path / "out")])
+        assert code == (EXIT_PARTIAL if report == "standardize" else EXIT_FAILURE)
+        assert f"{scenes}:2 (sample {rows[1]['id']}): {named}" in caplog.text
         assert "Traceback" not in caplog.text
 
     def test_noise_report_noiseless(self, tmp_path):

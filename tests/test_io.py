@@ -1,6 +1,10 @@
+import subprocess
+import sys
+
 import pytest
 
 from heatpred.io import (
+    boolean,
     integer,
     jsonl_ranges,
     number,
@@ -12,6 +16,7 @@ from heatpred.io import (
     write_jsonl,
     write_text,
 )
+from helpers import child_env
 
 
 def _as_read(r):
@@ -101,6 +106,8 @@ def test_bad_lines_name_path_line_and_sample(tmp_path):
         (string, 5, "k: 5 is not a string"),
         (string, None, "k: None is not a string"),
         (string, ["a"], "k: ['a'] is not a string"),
+        (boolean, "no", "k: 'no' is not a bool"),
+        (boolean, 1, "k: 1 is not a bool"),
     ],
 )
 def test_strict_readers_reject_naming_the_key(read, value, message):
@@ -116,6 +123,18 @@ def test_strict_readers_return_values_as_stored():
     assert numbers([1, 2.5], "k") == (1, 2.5)
     assert numbers([], "k") == ()
     assert string("5", "k") == "5"
+    assert boolean(False, "k") is False
+
+
+@pytest.mark.parametrize("module", ["heatpred", "heatpred.io"])
+def test_import_loads_only_that_module(module):
+    # the package root re-exports nothing, so importing it, or a module
+    # that needs no numpy, loads neither numpy nor the other modules
+    code = f"import sys, {module}; print(*sorted(m for m in sys.modules if m.startswith(('heatpred', 'numpy'))))"
+    loaded = subprocess.run(
+        [sys.executable, "-c", code], env=child_env(), check=True, capture_output=True, text=True, timeout=60,
+    ).stdout
+    assert loaded.split() == sorted({"heatpred", module})
 
 
 class WriteFailed(RuntimeError):
