@@ -51,6 +51,8 @@ class CalibrationModel:
             raise ValueError(f"slope a must be finite, got {self.a!r}")
         if not self.b > 0:
             raise ValueError(f"intercept b must be positive, got {self.b!r}")
+        if not math.isfinite(self.b):
+            raise ValueError(f"intercept b must be finite, got {self.b!r}")
 
 
 def _default_r_values() -> tuple[float, ...]:

@@ -42,6 +42,7 @@ from .heatmap import (
 )
 from .io import (
     config_hash,
+    finite,
     integer,
     jsonl_ranges,
     number,
@@ -228,8 +229,8 @@ def _default_workers() -> int:
 
 
 def _ground_truth_row(d: dict) -> tuple[str, tuple[float, float]]:
-    gx, gy = numbers(d["gt"], "gt", 2)
-    return string(d["sample_id"], "sample_id"), (float(gx), float(gy))
+    gt = numbers(d["gt"], "gt", 2, item=finite)
+    return string(d["sample_id"], "sample_id"), gt
 
 
 def _load_ground_truth(path: Path) -> dict[str, tuple[float, float]]:

@@ -53,8 +53,14 @@ class GridSpec:
     height: int
 
     def __post_init__(self):
+        for name in ("origin_x", "origin_y"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name}: {value!r} is not finite")
         if self.resolution <= 0:
             raise ValueError("resolution must be positive")
+        if not math.isfinite(self.resolution):
+            raise ValueError(f"resolution: {self.resolution!r} is not finite")
         if self.width < 1 or self.height < 1:
             raise ValueError("grid must have at least one cell per axis")
 

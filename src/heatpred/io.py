@@ -7,6 +7,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 from contextlib import ExitStack, contextmanager
@@ -51,6 +52,30 @@ def _line_number(path, offset: int, known: tuple[int, int]) -> int:
         return number + f.read(offset - at).count(b"\n")
 
 
+# What a record's parser may raise for a bad record.
+_BAD_RECORD = (KeyError, IndexError, TypeError, ValueError, OverflowError)
+
+
+def _json_parsed(line: bytes, parse: Callable[[dict], object]) -> tuple[object, str | None]:
+    """``(parse(record), None)`` for the record of ``line`` as Python's json
+    module reads it, or, when that fails, ``(None, " (sample <id>): <reason>")``
+    (the sample part only when the record names one)."""
+    record = None
+    try:
+        try:
+            record = json.loads(line)
+        except (ValueError, RecursionError) as e:  # also bytes that are not UTF-8, or nesting too deep
+            raise ValueError(f"invalid JSON ({e})") from None
+        if not isinstance(record, dict):
+            raise ValueError("record must be a JSON object")
+        return parse(record), None
+    except _BAD_RECORD as e:
+        sid = record.get("sample_id", record.get("id")) if isinstance(record, dict) else None
+        who = "" if sid is None else f" (sample {sid if isinstance(sid, str) else _shown(sid)})"
+        why = f"missing key {e}" if isinstance(e, KeyError) else str(e)
+        return None, f"{who}: {why}"
+
+
 def read_jsonl(path, parse: Callable[[dict], object], start: int = 0, end: int | None = None) -> Iterator:
     """``parse(record)`` for every non-blank line of ``path`` that starts in bytes
     ``[start, end)`` (by default, the whole file), in file order.
@@ -60,24 +85,27 @@ def read_jsonl(path, parse: Callable[[dict], object], start: int = 0, end: int |
     instead a ValueError reading ``path:line (sample <id>): <reason>``, the
     sample id (or scene id) named when the record has one; reading goes on
     after it. Each line number is counted on from the last one.
+
+    Lines are decoded by orjson. A line that orjson refuses, that is not an
+    object, or whose record ``parse`` rejects, is read again by Python's json
+    module, and that reading is kept: so a failing line fails with json's
+    values and message. orjson reads an integer beyond 64 bits as the
+    nearest float, and nesting of any depth.
     """
+    import orjson  # here, not at the top: synth and --version read no JSONL and skip its import
+
     numbered = (0, 1)  # (byte offset, number) of the last line numbered
     for offset, line in _jsonl_lines(path, start, end):
-        record = None
         try:
-            try:
-                record = json.loads(line)
-            except (ValueError, RecursionError) as e:  # also bytes that are not UTF-8, or nesting too deep
-                raise ValueError(f"invalid JSON ({e})") from None
+            record = orjson.loads(line)
             if not isinstance(record, dict):
-                raise ValueError("record must be a JSON object")
+                raise TypeError  # json's reading words the message
             value = parse(record)
-        except (KeyError, IndexError, TypeError, ValueError, OverflowError) as e:
-            sid = record.get("sample_id", record.get("id")) if isinstance(record, dict) else None
-            who = "" if sid is None else f" (sample {sid if isinstance(sid, str) else _shown(sid)})"
-            why = f"missing key {e}" if isinstance(e, KeyError) else str(e)
-            numbered = (offset, _line_number(path, offset, numbered))
-            value = ValueError(f"{path}:{numbered[1]}{who}: {why}")
+        except _BAD_RECORD:  # orjson.JSONDecodeError is a ValueError
+            value, why = _json_parsed(line, parse)
+            if why is not None:
+                numbered = (offset, _line_number(path, offset, numbered))
+                value = ValueError(f"{path}:{numbered[1]}{why}")
         yield value
 
 
@@ -161,7 +189,10 @@ def read_json(path) -> dict:
 
 def _shown(value) -> str:
     """``repr(value)`` for a message, cut after 40 characters with a mark that says how long it was."""
-    text = repr(value)
+    try:
+        text = repr(value)
+    except RecursionError:  # nested deeper than repr can go, as orjson reads any depth
+        return f"a {type(value).__name__} nested too deeply to show"
     return text if len(text) <= 40 else f"{text[:40]}... ({len(text)} characters)"
 
 
@@ -172,6 +203,15 @@ def number(value, where: str):
         raise ValueError(f"{where}: {_shown(value)} is not a valid float")
     if isinstance(value, int) and abs(value) > sys.float_info.max:
         raise ValueError(f"{where}: {_shown(value)} is too large for a float")
+    return value
+
+
+def finite(value, where: str) -> float:
+    """A JSON number as a float that is neither infinite nor NaN, such as a
+    ground-truth coordinate; 1e400 and a JSON ``Infinity`` read as infinite."""
+    value = float(number(value, where))
+    if not math.isfinite(value):
+        raise ValueError(f"{where}: {value!r} is not finite")
     return value
 
 

@@ -188,8 +188,14 @@ def sample_to_dict(s: Sample) -> dict:
 
 
 def _track(value, where: str) -> Trajectory:
-    """A track stored as a JSON list of points, each exactly three JSON numbers (t, x, y)."""
-    return Trajectory(numbers(value, where, item=lambda p, w: numbers(p, w, 3)))
+    """A track stored as a JSON list of points, each exactly three JSON numbers
+    (t, x, y); a bad track raises a ValueError naming it, such as
+    ``past: timestamps must be strictly increasing``."""
+    points = numbers(value, where, item=lambda p, w: numbers(p, w, 3))
+    try:
+        return Trajectory(points)
+    except ValueError as e:
+        raise ValueError(f"{where}: {e}") from None
 
 
 def sample_from_dict(d: dict) -> Sample:

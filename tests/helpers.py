@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import os
 from pathlib import Path
@@ -10,6 +11,7 @@ import numpy as np
 
 import heatpred
 from heatpred.heatmap import GridSpec, Heatmap
+from heatpred.io import _shown
 from heatpred.trajectory import Sample, Trajectory
 
 
@@ -18,6 +20,33 @@ def child_env(**overrides: str) -> dict[str, str]:
     PYTHONPATH, for a Python subprocess that imports it."""
     paths = [str(Path(heatpred.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
     return {**os.environ, **overrides, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+
+
+def json_read_jsonl(path, parse) -> list:
+    """What ``heatpred.io.read_jsonl(path, parse)`` yields, read by Python's
+    json module alone, line by line: ``parse(record)``, or a ValueError
+    ``path:line (sample <id>): <reason>`` for a line that fails."""
+    out = []
+    with open(path, "rb") as f:
+        for number, raw in enumerate(f, 1):
+            line = raw.strip()
+            if not line:
+                continue
+            record = None
+            try:
+                try:
+                    record = json.loads(line)
+                except (ValueError, RecursionError) as e:
+                    raise ValueError(f"invalid JSON ({e})") from None
+                if not isinstance(record, dict):
+                    raise ValueError("record must be a JSON object")
+                out.append(parse(record))
+            except (KeyError, IndexError, TypeError, ValueError, OverflowError) as e:
+                sid = record.get("sample_id", record.get("id")) if isinstance(record, dict) else None
+                who = "" if sid is None else f" (sample {sid if isinstance(sid, str) else _shown(sid)})"
+                why = f"missing key {e}" if isinstance(e, KeyError) else str(e)
+                out.append(ValueError(f"{path}:{number}{who}: {why}"))
+    return out
 
 
 def dense_from_heatmap(h: Heatmap) -> np.ndarray:

@@ -529,10 +529,11 @@ class TestConfigAndFlags:
             ("{}", "m.json: missing key 'a'"),
             ("[1,2]", "m.json: top level must be a JSON object"),
             ('{"a": 1, "b": -1}', "m.json: intercept b must be positive"),
+            ('{"a": 0.1, "b": Infinity}', "m.json: intercept b must be finite, got inf"),
             ('{"a": "x", "b": 1}', "m.json: key a: 'x' is not a valid float"),
             ('{"a": 0.1, "b": 1, "bin_count": "many"}', "m.json: key bin_count"),
         ],
-        ids=["empty", "array", "negative-b", "a-string", "bin_count-string"],
+        ids=["empty", "array", "negative-b", "infinite-b", "a-string", "bin_count-string"],
     )
     def test_bad_adaptive_model_names_file_and_key(self, tmp_path, caplog, command, text, named):
         hm, gt = write_pairs(tmp_path, point_mass_pairs(3))
@@ -850,6 +851,39 @@ class TestMalformedRecord:
             warnings.simplefilter("error", RuntimeWarning)
             assert main(["evaluate", str(hm), str(gt), "--out", str(tmp_path / "o")]) == EXIT_FAILURE
         assert f"{path}:2 (sample c0001): {named}" in caplog.text
+
+    @pytest.mark.parametrize(
+        "kind, path, text, named",
+        [
+            ("ground_truth", ("gt", 0), "1e400", "gt[0]: inf is not finite"),
+            ("ground_truth", ("gt", 0), "Infinity", "gt[0]: inf is not finite"),
+            ("ground_truth", ("gt", 1), "-1e400", "gt[1]: -inf is not finite"),
+            ("heatmaps", ("grid", "resolution"), "1e400", "resolution: inf is not finite"),
+            ("heatmaps", ("grid", "resolution"), "Infinity", "resolution: inf is not finite"),
+            ("heatmaps", ("grid", "origin_x"), "1e400", "origin_x: inf is not finite"),
+            ("heatmaps", ("grid", "origin_x"), "Infinity", "origin_x: inf is not finite"),
+            ("heatmaps", ("grid", "origin_y"), "-Infinity", "origin_y: -inf is not finite"),
+        ],
+        ids=["gt-1e400", "gt-Infinity", "gt-y-minus-1e400", "resolution-1e400", "resolution-Infinity",
+             "origin_x-1e400", "origin_x-Infinity", "origin_y-minus-Infinity"],
+    )
+    def test_non_finite_number_is_a_bad_line(self, tmp_path, caplog, kind, path, text, named):
+        # orjson refuses each of these lines, and Python's json reads the
+        # number as infinite; the run fails instead of writing Infinity
+        hm, gt = write_pairs(tmp_path / "d", point_mass_pairs(2))
+        file = hm if kind == "heatmaps" else gt
+        rows = [json.loads(ln) for ln in file.read_text().splitlines()]
+        holder = rows[1]
+        for key in path[:-1]:
+            holder = holder[key]
+        holder[path[-1]] = 123.456789
+        write_jsonl(file, rows)
+        file.write_text(file.read_text().replace("123.456789", text))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["evaluate", str(hm), str(gt), "--out", str(tmp_path / "o")]) == EXIT_FAILURE
+        assert f"{file}:2 (sample c0001): {named}" in caplog.text
+        assert not (tmp_path / "o" / "aggregate.json").exists()
 
     @pytest.mark.parametrize(
         "cell, named",
@@ -1177,6 +1211,10 @@ BAD_SCENE_LINES = [
     ("-neighbor-point-of-four", lambda d: d.update(neighbors=[[[0.0, 1.0, 2.0, 3.0]]]),
      "neighbors[0][0]: [0.0, 1.0, 2.0, 3.0] is not a list of 3 values"),
     ("-target-string", lambda d: d.update(is_predefined_target="no"), "is_predefined_target: 'no' is not a bool"),
+    ("-past-backwards", lambda d: d["past"].reverse(), "past: timestamps must be strictly increasing"),
+    ("-future-empty", lambda d: d.update(future=[]), "future: trajectory data must have shape (n, 3)"),
+    ("-neighbor-infinite-point", lambda d: d.update(neighbors=[[[0.0, math.inf, 1.0]]]),
+     "neighbors[0]: trajectory values must be finite"),
 ]
 
 

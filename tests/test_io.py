@@ -1,8 +1,14 @@
+import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from heatpred import cli
+from heatpred.heatmap import GridSpec, Heatmap, heatmap_from_dict, heatmap_to_json
 from heatpred.io import (
     boolean,
     integer,
@@ -16,7 +22,8 @@ from heatpred.io import (
     write_jsonl,
     write_text,
 )
-from helpers import child_env
+from heatpred.trajectory import Sample, sample_from_dict
+from helpers import child_env, json_read_jsonl, random_heatmap
 
 
 def _as_read(r):
@@ -86,6 +93,14 @@ def test_bad_lines_name_path_line_and_sample(tmp_path):
     assert len(errors) == 7
 
 
+def _nested(depth: int) -> list:
+    """A list ``depth`` levels deep around 1.0, which ``repr`` cannot show."""
+    value = 1.0
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
 @pytest.mark.parametrize(
     "read, value, message",
     [
@@ -108,6 +123,7 @@ def test_bad_lines_name_path_line_and_sample(tmp_path):
         (string, ["a"], "k: ['a'] is not a string"),
         (boolean, "no", "k: 'no' is not a bool"),
         (boolean, 1, "k: 1 is not a bool"),
+        (number, _nested(100_000), "k: a list nested too deeply to show is not a valid float"),
     ],
 )
 def test_strict_readers_reject_naming_the_key(read, value, message):
@@ -181,3 +197,187 @@ def test_writers_replace_an_earlier_file(tmp_path):
     write_text(path, "| a |\n")
     assert path.read_bytes() == b"| a |\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+
+# ---------------------------------------------------------------------------
+# The decoder: orjson for every line, Python's json for the lines that fail
+
+
+class Raw(bytes):
+    """JSON text written as given."""
+
+
+def _text(value) -> bytes:
+    if isinstance(value, Raw):
+        return bytes(value)
+    if isinstance(value, dict):
+        return b"{" + b",".join(json.dumps(k).encode() + b":" + _text(v) for k, v in value.items()) + b"}"
+    if isinstance(value, list):
+        return b"[" + b",".join(_text(v) for v in value) + b"]"
+    return json.dumps(value).encode()
+
+
+def _heatmap_record():
+    grid = {"origin_x": -1.5, "origin_y": -2.0, "resolution": 0.5, "width": 8, "height": 6}
+    return {"sample_id": "s1", "grid": grid, "cells": [[3, 0.25], [10, 0.5], [40, 0.25]]}
+
+
+def _scene_record():
+    return {
+        "id": "s1", "dataset": "d",
+        "past": [[-0.2, 0.0, 0.0], [-0.1, 0.1, 0.0], [0.0, 0.2, 0.0]],
+        "future": [[0.1, 0.3, 0.0], [0.2, 0.4, 0.0]],
+        "neighbors": [[[-0.1, 1.0, 1.0], [0.1, 1.0, 2.0]]],
+        "is_predefined_target": True,
+    }
+
+
+# (good record, parser, the key of its id) of each kind of JSONL line
+_LINES = {
+    "heatmap": (_heatmap_record, heatmap_from_dict, "sample_id"),
+    "ground-truth": (lambda: {"sample_id": "s1", "gt": [1.0, -2.5]}, cli._ground_truth_row, "sample_id"),
+    "scene": (_scene_record, sample_from_dict, "id"),
+}
+
+
+def _numeric_paths(value, path=()):
+    """The path of every number in a record, keys and list positions."""
+    if isinstance(value, dict):
+        return [p for k, v in value.items() for p in _numeric_paths(v, path + (k,))]
+    if isinstance(value, list):
+        return [p for i, v in enumerate(value) for p in _numeric_paths(v, path + (i,))]
+    return [path] if isinstance(value, (int, float)) and not isinstance(value, bool) else []
+
+
+def _replace(record, path, new):
+    for key in path[:-1]:
+        record = record[key]
+    record[path[-1]] = new(record[path[-1]])
+
+
+_digits = st.text("0123456789", min_size=17, max_size=40).filter(lambda d: d[0] != "0")
+_NUMBER_TEXT = st.one_of(
+    st.integers(min_value=2**64, max_value=10**400).map(str),
+    st.integers(min_value=-(10**400), max_value=-(2**63) - 1).map(str),
+    st.sampled_from(["NaN", "Infinity", "-Infinity", "1e400", "-1e400", "1E-400", "-0", "-0.0",
+                     "1.7976931348623159e308", "2.2250738585072011e-308", "5e-324",
+                     "0.1000000000000000055511151231257827", "18446744073709551615"]),
+    # a float of 17 to 40 significant digits, with its point anywhere and any exponent
+    st.tuples(st.sampled_from(["", "-"]), _digits, st.integers(1, 40), st.integers(-330, 330)).map(
+        lambda t: f"{t[0]}{t[1][:t[2]]}{'.' + t[1][t[2]:] if t[1][t[2]:] else ''}e{t[3]}"
+    ),
+)
+# an id string, each as JSON text: lone surrogates escaped and as raw
+# bytes, bytes that are not UTF-8, and two that every decoder reads
+_STRING_TEXT = st.sampled_from([
+    b'"\\ud800"', b'"a\\udfff"', b'"\\ud83d\\ude00"', b'"\\u00e9"',
+    b'"\xed\xa0\x80"', b'"a\xed\xbf\xbf"', b'"\xff"', b'"\xc3("', b'"\xe2\x82"', b'"\xf0\x9f\x98\x80"',
+])
+
+
+@st.composite
+def _mutated_line(draw, kind):
+    record = _LINES[kind][0]()
+    mutation = draw(st.sampled_from(["numbers", "string", "nesting", "duplicate-key", "truncated"]))
+    if mutation == "numbers":
+        # integers beyond 64 bits, NaN, Infinity, 1e400 and long floats, in any numeric fields
+        paths = _numeric_paths(record)
+        for i in draw(st.sets(st.integers(0, len(paths) - 1), min_size=1)):
+            _replace(record, paths[i], lambda _: Raw(draw(_NUMBER_TEXT).encode()))
+    elif mutation == "string":
+        record[_LINES[kind][2]] = Raw(draw(_STRING_TEXT))
+    elif mutation == "nesting":
+        # a value the parser reads, 2,000 deep in lists or objects
+        path = draw(st.sampled_from(_numeric_paths(record)))
+        opened, closed = draw(st.sampled_from([(b"[", b"]"), (b'{"k":', b"}")]))
+        _replace(record, path, lambda v: Raw(opened * 2000 + _text(v) + closed * 2000))
+    elif mutation == "duplicate-key":
+        key = draw(st.sampled_from(sorted(record)))
+        other = _text(draw(st.sampled_from(["s2", 7, [0.5, 1.5], None, {}])))
+        pair = json.dumps(key).encode() + b":" + other
+        text = _text(record)
+        return text[:1] + pair + b"," + text[1:] if draw(st.booleans()) else text[:-1] + b"," + pair + b"}"
+    else:
+        text = _text(record)
+        return text[: draw(st.integers(1, len(text) - 1))]
+    return _text(record)
+
+
+def _comparable(value):
+    """A read value with every float as its repr, so 0.0 and -0.0 differ."""
+    if isinstance(value, ValueError):
+        return ("error", str(value))
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, tuple):
+        return tuple(_comparable(v) for v in value)
+    if isinstance(value, Heatmap):
+        return (repr(value.grid), value.idx.tolist(), _comparable(tuple(value.prob.tolist())), repr(value.mass))
+    if isinstance(value, Sample):
+        tracks = [value.past, value.future, *value.neighbors]
+        return (value.id, value.dataset, value.is_predefined_target, [repr(t.data.tolist()) for t in tracks])
+    return value
+
+
+@pytest.mark.parametrize("kind", sorted(_LINES))
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_lines_read_as_json_reads_them(tmp_path, kind, data):
+    # the mutated line between two good ones: equal values, or the same message
+    good = _text(_LINES[kind][0]())
+    path = tmp_path / "f.jsonl"
+    path.write_bytes(b"\n".join([good, data.draw(_mutated_line(kind)), good]) + b"\n")
+    parse = _LINES[kind][1]
+    got = [_comparable(r) for r in read_jsonl(path, parse)]
+    assert got == [_comparable(r) for r in json_read_jsonl(path, parse)]
+
+
+@pytest.mark.parametrize("kind", sorted(_LINES))
+def test_nesting_deeper_than_json_reads_in_a_key_no_parser_reads(tmp_path, kind):
+    # Python's json refuses nesting beyond its recursion limit; orjson reads
+    # any depth, so a line whose only deep value is one its parser never
+    # looks at reads, where json alone failed it
+    record = _LINES[kind][0]()
+    record["extra"] = Raw(b"[" * 2000 + b"]" * 2000)
+    path = tmp_path / "f.jsonl"
+    path.write_bytes(_text(record) + b"\n")
+    parse = _LINES[kind][1]
+    (got,) = read_jsonl(path, parse)
+    assert _comparable(got) == _comparable(parse(_LINES[kind][0]()))
+    (refused,) = json_read_jsonl(path, parse)
+    assert str(refused).startswith(f"{path}:1: invalid JSON (maximum recursion depth exceeded")
+
+
+def test_json_reads_only_the_lines_that_fail(tmp_path, monkeypatch):
+    calls = []
+    loads = json.loads
+    monkeypatch.setattr(json, "loads", lambda *a, **k: calls.append(a) or loads(*a, **k))
+    rng = np.random.default_rng(3)
+    grid = GridSpec(-4.0, -4.0, 0.5, 16, 16)
+    lines = [heatmap_to_json(random_heatmap(rng, grid, 30), f"s{i}") for i in range(6)]
+    path = tmp_path / "h.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    assert len([r for r in read_jsonl(path, heatmap_from_dict) if not isinstance(r, ValueError)]) == 6
+    assert calls == []
+    lines[1] = lines[1][:-5]
+    lines[3] = "[1, 2]"
+    lines[4] = lines[4].replace('"width":16', '"width":1.5')
+    path.write_text("\n".join(lines) + "\n")
+    read = list(read_jsonl(path, heatmap_from_dict))
+    failed = [str(r).split(": ", 1)[0] for r in read if isinstance(r, ValueError)]
+    assert failed == [f"{path}:2", f"{path}:4", f"{path}:5 (sample s4)"]
+    assert len(calls) == 3
+
+
+def test_orjson_is_imported_on_first_read(tmp_path):
+    # the CLI and synth, which read no JSONL, never load it
+    path = tmp_path / "empty.jsonl"
+    path.write_text("")
+    code = (
+        "import sys; from heatpred import cli, io; before = 'orjson' in sys.modules; "
+        f"list(io.read_jsonl({str(path)!r}, dict)); print(before, 'orjson' in sys.modules)"
+    )
+    loaded = subprocess.run(
+        [sys.executable, "-c", code], env=child_env(), check=True, capture_output=True, text=True, timeout=60,
+    ).stdout
+    assert loaded.split() == ["False", "True"]
