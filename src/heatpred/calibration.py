@@ -23,7 +23,7 @@ import numpy as np
 from . import kernels
 from .binning import floor_bin_means
 from .heatmap import Heatmap
-from .io import integer, number
+from .io import integer, number, string
 
 PRESET_NAMES = ("argoverse", "interaction", "nuscenes", "shifts")
 
@@ -217,12 +217,13 @@ def model_to_dict(m: CalibrationModel) -> dict:
 def model_from_dict(d: dict) -> CalibrationModel:
     """Inverse of :func:`model_to_dict`. A missing ``a`` or ``b`` raises a
     KeyError, and a value that is not a JSON number (a JSON integer for
-    ``bin_count``) a ValueError naming its key."""
+    ``bin_count``, a JSON string for ``source_dataset``) a ValueError naming
+    its key."""
     count, rms = d.get("bin_count"), d.get("residual_rms")
     return CalibrationModel(
         a=float(number(d["a"], "key a")),
         b=float(number(d["b"], "key b")),
-        source_dataset=str(d.get("source_dataset", "unknown")),
+        source_dataset=string(d.get("source_dataset", "unknown"), "key source_dataset"),
         bin_count=None if count is None else integer(count, "key bin_count"),
         residual_rms=None if rms is None else float(number(rms, "key residual_rms")),
     )

@@ -153,10 +153,11 @@ def _objects(cfg: dict, key: str) -> list[dict]:
     return entries
 
 
-def _required(entry: dict, key: str, where: str):
+def _string(entry: dict, key: str, where: str) -> str:
+    """The JSON string, such as a name or a path, under ``key`` of config entry ``where``."""
     if key not in entry:
         raise CliError(f"config key {where}: missing key {key}")
-    return entry[key]
+    return string(entry[key], f"config key {where}.{key}")
 
 
 def _merge(defaults: dict, overrides: dict) -> dict:
@@ -173,6 +174,11 @@ def _resolve_path(base_dir: Path | None, path: str) -> Path:
     if not p.is_absolute() and base_dir is not None:
         p = base_dir / p
     return p
+
+
+def _set_paths(base_dir: Path | None, entry: dict, where: str) -> tuple[Path, Path]:
+    """The (heatmaps, ground truth) paths of a ``mixed_sources`` or ``test_sets`` entry."""
+    return tuple(_resolve_path(base_dir, _string(entry, key, where)) for key in ("heatmaps", "ground_truth"))
 
 
 SAMPLING_DEFAULTS = {
@@ -200,7 +206,7 @@ def _sampling_config(cfg: dict, base_dir: Path | None) -> tuple[SamplingConfig, 
     if "fixed" in radius:
         mode = FixedRadius(_positive(radius["fixed"], "radius.fixed"))
     elif "adaptive" in radius:
-        model_path = _resolve_path(base_dir, str(radius["adaptive"]))
+        model_path = _resolve_path(base_dir, string(radius["adaptive"], "config key radius.adaptive"))
         if not model_path.exists():
             raise CliError(f"calibration model not found: {model_path}")
         mode = AdaptiveRadius(_read_model(model_path))
@@ -539,6 +545,7 @@ def cmd_calibrate(args, run: dict) -> int:
     k = _int(cfg["k"], "k", at_least=1)
     bin_width = _positive(cfg["bin_width"], "bin_width")
     min_count = _int(cfg["min_count"], "min_count")
+    tag = string(cfg["dataset_tag"], "config key dataset_tag")
     sweep = _checked(
         RadiusSweepConfig,
         r_values=() if cfg["r_values"] is None else numbers(cfg["r_values"], "config key r_values"),
@@ -550,13 +557,7 @@ def cmd_calibrate(args, run: dict) -> int:
         weights = [_source_weight(i, src) for i, src in enumerate(sources)]
         if sum(weights) == 0:
             raise CliError("config key mixed_sources: weights must not all be 0")
-        sets = [
-            (
-                _resolve_path(base, str(_required(src, "heatmaps", f"mixed_sources[{i}]"))),
-                _resolve_path(base, str(_required(src, "ground_truth", f"mixed_sources[{i}]"))),
-            )
-            for i, src in enumerate(sources)
-        ]
+        sets = [_set_paths(base, src, f"mixed_sources[{i}]") for i, src in enumerate(sources)]
     else:
         if not args.heatmaps or not args.ground_truth:
             raise CliError("calibrate needs HEATMAPS and GROUND_TRUTH (or mixed_sources config)")
@@ -575,7 +576,7 @@ def cmd_calibrate(args, run: dict) -> int:
         dropped_bins=[[center, count] for center, _, count in bins if count < min_count],
     )
     try:
-        model, kept = fit_bins(bins, min_count, str(cfg["dataset_tag"]))
+        model, kept = fit_bins(bins, min_count, tag)
     except ValueError:
         # an earlier run's fit in ``out`` would not match this run_meta.json
         for name in ("model.json", "binned_radii.csv"):
@@ -597,7 +598,7 @@ def cmd_calibrate(args, run: dict) -> int:
 def _model_radius(i: int, model: dict) -> dict:
     """The ``radius`` config object of manifest model ``i``; calibration wins over fixed_radius."""
     if model.get("calibration") is not None:
-        return {"adaptive": model["calibration"]}
+        return {"adaptive": _string(model, "calibration", f"models[{i}]")}
     if model.get("fixed_radius") is not None:
         return {"fixed": _positive(model["fixed_radius"], f"models[{i}].fixed_radius")}
     raise CliError(f"config key models[{i}]: needs calibration or fixed_radius")
@@ -620,8 +621,8 @@ def cmd_cross_eval(args, run: dict) -> int:
     test_sets = _objects(manifest, "test_sets")
     if not models or not test_sets:
         raise CliError("manifest needs non-empty models and test_sets")
-    row_tags = [str(_required(m, "train_dataset", f"models[{i}]")) for i, m in enumerate(models)]
-    col_tags = [str(_required(t, "dataset", f"test_sets[{i}]")) for i, t in enumerate(test_sets)]
+    row_tags = [_string(m, "train_dataset", f"models[{i}]") for i, m in enumerate(models)]
+    col_tags = [_string(t, "dataset", f"test_sets[{i}]") for i, t in enumerate(test_sets)]
     if len(set(row_tags)) != len(row_tags) or len(set(col_tags)) != len(col_tags):
         raise CliError("model and test set tags must be unique")
 
@@ -637,11 +638,7 @@ def cmd_cross_eval(args, run: dict) -> int:
         _sampling_config({**sampling, "radius": _model_radius(i, m)}, base)[0] for i, m in enumerate(models)
     ]
     set_paths = {
-        tag: (
-            _resolve_path(base, str(_required(t, "heatmaps", f"test_sets[{i}]"))),
-            _resolve_path(base, str(_required(t, "ground_truth", f"test_sets[{i}]"))),
-        )
-        for i, (tag, t) in enumerate(zip(col_tags, test_sets))
+        tag: _set_paths(base, t, f"test_sets[{i}]") for i, (tag, t) in enumerate(zip(col_tags, test_sets))
     }
     for tag, (hp, gp) in set_paths.items():
         for p in (hp, gp):
@@ -649,43 +646,35 @@ def cmd_cross_eval(args, run: dict) -> int:
                 raise CliError(f"test set {tag}: missing file {p}")
     out, cfg_hash = _out_dir(args, run, manifest)
 
-    cells: dict[str, dict[str, dict]] = {r: {} for r in row_tags}
+    # row None is the fixed-radius baseline, scored with the model rows from
+    # one spread per test heatmap, in one pool for the whole matrix
+    tags, cfgs = [None, *row_tags], [base_cfg, *row_cfgs]
+    cells: dict[str | None, dict[str, dict]] = {r: {} for r in tags}
     clamped: dict[str, dict[str, dict | None]] = {r: {} for r in row_tags}
-    baselines: dict[str, dict] = {}
-    n_failed = 0
-    # one pool for the whole matrix, one spread per test heatmap
-    work = partial(_score_rows, cfgs=[base_cfg] + row_cfgs, threshold=threshold)
+    work = partial(_score_rows, cfgs=cfgs, threshold=threshold)
     loaded = _read_sets([set_paths[col] for col in col_tags], work, run)
     for col, results in zip(col_tags, loaded):
         if isinstance(results, Exception):
             logger.error("test set %s failed to load: %s", col, results)
-            for row in row_tags:
+            for row in tags:
                 cells[row][col] = {"status": "failed", "error": str(results)}
-                n_failed += 1
-            baselines[col] = {"status": "failed", "error": str(results)}
             continue
-        base_records, *row_records = zip(*(r for _, r in results))
-        base_rep = aggregate(base_records)
-        base_fde = base_rep.min_fde_l[-1]
-        baselines[col] = {
-            "status": "ok", "min_fde": base_fde, "mr": base_rep.mr_l[-1], "count": base_rep.count,
-        }
-        for row, cfg, records in zip(row_tags, row_cfgs, row_records):
+        for row, cfg, records in zip(tags, cfgs, zip(*(r for _, r in results))):
             rep = aggregate(records)
-            clamped[row][col] = _clamped_radii(cfg, records)
-            cells[row][col] = {
-                "status": "ok",
-                "min_fde": rep.min_fde_l[-1],
-                "mr": rep.mr_l[-1],
-                "count": rep.count,
-                "improvement_vs_fixed": (base_fde - rep.min_fde_l[-1]) / base_fde if base_fde > 0 else None,
+            cell = cells[row][col] = {
+                "status": "ok", "min_fde": rep.min_fde_l[-1], "mr": rep.mr_l[-1], "count": rep.count,
             }
+            if row is None:
+                base_fde = cell["min_fde"]
+            else:
+                cell["improvement_vs_fixed"] = (base_fde - cell["min_fde"]) / base_fde if base_fde > 0 else None
+                clamped[row][col] = _clamped_radii(cfg, records)
 
     def _fmt(row: str, col: str, key: str):
         cell = cells[row][col]
-        if cell["status"] != "ok" or cell.get(key) is None:
-            return "failed" if cell["status"] != "ok" else ""
-        return repr(cell[key])
+        if cell["status"] != "ok":
+            return "failed"
+        return "" if cell[key] is None else repr(cell[key])
 
     result = {
         "config_hash": cfg_hash,
@@ -693,8 +682,8 @@ def cmd_cross_eval(args, run: dict) -> int:
         "baseline_fixed_radius": baseline_r,
         "rows": row_tags,
         "cols": col_tags,
-        "cells": cells,
-        "baseline": baselines,
+        "cells": {row: cells[row] for row in row_tags},
+        "baseline": cells[None],
     }
     write_json(out / "cross_eval.json", result)
     header = ["train\\test"] + col_tags
@@ -713,6 +702,7 @@ def cmd_cross_eval(args, run: dict) -> int:
     if args.svg:
         write_text(out / "matrices.svg", _svg_matrix(row_tags, col_tags, cells))
     n_cells = len(row_tags) * len(col_tags)
+    n_failed = sum(cells[row][col]["status"] == "failed" for row in row_tags for col in col_tags)
     run.update(n_cells=n_cells, n_failed=n_failed, clamped_radii=clamped)
     if n_failed == n_cells:
         raise CliError("every cell of the matrix failed")
@@ -750,6 +740,8 @@ def _write_hist_json(path: Path, hist: list[tuple[float, int, float]], cfg: dict
 
 
 def cmd_analysis(args, run: dict) -> int:
+    if args.svg and args.analysis_cmd != "uncertainty-error":
+        raise CliError(f"heatpred analysis {args.analysis_cmd}: unrecognized arguments: --svg")
     cfg_raw, _ = _load_config(args.config)
     if args.analysis_cmd == "uncertainty-error":
         cfg = _merge(ANALYSIS_UNCERTAINTY_DEFAULTS, cfg_raw)
@@ -926,7 +918,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "analysis_cmd", choices=["uncertainty-error", "noise-report", "speed-report"],
     )
     p.add_argument("input", help="input file (records CSV or scene JSONL)")
-    p.add_argument("--svg", action="store_true", help="also emit an SVG chart")
+    p.add_argument("--svg", action="store_true", help="also emit an SVG chart (uncertainty-error only)")
     return parser
 
 

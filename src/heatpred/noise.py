@@ -39,15 +39,14 @@ class KalmanConfig:
                 raise ValueError(f"{name}: must be positive and finite, got {value!r}")
 
 
-def _filter_states(positions: np.ndarray, dt: float, cfg: KalmanConfig):
-    """Forward filter; returns filtered positions and per-step covariances.
+def _cv_model(dt: float, cfg: KalmanConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The transition, process noise, observation and observation noise
+    matrices of the constant-velocity model at time step ``dt``.
 
     State [x, y, vx, vy], constant-velocity transition, position-only
-    observation, white-acceleration process noise. Initialized with the
-    first position and the first-difference velocity.
+    observation, white-acceleration process noise.
     """
     q = cfg.process_accel_std**2
-    r = cfg.obs_std**2
     f_mat = np.array(
         [[1, 0, dt, 0], [0, 1, 0, dt], [0, 0, 1, 0], [0, 0, 0, 1]], dtype=np.float64
     )
@@ -61,9 +60,28 @@ def _filter_states(positions: np.ndarray, dt: float, cfg: KalmanConfig):
         dtype=np.float64,
     )
     h_mat = np.array([[1, 0, 0, 0], [0, 1, 0, 0]], dtype=np.float64)
-    r_mat = r * np.eye(2)
-    eye4 = np.eye(4)
+    return f_mat, q_mat, h_mat, cfg.obs_std**2 * np.eye(2)
 
+
+def _covariance_step(p: np.ndarray, model) -> tuple[np.ndarray, np.ndarray]:
+    """The Kalman gain and the updated state covariance of one predict and
+    update step from covariance ``p``; neither depends on the observations."""
+    f_mat, q_mat, h_mat, r_mat = model
+    p = f_mat @ p @ f_mat.T + q_mat
+    s_mat = h_mat @ p @ h_mat.T + r_mat
+    k_gain = p @ h_mat.T @ np.linalg.inv(s_mat)
+    # Joseph form keeps the covariance symmetric positive definite
+    ikh = np.eye(4) - k_gain @ h_mat
+    return k_gain, ikh @ p @ ikh.T + k_gain @ r_mat @ k_gain.T
+
+
+def _filter_states(positions: np.ndarray, dt: float, cfg: KalmanConfig) -> np.ndarray:
+    """Forward filter; returns the filtered positions.
+
+    Initialized with the first position and the first-difference velocity.
+    """
+    model = f_mat, _, h_mat, _ = _cv_model(dt, cfg)
+    r = cfg.obs_std**2
     v0 = (positions[1] - positions[0]) / dt
     x = np.array([positions[0, 0], positions[0, 1], v0[0], v0[1]], dtype=np.float64)
     # position certainty from a single observation, velocity from a difference
@@ -71,20 +89,12 @@ def _filter_states(positions: np.ndarray, dt: float, cfg: KalmanConfig):
 
     filtered = np.empty_like(positions)
     filtered[0] = positions[0]
-    covs = [p.copy()]
     for i in range(1, positions.shape[0]):
+        k_gain, p = _covariance_step(p, model)
         x = f_mat @ x
-        p = f_mat @ p @ f_mat.T + q_mat
-        innov = positions[i] - h_mat @ x
-        s_mat = h_mat @ p @ h_mat.T + r_mat
-        k_gain = p @ h_mat.T @ np.linalg.inv(s_mat)
-        x = x + k_gain @ innov
-        # Joseph form keeps the covariance symmetric positive definite
-        ikh = eye4 - k_gain @ h_mat
-        p = ikh @ p @ ikh.T + k_gain @ r_mat @ k_gain.T
+        x = x + k_gain @ (positions[i] - h_mat @ x)
         filtered[i] = x[:2]
-        covs.append(p.copy())
-    return filtered, covs
+    return filtered
 
 
 def _uniform_dt(traj: Trajectory) -> float:
@@ -104,7 +114,7 @@ def kalman_filter_cv(traj: Trajectory, cfg: KalmanConfig = KalmanConfig()) -> Tr
     if len(traj) < 3:
         raise ValueError("filtering needs at least three points")
     dt = _uniform_dt(traj)
-    filtered, _ = _filter_states(traj.xy.copy(), dt, cfg)
+    filtered = _filter_states(traj.xy.copy(), dt, cfg)
     return Trajectory(np.column_stack([traj.ts, filtered]))
 
 

@@ -14,6 +14,7 @@ do not change the data.
 from __future__ import annotations
 
 import shutil
+import tempfile
 import warnings
 from contextlib import closing
 from dataclasses import dataclass, field
@@ -154,43 +155,33 @@ def scenario_id(index: int) -> str:
 SCENARIOS_PER_RANGE = 2
 
 
-def _range_files(out: Path, start: int) -> tuple[Path, Path]:
-    """The heatmap and ground-truth files that the index range from ``start``
-    is written to before the parent copies them into place."""
-    return out / f"heatmaps.jsonl.{start}.part", out / f"ground_truth.jsonl.{start}.part"
+def _encode_range(state: tuple[ScenarioConfig, Path], task: tuple[int, int]) -> tuple[int, str, str | None]:
+    """Write the heatmap lines of the scenarios of one index range, one by one,
+    to the range's file in the staging directory.
 
-
-def _encode_range(state: tuple[ScenarioConfig, Path], task: tuple[int, int]) -> tuple[int, str | None]:
-    """Write the heatmap and ground-truth lines of the scenarios of one index
-    range, one by one, to the range's two files under the output directory.
-
-    ``state`` is the config and the output directory, ``task`` the range's
-    ``(start, stop)``. Returns ``(clipped, None)``, where ``clipped`` counts
-    the scenarios with a mode whose truncation disc the grid cuts; or, at the
-    first scenario that fails, ``(0, error)`` naming it.
+    ``state`` is the config and the staging directory, ``task`` the range's
+    ``(start, stop)``. Returns ``(clipped, ground-truth lines, None)``, where
+    ``clipped`` counts the scenarios with a mode whose truncation disc the
+    grid cuts; or, at the first scenario that fails, ``(0, "", error)``
+    naming it.
     """
-    cfg, out = state
+    cfg, staging = state
     start, stop = task
-    hp, gp = _range_files(out, start)
-    clipped = 0
-    # opened as io.staged_files opens the JSONL files, so the copies keep their bytes
-    with (
-        open(hp, "w", newline="") as hf,
-        open(gp, "w", newline="") as gf,
-        warnings.catch_warnings(record=True) as caught,
-    ):
+    clipped, gt_lines = 0, []
+    # opened as io.staged_files opens the JSONL files, so the copy keeps its bytes
+    with open(staging / f"{start}.part", "w", newline="") as hf, warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         for i in range(start, stop):
             sid = scenario_id(i)
             try:
                 h, gt, _ = sample_scenario(cfg, i)
             except ValueError as e:
-                return 0, f"{sid}: {e}"
+                return 0, "", f"{sid}: {e}"
             clipped += any(str(w.message) == CLIPPED_WARNING for w in caught)
             caught.clear()
             hf.write(heatmap_to_json(h, sid) + "\n")
-            gf.write(canonical_dumps({"sample_id": sid, "gt": [gt[0], gt[1]]}) + "\n")
-    return clipped, None
+            gt_lines.append(canonical_dumps({"sample_id": sid, "gt": [gt[0], gt[1]]}) + "\n")
+    return clipped, "".join(gt_lines), None
 
 
 def generate_dataset(
@@ -198,13 +189,15 @@ def generate_dataset(
 ) -> dict[str, Path]:
     """Write ``n`` scenarios as heatmap and ground-truth JSONL plus a manifest.
 
-    Contiguous index ranges of scenarios are rendered and written to range
-    files by ``workers`` forked processes when it is more than 1, and the
-    range files are copied into the JSONL files in index order, so the files
-    are byte-identical for every worker count and every rerun, and no range's
-    text passes through this process's memory. The failing scenario of
-    lowest index raises a ValueError that names it, and then neither JSONL
-    file is written (see :func:`io.staged_files`) and no range file is left.
+    Contiguous index ranges of scenarios are rendered by ``workers`` forked
+    processes when it is more than 1. Each range's heatmap lines go to a file
+    in a temporary directory under ``out_dir`` and its ground-truth lines come
+    back with its result; the range files are copied into the heatmap JSONL
+    in index order, so the files are byte-identical for every worker count
+    and every rerun, and no range's heatmap text passes through this
+    process's memory. The temporary directory is removed however the run
+    ends. The failing scenario of lowest index raises a ValueError that names
+    it, and then neither JSONL file is written (see :func:`io.staged_files`).
     ``render_mixture``'s warning about a grid that cuts a mode's truncation
     disc is not shown; ``stats["clipped_scenarios"]``, when ``stats`` is
     given, counts the scenarios it was raised for.
@@ -222,23 +215,22 @@ def generate_dataset(
     tasks = [(a, min(a + SCENARIOS_PER_RANGE, n)) for a in range(0, n, SCENARIOS_PER_RANGE)]
     clipped = 0
     try:
-        with staged_files(paths["heatmaps"], paths["ground_truth"]) as staged:
-            try:
-                with closing(map_ordered(_encode_range, tasks, workers, (cfg, out))) as results:
-                    for (start, _), (range_clipped, error) in zip(tasks, results):
-                        if error is not None:
-                            raise ValueError(error)
-                        for part, f in zip(_range_files(out, start), staged):
-                            with open(part, "rb") as src:
-                                shutil.copyfileobj(src, f.buffer)
-                            part.unlink()
-                        clipped += range_clipped
-            except BaseException:
-                # closing has shut the pool down, so no range file is still being written
-                for start, _ in tasks:
-                    for part in _range_files(out, start):
-                        part.unlink(missing_ok=True)
-                raise
+        with (
+            staged_files(paths["heatmaps"], paths["ground_truth"]) as (hf, gf),
+            tempfile.TemporaryDirectory(dir=out) as tmp,
+        ):
+            staging = Path(tmp)
+            # closing shuts the pool down before the directory is removed
+            with closing(map_ordered(_encode_range, tasks, workers, (cfg, staging))) as results:
+                for (start, _), (range_clipped, gt_lines, error) in zip(tasks, results):
+                    if error is not None:
+                        raise ValueError(error)
+                    part = staging / f"{start}.part"
+                    with open(part, "rb") as src:
+                        shutil.copyfileobj(src, hf.buffer)
+                    part.unlink()
+                    gf.write(gt_lines)
+                    clipped += range_clipped
         manifest = {"config": cfg_dict, "config_hash": config_hash(cfg_dict), "n": n}
         write_json(paths["manifest"], manifest)
     except OSError as e:

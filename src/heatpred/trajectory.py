@@ -34,10 +34,10 @@ class Trajectory:
 
     def __post_init__(self):
         arr = np.array(self.data, dtype=np.float64, copy=True)
+        if arr.ndim >= 1 and arr.shape[0] == 0:
+            raise ValueError("trajectory must contain at least one point")
         if arr.ndim != 2 or arr.shape[1] != 3:
             raise ValueError("trajectory data must have shape (n, 3)")
-        if arr.shape[0] < 1:
-            raise ValueError("trajectory must contain at least one point")
         if not np.all(np.isfinite(arr)):
             raise ValueError("trajectory values must be finite")
         if np.any(np.diff(arr[:, 0]) <= 0):

@@ -427,10 +427,11 @@ class TestConfigAndFlags:
             ('{"k": 0}', "config key k: must be at least 1, got 0"),
             ('{"r_min": 5, "r_max": 1}', "config key r_max: must be at least r_min (5.0), got 1.0"),
             ('{"r_min": 0}', "config key r_min: must be positive, got 0.0"),
+            ('{"radius": {"adaptive": 5}}', "config key radius.adaptive: 5 is not a string"),
         ],
         ids=[
             "array", "string", "radius-number", "k-null", "k-bool", "k-fraction", "miss_threshold-string",
-            "miss_threshold-nan", "k-zero", "r_max-below-r_min", "r_min-zero",
+            "miss_threshold-nan", "k-zero", "r_max-below-r_min", "r_min-zero", "adaptive-number",
         ],
     )
     def test_bad_config_fails_naming_file_or_key(self, tmp_path, caplog, text, named):
@@ -484,6 +485,17 @@ class TestConfigAndFlags:
             ("noise-report", lambda c: c.update(obs_std=0), "config key obs_std: must be positive and finite, got 0.0"),
             ("noise-report", lambda c: c.update(process_accel_std=math.inf),
              "config key process_accel_std: must be positive and finite, got inf"),
+            ("cross-eval", lambda m: m["models"][0].update(train_dataset=7),
+             "config key models[0].train_dataset: 7 is not a string"),
+            ("cross-eval", lambda m: m["test_sets"][0].update(dataset=None),
+             "config key test_sets[0].dataset: None is not a string"),
+            ("cross-eval", lambda m: m["models"][0].update(calibration=["m.json"]),
+             "config key models[0].calibration: ['m.json'] is not a string"),
+            ("cross-eval", lambda m: m["test_sets"][0].update(heatmaps=5),
+             "config key test_sets[0].heatmaps: 5 is not a string"),
+            ("calibrate", lambda c: c["mixed_sources"][1].update(ground_truth=True),
+             "config key mixed_sources[1].ground_truth: True is not a string"),
+            ("calibrate", lambda c: c.update(dataset_tag=None), "config key dataset_tag: None is not a string"),
         ],
         ids=[
             "model-no-train_dataset", "models-not-a-list", "test-set-no-dataset", "test-set-no-heatmaps",
@@ -492,7 +504,8 @@ class TestConfigAndFlags:
             "r_values-string", "r_values-item-string", "mixed_sources-false", "sampling-k-zero", "sample-k-zero",
             "sample-r_max-below-r_min", "l_for_objective-zero", "r_values-descending", "r_values-negative",
             "mixed_n-zero", "rate_hz-zero", "rate_hz-infinite", "horizon_s-fractional-steps", "obs_std-zero",
-            "process_accel_std-infinite",
+            "process_accel_std-infinite", "train_dataset-number", "dataset-null", "calibration-list",
+            "test-set-heatmaps-number", "source-ground_truth-bool", "dataset_tag-null",
         ],
     )
     def test_bad_manifest_entry_fails_naming_entry_and_key(self, tmp_path, caplog, command, edit, named):
@@ -532,8 +545,9 @@ class TestConfigAndFlags:
             ('{"a": 0.1, "b": Infinity}', "m.json: intercept b must be finite, got inf"),
             ('{"a": "x", "b": 1}', "m.json: key a: 'x' is not a valid float"),
             ('{"a": 0.1, "b": 1, "bin_count": "many"}', "m.json: key bin_count"),
+            ('{"a": 0.1, "b": 1, "source_dataset": null}', "m.json: key source_dataset: None is not a string"),
         ],
-        ids=["empty", "array", "negative-b", "infinite-b", "a-string", "bin_count-string"],
+        ids=["empty", "array", "negative-b", "infinite-b", "a-string", "bin_count-string", "source_dataset-null"],
     )
     def test_bad_adaptive_model_names_file_and_key(self, tmp_path, caplog, command, text, named):
         hm, gt = write_pairs(tmp_path, point_mass_pairs(3))
@@ -1212,7 +1226,7 @@ BAD_SCENE_LINES = [
      "neighbors[0][0]: [0.0, 1.0, 2.0, 3.0] is not a list of 3 values"),
     ("-target-string", lambda d: d.update(is_predefined_target="no"), "is_predefined_target: 'no' is not a bool"),
     ("-past-backwards", lambda d: d["past"].reverse(), "past: timestamps must be strictly increasing"),
-    ("-future-empty", lambda d: d.update(future=[]), "future: trajectory data must have shape (n, 3)"),
+    ("-future-empty", lambda d: d.update(future=[]), "future: trajectory must contain at least one point"),
     ("-neighbor-infinite-point", lambda d: d.update(neighbors=[[[0.0, math.inf, 1.0]]]),
      "neighbors[0]: trajectory values must be finite"),
 ]
@@ -1288,6 +1302,16 @@ class TestAnalysis:
         assert code == (EXIT_PARTIAL if report == "standardize" else EXIT_FAILURE)
         assert f"{scenes}:2 (sample {rows[1]['id']}): {named}" in caplog.text
         assert "Traceback" not in caplog.text
+
+    @pytest.mark.parametrize("report", ["noise-report", "speed-report"])
+    def test_svg_refused_by_reports_that_draw_none(self, tmp_path, caplog, report):
+        scenes = tmp_path / "scenes.jsonl"
+        write_scenes(scenes, [straight_sample(1.0, sample_id=f"s{i}") for i in range(4)])
+        out = tmp_path / "out"
+        assert main(["analysis", report, str(scenes), "--out", str(out)]) == EXIT_OK
+        assert main(["analysis", report, str(scenes), "--svg", "--out", str(tmp_path / "svg")]) == EXIT_FAILURE
+        assert f"analysis {report}: unrecognized arguments: --svg" in caplog.text
+        assert not (tmp_path / "svg").exists()
 
     def test_noise_report_noiseless(self, tmp_path):
         scenes = tmp_path / "scenes.jsonl"
@@ -1426,7 +1450,9 @@ class TestCrossEval:
 
     def test_partial_failure_marks_cell_and_continues(self, tmp_path):
         pairs = point_mass_pairs(6)
-        hm, gt = write_pairs(tmp_path / "good", pairs)
+        # spread-out heatmaps, on which the fixed radius changes minFDE
+        good = generate_dataset(ScenarioConfig.from_dict(SMALL_SYNTH), 12, tmp_path / "good")
+        hm, gt = good["heatmaps"], good["ground_truth"]
         # second set exists but its ids do not match its ground truth
         hm_bad, _ = write_pairs(tmp_path / "bad", pairs, prefix="x_")
         rows = [json.loads(ln) for ln in hm_bad.read_text().strip().splitlines()]
@@ -1448,3 +1474,16 @@ class TestCrossEval:
         assert xe["cells"]["m0"]["good"]["status"] == "ok"
         assert xe["cells"]["m0"]["bad"]["status"] == "failed"
         assert "failed" in (out / "minfde6.csv").read_text()
+        # the fixed-radius baseline fails with the set and otherwise scores as evaluate does
+        assert xe["baseline"]["bad"] == {"status": "failed", "error": xe["cells"]["m0"]["bad"]["error"]}
+        write_json(tmp_path / "fixed.json", {"radius": {"fixed": 1.5}})
+        argv = ["evaluate", str(hm), str(gt), "--config", str(tmp_path / "fixed.json"), "--out", str(tmp_path / "ev")]
+        assert main(argv) == EXIT_OK
+        agg = read_json(tmp_path / "ev" / "aggregate.json")
+        base = {"status": "ok", "min_fde": agg["min_fde_l"][-1], "mr": agg["mr_l"][-1], "count": agg["count"]}
+        assert xe["baseline"]["good"] == base
+        cell = xe["cells"]["m0"]["good"]
+        assert base["min_fde"] != cell["min_fde"]
+        assert cell["improvement_vs_fixed"] == (base["min_fde"] - cell["min_fde"]) / base["min_fde"]
+        meta = read_json(out / "run_meta.json")
+        assert (meta["n_failed"], meta["n_cells"]) == (1, 2)

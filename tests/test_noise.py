@@ -7,7 +7,8 @@ from heatpred.binning import floor_histogram
 from heatpred.noise import (
     KalmanConfig,
     NonUniformSamplingError,
-    _filter_states,
+    _covariance_step,
+    _cv_model,
     kalman_filter_cv,
     perception_noise,
     sample_noise,
@@ -79,11 +80,12 @@ class TestKalmanFilter:
         assert np.max(np.abs((b.xy - a.xy) - np.array([120.0, -45.0]))) < 1e-9
 
     def test_covariance_stays_positive_definite(self):
-        rng = np.random.default_rng(9)
-        traj = cv_track(n=60)
-        noisy = traj.xy + rng.normal(0, 0.4, traj.xy.shape)
-        _, covs = _filter_states(noisy, 0.1, KalmanConfig())
-        for p in covs:
+        # the covariance does not depend on the observations, so the filter's
+        # own start at dt 0.1 and obs_std 0.5 is stepped without a track
+        model = _cv_model(0.1, KalmanConfig())
+        p = np.diag([0.25, 0.25, 50.0, 50.0])
+        for _ in range(60):
+            _, p = _covariance_step(p, model)
             assert np.max(np.abs(p - p.T)) < 1e-12
             assert np.min(np.linalg.eigvalsh(p)) > 0
 

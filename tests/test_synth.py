@@ -1,5 +1,6 @@
 import hashlib
 import json
+import pickle
 import re
 
 import numpy as np
@@ -8,7 +9,9 @@ import pytest
 from heatpred.heatmap import GridSpec, grid_to_dict, uncertainty
 from heatpred.io import canonical_dumps
 from heatpred.synth import (
+    SCENARIOS_PER_RANGE,
     ScenarioConfig,
+    _encode_range,
     default_grid,
     draw_mixture,
     generate_dataset,
@@ -126,6 +129,15 @@ class TestGenerateDataset:
             h, _, _ = sample_scenario(cfg, i)
             bins.add(int(uncertainty(h).spread))
         assert len(bins) >= 20
+
+    def test_range_result_is_small(self, tmp_path):
+        # a range's heatmap text stays in its file; only its ground truth travels back through the pool
+        cfg = ScenarioConfig()
+        for start in range(0, 10, SCENARIOS_PER_RANGE):
+            result = _encode_range((cfg, tmp_path), (start, start + SCENARIOS_PER_RANGE))
+            assert result[2] is None
+            assert len(pickle.dumps(result)) < 1024
+            assert (tmp_path / f"{start}.part").stat().st_size > 10_000
 
     def test_rejects_bad_n(self, tmp_path):
         with pytest.raises(ValueError):
