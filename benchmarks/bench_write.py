@@ -3,12 +3,14 @@
 
 For each scenario of the default ``ScenarioConfig`` it times
 ``render_mixture``, the direct line encoder ``heatmap_to_json``, the dict
-route ``canonical_dumps(heatmap_to_dict(...))`` it replaced (both give the
-same bytes), and the float ``repr`` of the probabilities alone, which every
-route pays and so is the encoder's floor. The last line gives the encoder's
-time above that floor: the index text, the separators and the joins. Each
-figure is the best of ``--repeats`` calls, summed over the scenarios.
-End-to-end numbers come from ``perfbench/``.
+route ``canonical_dumps(heatmap_to_dict(...))`` it replaced, the
+probability text the encoder writes (``_prob_text``: orjson's digits in
+``repr``'s layout) and the float ``repr`` of the probabilities that it
+replaced. It exits non-zero if, for any scenario, the encoder's bytes differ
+from the dict route's or the probability text from ``repr``'s. The last line
+gives the encoder's time above its probability text: the index text, the
+separators and the joins. Each figure is the best of ``--repeats`` calls,
+summed over the scenarios. End-to-end numbers come from ``perfbench/``.
 
 Usage: python benchmarks/bench_write.py [--n N] [--seed S] [--repeats R]
 """
@@ -16,7 +18,7 @@ Usage: python benchmarks/bench_write.py [--n N] [--seed S] [--repeats R]
 import argparse
 import time
 
-from heatpred.heatmap import heatmap_to_dict, heatmap_to_json, render_mixture
+from heatpred.heatmap import _prob_text, heatmap_to_dict, heatmap_to_json, render_mixture
 from heatpred.io import canonical_dumps
 from heatpred.synth import ScenarioConfig, draw_mixture, scenario_id
 
@@ -38,7 +40,7 @@ def main():
     args = parser.parse_args()
 
     cfg = ScenarioConfig(seed=args.seed)
-    render_s = encode_s = dict_s = floor_s = 0.0
+    render_s = encode_s = dict_s = prob_s = repr_s = 0.0
     cells = 0
     for i in range(args.n):
         mix, _ = draw_mixture(cfg, i)
@@ -49,10 +51,14 @@ def main():
         encode_s += t
         t, ref = best_of(lambda: canonical_dumps(heatmap_to_dict(h, sid)), args.repeats)
         dict_s += t
-        t, _ = best_of(lambda: list(map(repr, h.prob.tolist())), args.repeats)
-        floor_s += t
+        t, text = best_of(lambda: _prob_text(h.prob), args.repeats)
+        prob_s += t
+        t, reprs = best_of(lambda: list(map(repr, h.prob.tolist())), args.repeats)
+        repr_s += t
         if line != ref:
             raise SystemExit(f"scenario {i}: encoder bytes differ from the dict route")
+        if text != reprs:
+            raise SystemExit(f"scenario {i}: probability text differs from repr")
         cells += len(h)
 
     print(f"{args.n} scenarios, {cells} cells (seed {args.seed}, best of {args.repeats})")
@@ -61,8 +67,9 @@ def main():
         ("render_mixture", render_s),
         ("heatmap_to_json", encode_s),
         ("canonical_dumps(heatmap_to_dict(...))", dict_s),
-        ("float repr floor", floor_s),
-        ("heatmap_to_json above the floor", encode_s - floor_s),
+        ("probability text (_prob_text)", prob_s),
+        ("float repr of the probabilities", repr_s),
+        ("heatmap_to_json above _prob_text", encode_s - prob_s),
     ):
         print(f"{name:<40} {s:>9.3f} {s / args.n * 1e3:>12.2f}")
 

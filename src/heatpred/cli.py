@@ -176,9 +176,24 @@ def _resolve_path(base_dir: Path | None, path: str) -> Path:
     return p
 
 
+def _existing(path: Path, given_as: str) -> Path:
+    """``path``, an input file that must exist; ``given_as`` names the argument or config key that gave it."""
+    if not path.exists():
+        raise CliError(f"{given_as}: missing file {path}")
+    return path
+
+
+def _arg_paths(args, *names: str) -> tuple[Path, ...]:
+    """The input files of positional arguments ``names``, each of which must exist."""
+    return tuple(_existing(Path(getattr(args, name)), f"argument {name}") for name in names)
+
+
 def _set_paths(base_dir: Path | None, entry: dict, where: str) -> tuple[Path, Path]:
-    """The (heatmaps, ground truth) paths of a ``mixed_sources`` or ``test_sets`` entry."""
-    return tuple(_resolve_path(base_dir, _string(entry, key, where)) for key in ("heatmaps", "ground_truth"))
+    """The (heatmaps, ground truth) paths of a ``mixed_sources`` or ``test_sets`` entry, which must exist."""
+    return tuple(
+        _existing(_resolve_path(base_dir, _string(entry, key, where)), f"config key {where}.{key}")
+        for key in ("heatmaps", "ground_truth")
+    )
 
 
 SAMPLING_DEFAULTS = {
@@ -406,6 +421,7 @@ def cmd_standardize(args, run: dict) -> int:
     cfg_raw, _ = _load_config(args.config)
     cfg = _merge(STANDARDIZE_DEFAULTS, cfg_raw)
     std = _checked(StandardizationConfig, **{key: _float(cfg[key], key) for key in STANDARDIZE_DEFAULTS})
+    _arg_paths(args, "input")
     out, _ = _out_dir(args, run, cfg)
     out_path = out / "standardized.jsonl"
     failed: list[ValueError] = []
@@ -457,9 +473,10 @@ def cmd_sample(args, run: dict) -> int:
     cfg_raw, base = _load_config(args.config)
     cfg = _merge(SAMPLING_DEFAULTS, cfg_raw)
     sampling, _ = _sampling_config(cfg, base)
+    (heatmaps,) = _arg_paths(args, "heatmaps")
     out, _ = _out_dir(args, run, cfg)
     work = partial(_predict, cfg=sampling)
-    predictions = _raised(_read_sets([(Path(args.heatmaps), None)], work, run)[0])
+    predictions = _raised(_read_sets([(heatmaps, None)], work, run)[0])
     out_path = out / "predictions.jsonl"
     run["n"] = n = write_jsonl(out_path, (d for _, d in predictions))
     logger.info("sampled %d heatmaps -> %s", n, out_path)
@@ -474,8 +491,8 @@ def cmd_evaluate(args, run: dict) -> int:
     cfg_raw, base = _load_config(args.config)
     cfg = _merge(SAMPLING_DEFAULTS, cfg_raw)
     sampling, threshold = _sampling_config(cfg, base)
+    sets = [_arg_paths(args, "heatmaps", "ground_truth")]
     out, cfg_hash = _out_dir(args, run, cfg)
-    sets = [(Path(args.heatmaps), Path(args.ground_truth))]
     work = partial(_score_rows, cfgs=[sampling], threshold=threshold)
     records = [r for _, (r,) in _raised(_read_sets(sets, work, run)[0])]
     rep = aggregate(records)
@@ -561,7 +578,7 @@ def cmd_calibrate(args, run: dict) -> int:
     else:
         if not args.heatmaps or not args.ground_truth:
             raise CliError("calibrate needs HEATMAPS and GROUND_TRUTH (or mixed_sources config)")
-        sets = [(Path(args.heatmaps), Path(args.ground_truth))]
+        sets = [_arg_paths(args, "heatmaps", "ground_truth")]
     out, cfg_hash = _out_dir(args, run, cfg)
     # every heatmap of every source is swept, drawn into the mix or not
     loaded = [_raised(r) for r in _read_sets(sets, partial(_sweep, k=k, sweep=sweep), run)]
@@ -640,10 +657,6 @@ def cmd_cross_eval(args, run: dict) -> int:
     set_paths = {
         tag: _set_paths(base, t, f"test_sets[{i}]") for i, (tag, t) in enumerate(zip(col_tags, test_sets))
     }
-    for tag, (hp, gp) in set_paths.items():
-        for p in (hp, gp):
-            if not p.exists():
-                raise CliError(f"test set {tag}: missing file {p}")
     out, cfg_hash = _out_dir(args, run, manifest)
 
     # row None is the fixed-radius baseline, scored with the model rows from
@@ -746,6 +759,7 @@ def cmd_analysis(args, run: dict) -> int:
     if args.analysis_cmd == "uncertainty-error":
         cfg = _merge(ANALYSIS_UNCERTAINTY_DEFAULTS, cfg_raw)
         bin_width, min_count = _positive(cfg["bin_width"], "bin_width"), _int(cfg["min_count"], "min_count")
+        _arg_paths(args, "input")
         out, cfg_hash = _out_dir(args, run, cfg)
         bins = bin_by_uncertainty(read_records_csv(args.input), bin_width, min_count)
         write_csv(out / "uncertainty_error.csv", ["bin_lower", "mean_min_fde_1", "count"], bins, cfg_hash)
@@ -762,6 +776,7 @@ def cmd_analysis(args, run: dict) -> int:
             obs_std=_float(cfg["obs_std"], "obs_std"),
         )
         bin_width = _positive(cfg["bin_width"], "bin_width")
+        _arg_paths(args, "input")
         out, cfg_hash = _out_dir(args, run, cfg)
         noises = _scene_values(Path(args.input), lambda s: sample_noise(s, kcfg))
         write_csv(out / "noise.csv", ["sample_id", "noise_m"], noises, cfg_hash)
@@ -771,6 +786,7 @@ def cmd_analysis(args, run: dict) -> int:
     elif args.analysis_cmd == "speed-report":
         cfg = _merge(ANALYSIS_SPEED_DEFAULTS, cfg_raw)
         bin_width = _positive(cfg["bin_width"], "bin_width")
+        _arg_paths(args, "input")
         out, cfg_hash = _out_dir(args, run, cfg)
         speeds = [v for _, v in _scene_values(Path(args.input), average_speed)]
         hist = floor_histogram(speeds, bin_width)

@@ -330,18 +330,39 @@ def _index_text(idx: np.ndarray) -> tuple[list[str], list[str]]:
     return heads[np.cumsum(starts) - 1].tolist(), _LOW_DIGITS[low + 1000 * (high > 0)].tolist()
 
 
+def _prob_text(prob: np.ndarray) -> list[str]:
+    """``repr`` of each probability in (0, 1], as ``list(map(repr, prob.tolist()))``.
+
+    orjson writes the same shortest round-trip digits as ``repr``, in
+    another layout below 1e-4: ``1.5e-7`` where ``repr`` pads the exponent
+    to ``1.5e-07`` (1e-9 <= p < 1e-5), and ``0.00004196`` where ``repr``
+    writes ``4.196e-05`` (1e-5 <= p < 1e-4). Those cells are picked by
+    value: distinct doubles have distinct shortest texts, so no double below
+    1e-5 prints as ``0.00001``, nor one below 1e-4 as ``0.0001``.
+    """
+    import orjson  # here, not at the top: --version and `import heatpred.cli` skip its import
+
+    text = orjson.dumps(prob, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
+    for i in np.flatnonzero((prob >= 1e-9) & (prob < 1e-5)).tolist():
+        text[i] = text[i].replace("e-", "e-0")
+    for i in np.flatnonzero((prob >= 1e-5) & (prob < 1e-4)).tolist():
+        t = text[i]  # "0.0000" and the digits
+        text[i] = f"{t[6]}.{t[7:]}e-05" if len(t) > 7 else f"{t[6]}e-05"
+    return text
+
+
 def heatmap_to_json(h: Heatmap, sample_id: str) -> str:
     """``canonical_dumps(heatmap_to_dict(h, sample_id))``, byte for byte, without the dict.
 
     The cells text is one join of three pieces per cell: the two of
-    :func:`_index_text`, then the ``repr`` of the probability, which is how
-    the json encoder writes a float. "cells" sorts before "grid" and
-    "sample_id", so it comes first.
+    :func:`_index_text`, then the probability's ``repr`` from
+    :func:`_prob_text`, which is how the json encoder writes a float.
+    "cells" sorts before "grid" and "sample_id", so it comes first.
     """
     rest = canonical_dumps({"grid": grid_to_dict(h.grid), "sample_id": sample_id})
     parts = [None] * (3 * len(h))
     parts[0::3], parts[1::3] = _index_text(h.idx)
-    parts[2::3] = map(repr, h.prob.tolist())
+    parts[2::3] = _prob_text(h.prob)
     # the first cell opens the list with "[" instead of "],["
     parts[0] = parts[0][2:]
     return '{"cells":[' + "".join(parts) + "]]," + rest[1:]

@@ -92,7 +92,7 @@ def read_jsonl(path, parse: Callable[[dict], object], start: int = 0, end: int |
     values and message. orjson reads an integer beyond 64 bits as the
     nearest float, and nesting of any depth.
     """
-    import orjson  # here, not at the top: synth and --version read no JSONL and skip its import
+    import orjson  # here, not at the top: --version and `import heatpred.cli` skip its import
 
     numbered = (0, 1)  # (byte offset, number) of the last line numbered
     for offset, line in _jsonl_lines(path, start, end):

@@ -643,6 +643,61 @@ class TestConfigAndFlags:
         assert capsys.readouterr().out.startswith(("usage: heatpred", "heatpred "))
 
 
+class TestMissingInputFile:
+    """A missing input file fails with exit 1, naming the argument or the
+    config entry and key that gave it, before the output directory is made."""
+
+    @pytest.mark.parametrize(
+        "command, missing",
+        [("sample", "heatmaps"), ("evaluate", "heatmaps"), ("evaluate", "ground_truth"),
+         ("calibrate", "heatmaps"), ("calibrate", "ground_truth")],
+    )
+    def test_positional_path(self, tmp_path, caplog, command, missing):
+        paths = dict(zip(("heatmaps", "ground_truth"), write_pairs(tmp_path / "d", point_mass_pairs(4))))
+        paths[missing] = tmp_path / "nope.jsonl"
+        names = ["heatmaps"] if command == "sample" else ["heatmaps", "ground_truth"]
+        out = tmp_path / "out"
+        assert main([command, *(str(paths[n]) for n in names), "--out", str(out)]) == EXIT_FAILURE
+        assert f"argument {missing}: missing file {paths[missing]}" in caplog.text
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv", [["standardize"], ["analysis", "uncertainty-error"], ["analysis", "noise-report"]], ids="-".join
+    )
+    def test_input_of_standardize_and_analysis(self, tmp_path, caplog, argv):
+        missing, out = tmp_path / "nope", tmp_path / "out"
+        assert main([*argv, str(missing), "--out", str(out)]) == EXIT_FAILURE
+        assert f"argument input: missing file {missing}" in caplog.text
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["heatmaps", "ground_truth"])
+    def test_mixed_source(self, tmp_path, caplog, key):
+        hm, gt = write_pairs(tmp_path, point_mass_pairs(4))
+        source = {"heatmaps": hm.name, "ground_truth": gt.name, key: "nope.jsonl"}
+        cfg = tmp_path / "c.json"
+        sources = [{"heatmaps": hm.name, "ground_truth": gt.name}, source]
+        write_json(cfg, {"min_count": 1, "mixed_n": 4, "mixed_sources": sources})
+        out = tmp_path / "out"
+        assert main(["calibrate", "--config", str(cfg), "--out", str(out)]) == EXIT_FAILURE
+        assert f"config key mixed_sources[1].{key}: missing file {tmp_path / 'nope.jsonl'}" in caplog.text
+        assert not out.exists()
+
+    def test_cross_eval_test_set(self, tmp_path, caplog):
+        hm, gt = write_pairs(tmp_path, point_mass_pairs(4))
+        manifest = tmp_path / "manifest.json"
+        write_json(manifest, {
+            "models": [{"train_dataset": "m0", "fixed_radius": 1.0}],
+            "test_sets": [
+                {"dataset": "good", "heatmaps": hm.name, "ground_truth": gt.name},
+                {"dataset": "bad", "heatmaps": hm.name, "ground_truth": "nope.jsonl"},
+            ],
+        })
+        out = tmp_path / "out"
+        assert main(["cross-eval", str(manifest), "--out", str(out)]) == EXIT_FAILURE
+        assert f"config key test_sets[1].ground_truth: missing file {tmp_path / 'nope.jsonl'}" in caplog.text
+        assert not out.exists()
+
+
 class TestRunMeta:
     # The keys of a successful run's run_meta.json besides those of every run
     KEYS = {

@@ -12,6 +12,7 @@ from heatpred.heatmap import (
     Heatmap,
     MixtureSpec,
     ZeroMassError,
+    _prob_text,
     heatmap_from_dict,
     heatmap_to_dict,
     heatmap_to_json,
@@ -335,3 +336,27 @@ class TestJsonEncoder:
     def test_sample_id_escaping(self, sid):
         h = Heatmap.from_cells(GridSpec(0.0, 0.0, 1.0, 3, 3), {4: 0.25, 8: 0.75})
         self.assert_same_bytes(h, sid)
+
+
+class TestProbText:
+    """``_prob_text`` writes each probability in (0, 1] as ``repr`` does,
+    though orjson lays out the values below 1e-4 differently."""
+
+    @staticmethod
+    def assert_repr(values):
+        prob = np.array(values, dtype=np.float64)
+        assert _prob_text(prob) == list(map(repr, prob.tolist()))
+
+    @pytest.mark.parametrize("bound", [1e-4, 1e-5, 1e-9, 1e-10])
+    def test_layout_bound_and_one_ulp_below(self, bound):
+        self.assert_repr([bound, np.nextafter(bound, 0.0), 0.5])
+
+    def test_extremes_and_one_digit_mantissas(self):
+        values = [1.0, 5e-324, 2.2250738585072014e-308, 1e-05, 3e-05, 9e-05, 3e-07, 1e-06, 7e-09, 2e-04, 4.196e-05]
+        self.assert_repr(values)
+        assert _prob_text(np.array([1e-05, 3e-07, 4.196e-05])) == ["1e-05", "3e-07", "4.196e-05"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=1, max_size=20))
+    def test_matches_repr(self, values):
+        self.assert_repr(values)
