@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from importlib import resources
 from typing import Iterable, Sequence
 
@@ -24,6 +24,7 @@ from . import kernels
 from .binning import floor_bin_means
 from .heatmap import Heatmap
 from .io import integer, number, string
+from .sampling import SamplingConfig
 
 PRESET_NAMES = ("argoverse", "interaction", "nuscenes", "shifts")
 
@@ -63,14 +64,14 @@ def _default_r_values() -> tuple[float, ...]:
 class RadiusSweepConfig:
     """Radius grid searched per sample and the rank used for the objective."""
 
-    r_values: tuple[float, ...] = ()
+    r_values: tuple[float, ...] = field(default_factory=_default_r_values)
     l_for_objective: int = 6
 
     def __post_init__(self):
-        if not self.r_values:
-            object.__setattr__(self, "r_values", _default_r_values())
         rv = tuple(float(r) for r in self.r_values)
         # each message starts with the field it rejects
+        if not rv:
+            raise ValueError("r_values: must hold at least one radius")
         for i, r in enumerate(rv):
             if not r > 0:
                 raise ValueError(f"r_values[{i}]: must be positive, got {r!r}")
@@ -105,7 +106,7 @@ def radius_sweep_errors(
 
 
 def optimal_radius(
-    h: Heatmap, gt: tuple[float, float], k: int = 6, sweep: RadiusSweepConfig = RadiusSweepConfig()
+    h: Heatmap, gt: tuple[float, float], k: int = SamplingConfig.k, sweep: RadiusSweepConfig = RadiusSweepConfig()
 ) -> float:
     """Sweep radius minimizing the endpoint error; ties go to the smallest radius."""
     errs = radius_sweep_errors(h, gt, k, sweep)

@@ -15,6 +15,7 @@ import logging
 import math
 import os
 import sys
+from dataclasses import asdict, fields
 from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
@@ -55,6 +56,7 @@ from .io import (
     write_text,
 )
 from .metrics import (
+    MISS_THRESHOLD_M,
     EvalRecord,
     aggregate,
     bin_by_uncertainty,
@@ -89,10 +91,6 @@ EXIT_FAILURE = 1
 EXIT_PARTIAL = 2
 
 
-class CliError(RuntimeError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # config plumbing
 
@@ -102,18 +100,16 @@ def _read_object(path: Path) -> dict:
     try:
         obj = read_json(path)
     except ValueError as e:
-        raise CliError(f"{path}: invalid JSON ({e})") from None
+        raise ValueError(f"{path}: invalid JSON ({e})") from None
     if not isinstance(obj, dict):
-        raise CliError(f"{path}: top level must be a JSON object, not {type(obj).__name__}")
+        raise ValueError(f"{path}: top level must be a JSON object, not {type(obj).__name__}")
     return obj
 
 
 def _load_config(path: str | None) -> tuple[dict, Path | None]:
     if path is None:
         return {}, None
-    p = Path(path)
-    if not p.exists():
-        raise CliError(f"config file not found: {p}")
+    p = _existing(Path(path), "argument --config")
     return _read_object(p), p.parent
 
 
@@ -131,39 +127,44 @@ def _positive(value, key: str) -> float:
     """The value of config key ``key``, such as a radius or a bin width, which must be a positive number."""
     v = _float(value, key)
     if not v > 0:
-        raise CliError(f"config key {key}: must be positive, got {v!r}")
+        raise ValueError(f"config key {key}: must be positive, got {v!r}")
     return v
 
 
 def _checked(cls, **values):
     """``cls(**values)`` for a config class whose checks raise a ValueError
-    that starts with the field it rejects; that error becomes a CliError
+    that starts with the field it rejects; that error is raised again
     naming the config key."""
     try:
         return cls(**values)
     except ValueError as e:
-        raise CliError(f"config key {e}") from None
+        raise ValueError(f"config key {e}") from None
+
+
+def _float_config(cls, cfg: dict):
+    """A config class whose fields are all floats, from the values of its fields in the merged config ``cfg``."""
+    return _checked(cls, **{f.name: _float(cfg[f.name], f.name) for f in fields(cls)})
 
 
 def _objects(cfg: dict, key: str) -> list[dict]:
     """The list of JSON objects under config key ``key``; absent or null gives []."""
     entries = [] if cfg.get(key) is None else cfg[key]
     if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
-        raise CliError(f"config key {key}: must be a list of objects")
+        raise ValueError(f"config key {key}: must be a list of objects")
     return entries
 
 
 def _string(entry: dict, key: str, where: str) -> str:
     """The JSON string, such as a name or a path, under ``key`` of config entry ``where``."""
     if key not in entry:
-        raise CliError(f"config key {where}: missing key {key}")
+        raise ValueError(f"config key {where}: missing key {key}")
     return string(entry[key], f"config key {where}.{key}")
 
 
 def _merge(defaults: dict, overrides: dict) -> dict:
     unknown = set(overrides) - set(defaults)
     if unknown:
-        raise CliError(f"unknown config keys: {', '.join(sorted(unknown))}")
+        raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
     merged = dict(defaults)
     merged.update(overrides)
     return merged
@@ -179,7 +180,7 @@ def _resolve_path(base_dir: Path | None, path: str) -> Path:
 def _existing(path: Path, given_as: str) -> Path:
     """``path``, an input file that must exist; ``given_as`` names the argument or config key that gave it."""
     if not path.exists():
-        raise CliError(f"{given_as}: missing file {path}")
+        raise ValueError(f"{given_as}: missing file {path}")
     return path
 
 
@@ -197,36 +198,38 @@ def _set_paths(base_dir: Path | None, entry: dict, where: str) -> tuple[Path, Pa
 
 
 SAMPLING_DEFAULTS = {
-    "k": 6,
-    "radius": {"fixed": 1.5},
-    "r_min": 0.1,
-    "r_max": 10.0,
-    "miss_threshold": 2.0,
+    "k": SamplingConfig.k,
+    "radius": {"fixed": SamplingConfig.radius_mode.r},
+    "r_min": SamplingConfig.r_min,
+    "r_max": SamplingConfig.r_max,
+    "miss_threshold": MISS_THRESHOLD_M,
 }
 
 
 def _read_model(path: Path) -> CalibrationModel:
-    """The calibration model stored at ``path``; a bad one raises a CliError naming the file and key."""
+    """The calibration model stored at ``path``; a bad one raises a ValueError naming the file and key."""
+    obj = _read_object(path)  # outside the try: its errors name the file already
     try:
-        return model_from_dict(_read_object(path))
+        return model_from_dict(obj)
     except KeyError as e:
-        raise CliError(f"{path}: missing key {e}") from None
+        raise ValueError(f"{path}: missing key {e}") from None
     except ValueError as e:
-        raise CliError(f"{path}: {e}") from None
+        raise ValueError(f"{path}: {e}") from None
 
 
-def _sampling_config(cfg: dict, base_dir: Path | None) -> tuple[SamplingConfig, float]:
-    """The sampling config and the miss threshold of a merged SAMPLING_DEFAULTS config."""
+def _sampling_config(
+    cfg: dict, base_dir: Path | None, model_key: str = "radius.adaptive"
+) -> tuple[SamplingConfig, float]:
+    """The sampling config and the miss threshold of a merged SAMPLING_DEFAULTS
+    config; ``model_key`` names the config key that gave an adaptive radius's model file."""
     radius = cfg["radius"] if isinstance(cfg["radius"], dict) else {}
     if "fixed" in radius:
         mode = FixedRadius(_positive(radius["fixed"], "radius.fixed"))
     elif "adaptive" in radius:
-        model_path = _resolve_path(base_dir, string(radius["adaptive"], "config key radius.adaptive"))
-        if not model_path.exists():
-            raise CliError(f"calibration model not found: {model_path}")
-        mode = AdaptiveRadius(_read_model(model_path))
+        model_path = _resolve_path(base_dir, string(radius["adaptive"], f"config key {model_key}"))
+        mode = AdaptiveRadius(_read_model(_existing(model_path, f"config key {model_key}")))
     else:
-        raise CliError('config key radius: must be an object with "fixed" or "adaptive"')
+        raise ValueError('config key radius: must be an object with "fixed" or "adaptive"')
     sampling = _checked(
         SamplingConfig,
         k=_int(cfg["k"], "k"),
@@ -260,10 +263,10 @@ def _load_ground_truth(path: Path) -> dict[str, tuple[float, float]]:
     for r in io.read_jsonl(path, _ground_truth_row):
         sid, gt = _raised(r)
         if sid in gts:
-            raise CliError(f"{path}: duplicate sample id {sid}")
+            raise ValueError(f"{path}: duplicate sample id {sid}")
         gts[sid] = gt
     if not gts:
-        raise CliError(f"{path}: no ground truth entries")
+        raise ValueError(f"{path}: no ground truth entries")
     return gts
 
 
@@ -301,7 +304,7 @@ def _read_sets(sets: list[tuple[Path, Path | None]], work, run: dict) -> list:
     """``work(sid, heatmap, ground truth)`` on every heatmap of each (heatmaps,
     ground truth or None) set, in one pool of ``run["workers"]`` workers.
 
-    Per set, the (sample id, result) rows sorted by id, or the CliError the
+    Per set, the (sample id, result) rows sorted by id, or the ValueError the
     set failed with. A set fails on, in this order: its first failing
     heatmap line by file position, no heatmaps, duplicate ids, its ground
     truth, and ids without a match on the other side. The run record's
@@ -322,9 +325,9 @@ def _read_sets(sets: list[tuple[Path, Path | None]], work, run: dict) -> list:
     for i, (_, gp) in enumerate(sets):
         try:
             gts.append(None if gp is None else _load_ground_truth(gp))
-        except (CliError, ValueError) as e:
+        except ValueError as e:
             gts.append({})
-            gt_errors[i] = CliError(str(e))
+            gt_errors[i] = e
     parts = workers * RANGES_PER_WORKER if workers > 1 else 1
     ranges = [jsonl_ranges(hp, parts) for hp, _ in sets]
     state = ([(hp, g) for (hp, _), g in zip(sets, gts)], work)
@@ -337,11 +340,11 @@ def _read_sets(sets: list[tuple[Path, Path | None]], work, run: dict) -> list:
         rows = [row for range_rows, _ in done for row in range_rows]
         try:
             if failures:
-                raise CliError(failures[0])
+                raise ValueError(failures[0])
             if not rows:
-                raise CliError(f"{hp}: no heatmaps")
+                raise ValueError(f"{hp}: no heatmaps")
             if len({sid for sid, _, _ in rows}) != len(rows):
-                raise CliError(f"{hp}: duplicate sample ids")
+                raise ValueError(f"{hp}: duplicate sample ids")
             errors = [abs(mass - 1.0) for _, mass, _ in rows]
             masses[str(hp)] = {
                 "max_abs_mass_error": max(errors),
@@ -351,11 +354,11 @@ def _read_sets(sets: list[tuple[Path, Path | None]], work, run: dict) -> list:
                 raise gt_errors[i]
             offenders = [] if g is None else sorted({sid for sid, _, _ in rows}.symmetric_difference(g))
             if offenders:
-                raise CliError(
+                raise ValueError(
                     f"sample ids differ between {hp} and {gp} "
                     f"({len(offenders)} offenders; first: {', '.join(offenders[:10])})"
                 )
-        except CliError as e:
+        except ValueError as e:
             out.append(e)
         else:
             out.append(sorted(((sid, result) for sid, _, result in rows), key=lambda row: row[0]))
@@ -414,13 +417,13 @@ def _out_dir(args, run: dict, cfg) -> tuple[Path, str]:
 # standardize
 
 
-STANDARDIZE_DEFAULTS = {"history_s": 1.0, "horizon_s": 3.0, "rate_hz": 10.0}
+STANDARDIZE_DEFAULTS = asdict(StandardizationConfig())
 
 
 def cmd_standardize(args, run: dict) -> int:
     cfg_raw, _ = _load_config(args.config)
     cfg = _merge(STANDARDIZE_DEFAULTS, cfg_raw)
-    std = _checked(StandardizationConfig, **{key: _float(cfg[key], key) for key in STANDARDIZE_DEFAULTS})
+    std = _float_config(StandardizationConfig, cfg)
     _arg_paths(args, "input")
     out, _ = _out_dir(args, run, cfg)
     out_path = out / "standardized.jsonl"
@@ -437,7 +440,7 @@ def cmd_standardize(args, run: dict) -> int:
     n_ok = write_jsonl(out_path, standardized())
     run.update(n_ok=n_ok, n_failed=len(failed))
     if n_ok == 0:
-        raise CliError("no sample could be standardized")
+        raise ValueError("no sample could be standardized")
     logger.info("standardized %d samples (%d failed) -> %s", n_ok, len(failed), out_path)
     return EXIT_PARTIAL if failed else EXIT_OK
 
@@ -451,7 +454,7 @@ def cmd_synth(args, run: dict) -> int:
     cfg = _merge({**ScenarioConfig().to_dict(), "n": None}, cfg_raw)
     n_cfg = cfg.pop("n")
     if args.n is not None and args.n < 1:
-        raise CliError(f"--n must be at least 1, got {args.n}")
+        raise ValueError(f"--n must be at least 1, got {args.n}")
     n = args.n if args.n is not None else (_int(n_cfg, "n", at_least=1) if n_cfg is not None else 100)
     if args.seed is not None:
         cfg["seed"] = args.seed
@@ -511,9 +514,9 @@ def cmd_evaluate(args, run: dict) -> int:
 
 
 CALIBRATE_DEFAULTS = {
-    "k": 6,
-    "l_for_objective": 6,
-    "r_values": None,
+    "k": SamplingConfig.k,
+    "l_for_objective": RadiusSweepConfig.l_for_objective,
+    "r_values": None,  # RadiusSweepConfig's grid
     "bin_width": 1.0,
     "min_count": 100,
     "dataset_tag": "unknown",
@@ -544,7 +547,7 @@ def _mixed_draws(loaded: list[list], weights: list[float], n: int, seed: int) ->
                 cursors[cand] += 1
                 break
         else:
-            raise CliError(f"mixed sources exhausted after {i} of {n} draws")
+            raise ValueError(f"mixed sources exhausted after {i} of {n} draws")
     return out
 
 
@@ -552,7 +555,7 @@ def _source_weight(i: int, src: dict) -> float:
     where = f"mixed_sources[{i}]"
     w = _float(src.get("weight", 1.0), f"{where}.weight")
     if not (math.isfinite(w) and w >= 0):
-        raise CliError(f"config key {where}.weight: must be a finite number >= 0, got {w!r}")
+        raise ValueError(f"config key {where}.weight: must be a finite number >= 0, got {w!r}")
     return w
 
 
@@ -565,7 +568,7 @@ def cmd_calibrate(args, run: dict) -> int:
     tag = string(cfg["dataset_tag"], "config key dataset_tag")
     sweep = _checked(
         RadiusSweepConfig,
-        r_values=() if cfg["r_values"] is None else numbers(cfg["r_values"], "config key r_values"),
+        **({} if cfg["r_values"] is None else {"r_values": numbers(cfg["r_values"], "config key r_values")}),
         l_for_objective=_int(cfg["l_for_objective"], "l_for_objective"),
     )
     sources = _objects(cfg, "mixed_sources")
@@ -573,11 +576,11 @@ def cmd_calibrate(args, run: dict) -> int:
         n = _int(cfg["mixed_n"], "mixed_n", at_least=1)
         weights = [_source_weight(i, src) for i, src in enumerate(sources)]
         if sum(weights) == 0:
-            raise CliError("config key mixed_sources: weights must not all be 0")
+            raise ValueError("config key mixed_sources: weights must not all be 0")
         sets = [_set_paths(base, src, f"mixed_sources[{i}]") for i, src in enumerate(sources)]
     else:
         if not args.heatmaps or not args.ground_truth:
-            raise CliError("calibrate needs HEATMAPS and GROUND_TRUTH (or mixed_sources config)")
+            raise ValueError("calibrate needs HEATMAPS and GROUND_TRUTH (or mixed_sources config)")
         sets = [_arg_paths(args, "heatmaps", "ground_truth")]
     out, cfg_hash = _out_dir(args, run, cfg)
     # every heatmap of every source is swept, drawn into the mix or not
@@ -618,41 +621,39 @@ def _model_radius(i: int, model: dict) -> dict:
         return {"adaptive": _string(model, "calibration", f"models[{i}]")}
     if model.get("fixed_radius") is not None:
         return {"fixed": _positive(model["fixed_radius"], f"models[{i}].fixed_radius")}
-    raise CliError(f"config key models[{i}]: needs calibration or fixed_radius")
+    raise ValueError(f"config key models[{i}]: needs calibration or fixed_radius")
 
 
 def _matrix_markdown(title: str, header: list[str], table: list[list[str]]) -> str:
-    lines = [f"### {title}", "", "| " + " | ".join(header) + " |", "|" + "---|" * len(header)]
-    lines += ["| " + " | ".join(row) + " |" for row in table]
-    lines.append("")
-    return "\n".join(lines)
+    """A titled markdown table; a ``|`` in a cell, such as in a dataset tag, is written ``\\|``."""
+    head, *body = ["| " + " | ".join(c.replace("|", "\\|") for c in row) + " |" for row in [header, *table]]
+    return "\n".join([f"### {title}", "", head, "|" + "---|" * len(header), *body, ""])
 
 
 def cmd_cross_eval(args, run: dict) -> int:
-    manifest_path = Path(args.manifest)
-    if not manifest_path.exists():
-        raise CliError(f"manifest not found: {manifest_path}")
+    manifest_path = _existing(Path(args.manifest), "argument manifest")
     manifest = _read_object(manifest_path)
     base = manifest_path.parent
     models = _objects(manifest, "models")
     test_sets = _objects(manifest, "test_sets")
     if not models or not test_sets:
-        raise CliError("manifest needs non-empty models and test_sets")
+        raise ValueError("manifest needs non-empty models and test_sets")
     row_tags = [_string(m, "train_dataset", f"models[{i}]") for i, m in enumerate(models)]
     col_tags = [_string(t, "dataset", f"test_sets[{i}]") for i, t in enumerate(test_sets)]
     if len(set(row_tags)) != len(row_tags) or len(set(col_tags)) != len(col_tags):
-        raise CliError("model and test set tags must be unique")
+        raise ValueError("model and test set tags must be unique")
 
     sampling = manifest.get("sampling", {})
     if not isinstance(sampling, dict):
-        raise CliError("manifest key sampling: must be an object")
+        raise ValueError("manifest key sampling: must be an object")
     # the radius comes from each model row, so the manifest may not set one
     sampling = _merge({key: v for key, v in SAMPLING_DEFAULTS.items() if key != "radius"}, sampling)
-    baseline_r = _positive(manifest.get("baseline_fixed_radius", 1.5), "baseline_fixed_radius")
+    baseline_r = _positive(manifest.get("baseline_fixed_radius", SamplingConfig.radius_mode.r), "baseline_fixed_radius")
     base_cfg, threshold = _sampling_config({**sampling, "radius": {"fixed": baseline_r}}, base)
     k = base_cfg.k
     row_cfgs = [
-        _sampling_config({**sampling, "radius": _model_radius(i, m)}, base)[0] for i, m in enumerate(models)
+        _sampling_config({**sampling, "radius": _model_radius(i, m)}, base, f"models[{i}].calibration")[0]
+        for i, m in enumerate(models)
     ]
     set_paths = {
         tag: _set_paths(base, t, f"test_sets[{i}]") for i, (tag, t) in enumerate(zip(col_tags, test_sets))
@@ -718,7 +719,7 @@ def cmd_cross_eval(args, run: dict) -> int:
     n_failed = sum(cells[row][col]["status"] == "failed" for row in row_tags for col in col_tags)
     run.update(n_cells=n_cells, n_failed=n_failed, clamped_radii=clamped)
     if n_failed == n_cells:
-        raise CliError("every cell of the matrix failed")
+        raise ValueError("every cell of the matrix failed")
     return EXIT_PARTIAL if n_failed else EXIT_OK
 
 
@@ -727,7 +728,7 @@ def cmd_cross_eval(args, run: dict) -> int:
 
 
 ANALYSIS_UNCERTAINTY_DEFAULTS = {"bin_width": 1.0, "min_count": 100}
-ANALYSIS_NOISE_DEFAULTS = {"process_accel_std": 1.0, "obs_std": 0.5, "bin_width": 0.1}
+ANALYSIS_NOISE_DEFAULTS = {**asdict(KalmanConfig()), "bin_width": 0.1}
 ANALYSIS_SPEED_DEFAULTS = {"bin_width": 1.0}
 
 
@@ -740,7 +741,7 @@ def _scene_values(path: Path, fn) -> list[tuple[str, float]]:
 
     out = [_raised(r) for r in io.read_jsonl(path, row)]
     if not out:
-        raise CliError(f"{path}: no samples")
+        raise ValueError(f"{path}: no samples")
     return out
 
 
@@ -754,7 +755,7 @@ def _write_hist_json(path: Path, hist: list[tuple[float, int, float]], cfg: dict
 
 def cmd_analysis(args, run: dict) -> int:
     if args.svg and args.analysis_cmd != "uncertainty-error":
-        raise CliError(f"heatpred analysis {args.analysis_cmd}: unrecognized arguments: --svg")
+        raise ValueError(f"heatpred analysis {args.analysis_cmd}: unrecognized arguments: --svg")
     cfg_raw, _ = _load_config(args.config)
     if args.analysis_cmd == "uncertainty-error":
         cfg = _merge(ANALYSIS_UNCERTAINTY_DEFAULTS, cfg_raw)
@@ -770,11 +771,7 @@ def cmd_analysis(args, run: dict) -> int:
         run["n_bins"] = len(bins)
     elif args.analysis_cmd == "noise-report":
         cfg = _merge(ANALYSIS_NOISE_DEFAULTS, cfg_raw)
-        kcfg = _checked(
-            KalmanConfig,
-            process_accel_std=_float(cfg["process_accel_std"], "process_accel_std"),
-            obs_std=_float(cfg["obs_std"], "obs_std"),
-        )
+        kcfg = _float_config(KalmanConfig, cfg)
         bin_width = _positive(cfg["bin_width"], "bin_width")
         _arg_paths(args, "input")
         out, cfg_hash = _out_dir(args, run, cfg)
@@ -795,7 +792,7 @@ def cmd_analysis(args, run: dict) -> int:
         _write_hist_json(out / "speed_hist.json", hist, cfg, cfg_hash)
         run["n"] = len(speeds)
     else:  # pragma: no cover - argparse enforces choices
-        raise CliError(f"unknown analysis subcommand {args.analysis_cmd}")
+        raise ValueError(f"unknown analysis subcommand {args.analysis_cmd}")
     return EXIT_OK
 
 
@@ -827,6 +824,8 @@ def _svg_line_chart(xs, ys, x_label: str, y_label: str, w: int = 480, h: int = 3
 
 
 def _svg_matrix(rows, cols, cells, cell_px: int = 90) -> str:
+    from xml.sax.saxutils import escape  # here, not at the top: it imports urllib.request, slowing every start-up
+
     pad = 80
     w = pad + cell_px * len(cols) + 10
     h = pad + cell_px * len(rows) + 10
@@ -843,12 +842,12 @@ def _svg_matrix(rows, cols, cells, cell_px: int = 90) -> str:
     for j, c in enumerate(cols):
         parts.append(
             f"<text x='{pad + j * cell_px + cell_px / 2:.0f}' y='{pad - 10}' "
-            f"text-anchor='middle' font-size='11'>{c}</text>"
+            f"text-anchor='middle' font-size='11'>{escape(c)}</text>"
         )
     for i, r in enumerate(rows):
         parts.append(
             f"<text x='{pad - 8}' y='{pad + i * cell_px + cell_px / 2:.0f}' "
-            f"text-anchor='end' font-size='11'>{r}</text>"
+            f"text-anchor='end' font-size='11'>{escape(r)}</text>"
         )
         for j, c in enumerate(cols):
             cell = cells[r][c]
@@ -879,10 +878,10 @@ def _svg_matrix(rows, cols, cells, cell_px: int = 90) -> str:
 
 
 class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser whose usage errors raise a CliError, so that they exit 1 like other failures."""
+    """An ArgumentParser whose usage errors raise a ValueError, so that they exit 1 like other failures."""
 
     def error(self, message):
-        raise CliError(f"{self.prog}: {message}")
+        raise ValueError(f"{self.prog}: {message}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -945,7 +944,7 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         if getattr(args, "workers", 1) < 1:
-            raise CliError(f"--workers must be at least 1, got {args.workers}")
+            raise ValueError(f"--workers must be at least 1, got {args.workers}")
         run.update(
             command=" ".join(filter(None, (args.command, getattr(args, "analysis_cmd", None)))),
             version=__version__, timestamp_utc=datetime.now(timezone.utc).isoformat(),
@@ -960,7 +959,7 @@ def main(argv=None) -> int:
         finally:
             if "config_hash" in run:  # _out_dir has made the output directory
                 write_json(Path(args.out) / "run_meta.json", run)
-    except (CliError, ValueError, OSError) as e:
+    except (ValueError, OSError) as e:
         logger.error("%s", e)
         return EXIT_FAILURE
 

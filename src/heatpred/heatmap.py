@@ -309,27 +309,6 @@ def heatmap_to_dict(h: Heatmap, sample_id: str) -> dict:
     }
 
 
-# The last three digits of a cell index and the comma after them: entry i
-# is "i," for an index below 1000, entry 1000 + i is i zero-padded to three
-# digits, for the digits after a thousands head. Entries from 100 on are
-# the same text in both halves, and the same str objects.
-_PADDED = [f"{i:03d}," for i in range(1000)]
-_LOW_DIGITS = np.array([f"{i}," for i in range(100)] + _PADDED[100:] + _PADDED, dtype=object)
-
-
-def _index_text(idx: np.ndarray) -> tuple[list[str], list[str]]:
-    """The text before the probability of each cell of a sorted ``idx``, in
-    two pieces: ``],[`` with the digits of ``index // 1000`` (none when that
-    is 0), and the last three digits with the comma. Each thousands value is
-    formatted once, and the digits come from a fixed table. The numpy arrays
-    built here are freed when it returns, before the caller's join."""
-    high, low = np.divmod(idx, 1000)
-    # idx is sorted, so each distinct thousands value is one run of cells
-    starts = np.r_[True, high[1:] != high[:-1]]
-    heads = np.array([f"],[{v or ''}" for v in high[starts].tolist()], dtype=object)
-    return heads[np.cumsum(starts) - 1].tolist(), _LOW_DIGITS[low + 1000 * (high > 0)].tolist()
-
-
 def _prob_text(prob: np.ndarray) -> list[str]:
     """``repr`` of each probability in (0, 1], as ``list(map(repr, prob.tolist()))``.
 
@@ -351,21 +330,33 @@ def _prob_text(prob: np.ndarray) -> list[str]:
     return text
 
 
+# Cells per join in heatmap_to_json: a str for each piece of a cell takes
+# more memory than the text they join to, so only this many are held at once.
+_JOIN_CELLS = 2048
+
+
 def heatmap_to_json(h: Heatmap, sample_id: str) -> str:
     """``canonical_dumps(heatmap_to_dict(h, sample_id))``, byte for byte, without the dict.
 
-    The cells text is one join of three pieces per cell: the two of
-    :func:`_index_text`, then the probability's ``repr`` from
-    :func:`_prob_text`, which is how the json encoder writes a float.
-    "cells" sorts before "grid" and "sample_id", so it comes first.
+    The cells text is joined, ``_JOIN_CELLS`` cells at a time, from four
+    pieces per cell: ``],[``, the index as orjson writes an integer, which is
+    how the json encoder writes it too, a comma, and the probability's
+    ``repr`` from :func:`_prob_text`, which is how the json encoder writes a
+    float. "cells" sorts before "grid" and "sample_id", so it comes first.
     """
+    import orjson  # here, not at the top: --version and `import heatpred.cli` skip its import
+
     rest = canonical_dumps({"grid": grid_to_dict(h.grid), "sample_id": sample_id})
-    parts = [None] * (3 * len(h))
-    parts[0::3], parts[1::3] = _index_text(h.idx)
-    parts[2::3] = _prob_text(h.prob)
+    cells = []
+    for start in range(0, len(h), _JOIN_CELLS):
+        idx, prob = h.idx[start : start + _JOIN_CELLS], h.prob[start : start + _JOIN_CELLS]
+        parts = ["],[", None, ",", None] * len(idx)
+        parts[1::4] = orjson.dumps(idx, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
+        parts[3::4] = _prob_text(prob)
+        cells.append("".join(parts))
     # the first cell opens the list with "[" instead of "],["
-    parts[0] = parts[0][2:]
-    return '{"cells":[' + "".join(parts) + "]]," + rest[1:]
+    cells[0] = cells[0][2:]
+    return '{"cells":[' + "".join(cells) + "]]," + rest[1:]
 
 
 def _bad_cell(cells) -> str:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .binning import floor_bin_means
-from .io import write_csv
+from .io import finite, write_csv
 from .sampling import PredictionSet
 
 MISS_THRESHOLD_M = 2.0
@@ -128,7 +128,8 @@ def write_records_csv(path, records: Sequence[EvalRecord], cfg_hash: str) -> Non
 
 def read_records_csv(path) -> list[EvalRecord]:
     """Records as :func:`write_records_csv` writes them. A missing column or a
-    value that does not parse raises a ValueError naming the file."""
+    value that does not parse, or is not finite, raises a ValueError naming
+    the file and the sample."""
     records = []
     with open(path, newline="") as f:
         lines = (ln for ln in f if not ln.startswith("#"))
@@ -146,9 +147,9 @@ def read_records_csv(path) -> list[EvalRecord]:
                 records.append(
                     EvalRecord(
                         sample_id=row["sample_id"],
-                        uncertainty=float(row["uncertainty"]),
-                        radius_used=float(row["radius_used"]),
-                        fde_per_l=[float(row[f"fde_{l}"]) for l in ks],
+                        uncertainty=finite(float(row["uncertainty"]), "uncertainty"),
+                        radius_used=finite(float(row["radius_used"]), "radius_used"),
+                        fde_per_l=[finite(float(row[f"fde_{l}"]), f"fde_{l}") for l in ks],
                         miss_per_l=[row[f"miss_{l}"] == "1" for l in ks],
                     )
                 )

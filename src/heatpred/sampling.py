@@ -90,7 +90,7 @@ def nms_sample(h: Heatmap, k: int, r: float) -> PredictionSet:
 
 
 def adaptive_radius(
-    spread: float, model: "CalibrationModel", r_min: float = 0.1, r_max: float = 10.0
+    spread: float, model: "CalibrationModel", r_min: float = SamplingConfig.r_min, r_max: float = SamplingConfig.r_max
 ) -> float:
     """Affine spread-to-radius map, clamped to [r_min, r_max]."""
     if spread < 0:

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import warnings
 from collections import Counter
+from xml.etree import ElementTree
 from functools import partial
 
 import numpy as np
@@ -476,6 +477,7 @@ class TestConfigAndFlags:
             ("calibrate", lambda c: c.update(r_values=[0.5, 0.2]),
              "config key r_values[1]: radii must be strictly ascending, got 0.2 after 0.5"),
             ("calibrate", lambda c: c.update(r_values=[-1, 0.2]), "config key r_values[0]: must be positive, got -1.0"),
+            ("calibrate", lambda c: c.update(r_values=[]), "config key r_values: must hold at least one radius"),
             ("calibrate", lambda c: c.update(mixed_n=0), "config key mixed_n: must be at least 1, got 0"),
             ("standardize", lambda c: c.update(rate_hz=0), "config key rate_hz: must be positive and finite, got 0.0"),
             ("standardize", lambda c: c.update(rate_hz=math.inf),
@@ -503,8 +505,8 @@ class TestConfigAndFlags:
             "source-no-heatmaps", "weights-all-zero", "weight-negative", "weight-not-a-number",
             "r_values-string", "r_values-item-string", "mixed_sources-false", "sampling-k-zero", "sample-k-zero",
             "sample-r_max-below-r_min", "l_for_objective-zero", "r_values-descending", "r_values-negative",
-            "mixed_n-zero", "rate_hz-zero", "rate_hz-infinite", "horizon_s-fractional-steps", "obs_std-zero",
-            "process_accel_std-infinite", "train_dataset-number", "dataset-null", "calibration-list",
+            "r_values-empty", "mixed_n-zero", "rate_hz-zero", "rate_hz-infinite", "horizon_s-fractional-steps",
+            "obs_std-zero", "process_accel_std-infinite", "train_dataset-number", "dataset-null", "calibration-list",
             "test-set-heatmaps-number", "source-ground_truth-bool", "dataset_tag-null",
         ],
     )
@@ -695,6 +697,31 @@ class TestMissingInputFile:
         out = tmp_path / "out"
         assert main(["cross-eval", str(manifest), "--out", str(out)]) == EXIT_FAILURE
         assert f"config key test_sets[1].ground_truth: missing file {tmp_path / 'nope.jsonl'}" in caplog.text
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "given_as",
+        ["argument --config", "argument manifest", "config key radius.adaptive", "config key models[1].calibration"],
+    )
+    def test_config_manifest_and_model(self, tmp_path, caplog, given_as):
+        hm, gt = write_pairs(tmp_path, point_mass_pairs(4))
+        missing, out = tmp_path / "nope.json", tmp_path / "out"
+        write_json(tmp_path / "adaptive.json", {"radius": {"adaptive": missing.name}})
+        write_json(tmp_path / "manifest.json", {
+            "models": [
+                {"train_dataset": "m0", "fixed_radius": 1.0},
+                {"train_dataset": "m1", "calibration": missing.name},
+            ],
+            "test_sets": [{"dataset": "t0", "heatmaps": hm.name, "ground_truth": gt.name}],
+        })
+        argv = {
+            "argument --config": ["evaluate", str(hm), str(gt), "--config", str(missing)],
+            "argument manifest": ["cross-eval", str(missing)],
+            "config key radius.adaptive": ["evaluate", str(hm), str(gt), "--config", str(tmp_path / "adaptive.json")],
+            "config key models[1].calibration": ["cross-eval", str(tmp_path / "manifest.json")],
+        }[given_as]
+        assert main([*argv, "--out", str(out)]) == EXIT_FAILURE
+        assert f"{given_as}: missing file {missing}" in caplog.text
         assert not out.exists()
 
 
@@ -1312,8 +1339,15 @@ class TestAnalysis:
             ("sample_id,uncertainty,radius_used,fde_1\nr0,1.0,1.0,0.5\n", "missing column miss_1"),
             ("sample_id,uncertainty,radius_used,fde_1,miss_1\nr0,x,1.0,0.5,0\n", "(sample r0)"),
             ("sample_id,uncertainty,radius_used,fde_1,miss_1\nr0,1.0\n", "(sample r0)"),
+            ("sample_id,uncertainty,radius_used,fde_1,miss_1\nr0,inf,1.0,0.5,0\n",
+             "(sample r0): uncertainty: inf is not finite"),
+            ("sample_id,uncertainty,radius_used,fde_1,miss_1\nr0,1.0,1.0,nan,0\n",
+             "(sample r0): fde_1: nan is not a valid float"),
+            ("sample_id,uncertainty,radius_used,fde_1,miss_1\nr0,1.0,-inf,0.5,0\n",
+             "(sample r0): radius_used: -inf is not finite"),
         ],
-        ids=["no-columns", "no-fde_1", "no-miss_1", "bad-float", "short-row"],
+        ids=["no-columns", "no-fde_1", "no-miss_1", "bad-float", "short-row", "uncertainty-inf", "fde_1-nan",
+             "radius_used-minus-inf"],
     )
     def test_uncertainty_error_bad_records_names_file(self, tmp_path, caplog, text, named):
         path = tmp_path / "records.csv"
@@ -1459,6 +1493,23 @@ class TestCrossEval:
         assert (out / "improvement_minfde6.csv").exists()
         assert (out / "report.md").exists()
         assert (out / "matrices.svg").exists()
+
+    def test_tags_are_escaped_in_svg_and_report(self, tmp_path):
+        hm, gt = write_pairs(tmp_path / "d", point_mass_pairs(4))
+        rows, cols = ["m&0", "m|1"], ["<t0>", "t|1"]
+        manifest = tmp_path / "manifest.json"
+        write_json(manifest, {
+            "models": [{"train_dataset": tag, "fixed_radius": 1.0} for tag in rows],
+            "test_sets": [{"dataset": tag, "heatmaps": str(hm), "ground_truth": str(gt)} for tag in cols],
+        })
+        out = tmp_path / "xe"
+        assert main(["cross-eval", str(manifest), "--out", str(out), "--svg"]) == EXIT_OK
+        svg = ElementTree.parse(out / "matrices.svg").getroot()
+        assert set(rows + cols) <= {t.text for t in svg.iter("{http://www.w3.org/2000/svg}text")}
+        table = [ln for ln in (out / "report.md").read_text().splitlines() if ln.startswith("|")]
+        assert "| train\\test | <t0> | t\\|1 |" in table
+        # every table line has one column per test set besides the row tags
+        assert all(ln.count("|") - ln.count("\\|") == len(cols) + 2 for ln in table)
 
     def test_spread_taken_once_per_test_heatmap(self, tmp_path, monkeypatch):
         from heatpred import cli, sampling

@@ -119,9 +119,13 @@ def run_all(workers: int) -> dict:
 def test_outputs_match_the_golden_table(tmp_path, monkeypatch, workers):
     monkeypatch.chdir(tmp_path)
     got = run_all(workers)
-    pinned = json.loads(GOLDEN.read_text())["runs"]
+    golden = json.loads(GOLDEN.read_text())
+    pinned = golden["runs"]
     changed = [out for out in pinned.keys() | got.keys() if got.get(out) != pinned.get(out)]
-    assert not changed, f"outputs differ from golden.json: {sorted(changed)}"
+    assert not changed, (
+        f"outputs differ from golden.json: {sorted(changed)}; recorded with Python {golden['python']} and numpy "
+        f"{golden['numpy']}, running Python {platform.python_version()} and numpy {np.__version__}"
+    )
 
 
 if __name__ == "__main__":

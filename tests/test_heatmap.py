@@ -306,8 +306,7 @@ class TestJsonEncoder:
         assert "0.30000000000000004" in heatmap_to_json(h, "probs")
 
     def test_indices_at_digit_boundaries(self):
-        # the index text is a thousands head plus three table digits, padded
-        # only after a head; a grid of 10^12 cells holds every boundary
+        # indices of every digit count, up to the last cell of a grid of 10^12 cells
         g = GridSpec(0.0, 0.0, 1.0, 10**6, 10**6)
         idx = [0, 9, 10, 999, 1000, 1001, 1005, 9999, 10000, 1_000_007, g.n_cells - 1]
         h = Heatmap(g, np.array(idx, dtype=np.int64), np.linspace(1.0, 2.0, len(idx)))
