@@ -10,6 +10,11 @@ import math
 from collections import defaultdict
 from typing import Iterable, Sequence
 
+# The default width of the spread bins, of calibration and of the
+# uncertainty-error analysis, and the fewest entries a bin needs to be kept.
+BIN_WIDTH = 1.0
+MIN_COUNT = 100
+
 
 def floor_bin(value: float, bin_width: float) -> int:
     return int(math.floor(value / bin_width))

@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import kernels
-from .binning import floor_bin_means
+from .binning import BIN_WIDTH, MIN_COUNT, floor_bin_means
 from .heatmap import Heatmap
 from .io import integer, number, string
 from .sampling import SamplingConfig
@@ -75,6 +75,8 @@ class RadiusSweepConfig:
         for i, r in enumerate(rv):
             if not r > 0:
                 raise ValueError(f"r_values[{i}]: must be positive, got {r!r}")
+            if not math.isfinite(r):
+                raise ValueError(f"r_values[{i}]: must be finite, got {r!r}")
             if i and not r > rv[i - 1]:
                 raise ValueError(f"r_values[{i}]: radii must be strictly ascending, got {r!r} after {rv[i - 1]!r}")
         if self.l_for_objective < 1:
@@ -113,7 +115,7 @@ def optimal_radius(
     return float(sweep.r_values[int(np.argmin(errs))])
 
 
-def spread_bins(pairs: Iterable[tuple[float, float]], bin_width: float = 1.0) -> list[tuple[float, float, int]]:
+def spread_bins(pairs: Iterable[tuple[float, float]], bin_width: float = BIN_WIDTH) -> list[tuple[float, float, int]]:
     """Mean optimal radius of every spread floor bin, as (bin_center, mean_r, count)."""
     means = floor_bin_means(pairs, bin_width, 0)
     return [(lower + bin_width / 2.0, mean_r, count) for lower, mean_r, count in means]
@@ -154,8 +156,8 @@ def ols_fit(
 
 def calibrate(
     pairs: Sequence[tuple[float, float]],
-    bin_width: float = 1.0,
-    min_count: int = 100,
+    bin_width: float = BIN_WIDTH,
+    min_count: int = MIN_COUNT,
     source_dataset: str = "unknown",
 ) -> CalibrationModel:
     """Fit the affine spread-to-radius model on (spread, optimal radius) pairs.
@@ -168,7 +170,7 @@ def calibrate(
 
 
 def fit_bins(
-    bins: Sequence[tuple[float, float, int]], min_count: int = 100, source_dataset: str = "unknown"
+    bins: Sequence[tuple[float, float, int]], min_count: int = MIN_COUNT, source_dataset: str = "unknown"
 ) -> tuple[CalibrationModel, list[tuple[float, float, int]]]:
     """The line through the ``spread_bins`` bins that hold at least ``min_count``
     pairs, weighted by bin population, and those bins.

@@ -82,7 +82,7 @@ from .trajectory import (
     sample_to_dict,
     standardize_sample,
 )
-from .binning import floor_histogram
+from .binning import BIN_WIDTH, MIN_COUNT, floor_histogram
 
 logger = logging.getLogger("heatpred")
 
@@ -124,10 +124,12 @@ def _int(value, key: str, at_least: int | None = None) -> int:
 
 
 def _positive(value, key: str) -> float:
-    """The value of config key ``key``, such as a radius or a bin width, which must be a positive number."""
+    """The value of config key ``key``, such as a radius or a bin width, which must be a positive finite number."""
     v = _float(value, key)
     if not v > 0:
         raise ValueError(f"config key {key}: must be positive, got {v!r}")
+    if not math.isfinite(v):
+        raise ValueError(f"config key {key}: must be finite, got {v!r}")
     return v
 
 
@@ -449,13 +451,16 @@ def cmd_standardize(args, run: dict) -> int:
 # synth
 
 
+SYNTH_N = 100  # scenarios when neither --n nor config key n gives a count
+
+
 def cmd_synth(args, run: dict) -> int:
     cfg_raw, _ = _load_config(args.config)
     cfg = _merge({**ScenarioConfig().to_dict(), "n": None}, cfg_raw)
     n_cfg = cfg.pop("n")
     if args.n is not None and args.n < 1:
         raise ValueError(f"--n must be at least 1, got {args.n}")
-    n = args.n if args.n is not None else (_int(n_cfg, "n", at_least=1) if n_cfg is not None else 100)
+    n = args.n if args.n is not None else (_int(n_cfg, "n", at_least=1) if n_cfg is not None else SYNTH_N)
     if args.seed is not None:
         cfg["seed"] = args.seed
     scen = ScenarioConfig.from_dict(cfg)
@@ -517,8 +522,8 @@ CALIBRATE_DEFAULTS = {
     "k": SamplingConfig.k,
     "l_for_objective": RadiusSweepConfig.l_for_objective,
     "r_values": None,  # RadiusSweepConfig's grid
-    "bin_width": 1.0,
-    "min_count": 100,
+    "bin_width": BIN_WIDTH,
+    "min_count": MIN_COUNT,
     "dataset_tag": "unknown",
     "mixed_sources": None,
     "mixed_n": None,
@@ -727,7 +732,7 @@ def cmd_cross_eval(args, run: dict) -> int:
 # analysis
 
 
-ANALYSIS_UNCERTAINTY_DEFAULTS = {"bin_width": 1.0, "min_count": 100}
+ANALYSIS_UNCERTAINTY_DEFAULTS = {"bin_width": BIN_WIDTH, "min_count": MIN_COUNT}
 ANALYSIS_NOISE_DEFAULTS = {**asdict(KalmanConfig()), "bin_width": 0.1}
 ANALYSIS_SPEED_DEFAULTS = {"bin_width": 1.0}
 
@@ -910,7 +915,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="scene JSONL")
 
     p = command("synth", cmd_synth, "generate a synthetic heatmap dataset", "config", "seed", "workers")
-    p.add_argument("--n", type=int, default=None, help="number of scenarios")
+    p.add_argument(
+        "--n", type=int, default=None, help=f"number of scenarios (default: config key n, else {SYNTH_N})",
+    )
 
     p = command("sample", cmd_sample, "extract endpoints from heatmaps", "config", "workers")
     p.add_argument("heatmaps", help="heatmap JSONL")
@@ -962,7 +969,3 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as e:
         logger.error("%s", e)
         return EXIT_FAILURE
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

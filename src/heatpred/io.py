@@ -5,6 +5,7 @@ values and of the fields of records."""
 from __future__ import annotations
 
 import csv
+import gc
 import hashlib
 import json
 import math
@@ -76,6 +77,19 @@ def _json_parsed(line: bytes, parse: Callable[[dict], object]) -> tuple[object, 
         return None, f"{who}: {why}"
 
 
+def _parsed(line: bytes, parse: Callable[[dict], object], loads) -> tuple[object, str | None]:
+    """``(parse(record), None)`` for the record of ``line`` as ``loads``
+    (orjson's) reads it, or, when that fails, what :func:`_json_parsed` gives.
+    The record is dropped on return."""
+    try:
+        record = loads(line)
+        if not isinstance(record, dict):
+            raise TypeError  # json's reading words the message
+        return parse(record), None
+    except _BAD_RECORD:  # orjson.JSONDecodeError is a ValueError
+        return _json_parsed(line, parse)
+
+
 def read_jsonl(path, parse: Callable[[dict], object], start: int = 0, end: int | None = None) -> Iterator:
     """``parse(record)`` for every non-blank line of ``path`` that starts in bytes
     ``[start, end)`` (by default, the whole file), in file order.
@@ -91,21 +105,28 @@ def read_jsonl(path, parse: Callable[[dict], object], start: int = 0, end: int |
     module, and that reading is kept: so a failing line fails with json's
     values and message. orjson reads an integer beyond 64 bits as the
     nearest float, and nesting of any depth.
+
+    The cyclic garbage collector is paused from the decoding of each line
+    until ``parse`` has returned and the record is dropped; at each ``yield``
+    it is as the caller left it.
     """
     import orjson  # here, not at the top: --version and `import heatpred.cli` skip its import
 
     numbered = (0, 1)  # (byte offset, number) of the last line numbered
     for offset, line in _jsonl_lines(path, start, end):
+        # a decoded heatmap is thousands of [index, probability] lists that
+        # hold no cycle and that refcounting frees with the record; the
+        # collector would only scan them again and again
+        enabled = gc.isenabled()
+        gc.disable()
         try:
-            record = orjson.loads(line)
-            if not isinstance(record, dict):
-                raise TypeError  # json's reading words the message
-            value = parse(record)
-        except _BAD_RECORD:  # orjson.JSONDecodeError is a ValueError
-            value, why = _json_parsed(line, parse)
-            if why is not None:
-                numbered = (offset, _line_number(path, offset, numbered))
-                value = ValueError(f"{path}:{numbered[1]}{why}")
+            value, why = _parsed(line, parse, orjson.loads)
+        finally:
+            if enabled:
+                gc.enable()
+        if why is not None:
+            numbered = (offset, _line_number(path, offset, numbered))
+            value = ValueError(f"{path}:{numbered[1]}{why}")
         yield value
 
 

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .binning import floor_bin_means
+from .binning import BIN_WIDTH, MIN_COUNT, floor_bin_means
 from .io import finite, write_csv
 from .sampling import PredictionSet
 
@@ -100,7 +100,7 @@ def aggregate(records: Sequence[EvalRecord]) -> AggregateReport:
 
 
 def bin_by_uncertainty(
-    records: Iterable[EvalRecord], bin_width: float = 1.0, min_count: int = 100
+    records: Iterable[EvalRecord], bin_width: float = BIN_WIDTH, min_count: int = MIN_COUNT
 ) -> list[tuple[float, float, int]]:
     """Mean minFDE_1 per uncertainty floor bin, as (bin_lower, mean, count).
 

@@ -9,6 +9,7 @@ prediction diversity adapts to model uncertainty.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple, Optional, Union
 
@@ -64,6 +65,8 @@ class SamplingConfig:
             raise ValueError(f"k: must be at least 1, got {self.k!r}")
         if not self.r_min > 0:
             raise ValueError(f"r_min: must be positive, got {self.r_min!r}")
+        if not math.isfinite(self.r_min):  # an infinite r_min would clamp every adaptive radius to it
+            raise ValueError(f"r_min: must be finite, got {self.r_min!r}")
         if not self.r_max >= self.r_min:
             raise ValueError(f"r_max: must be at least r_min ({self.r_min!r}), got {self.r_max!r}")
 

@@ -1,4 +1,5 @@
 import csv
+import importlib
 import json
 import math
 import pickle
@@ -8,12 +9,14 @@ import warnings
 from collections import Counter
 from xml.etree import ElementTree
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+import heatpred.__main__
 import heatpred.io
 from heatpred import cli
 from heatpred.calibration import RadiusSweepConfig
@@ -429,10 +432,14 @@ class TestConfigAndFlags:
             ('{"r_min": 5, "r_max": 1}', "config key r_max: must be at least r_min (5.0), got 1.0"),
             ('{"r_min": 0}', "config key r_min: must be positive, got 0.0"),
             ('{"radius": {"adaptive": 5}}', "config key radius.adaptive: 5 is not a string"),
+            ('{"radius": {"fixed": 1e400}}', "config key radius.fixed: must be finite, got inf"),
+            ('{"radius": {"fixed": Infinity}}', "config key radius.fixed: must be finite, got inf"),
+            ('{"r_min": 1e400, "r_max": 1e400}', "config key r_min: must be finite, got inf"),
         ],
         ids=[
             "array", "string", "radius-number", "k-null", "k-bool", "k-fraction", "miss_threshold-string",
             "miss_threshold-nan", "k-zero", "r_max-below-r_min", "r_min-zero", "adaptive-number",
+            "fixed-1e400", "fixed-Infinity", "r_min-infinite",
         ],
     )
     def test_bad_config_fails_naming_file_or_key(self, tmp_path, caplog, text, named):
@@ -498,6 +505,14 @@ class TestConfigAndFlags:
             ("calibrate", lambda c: c["mixed_sources"][1].update(ground_truth=True),
              "config key mixed_sources[1].ground_truth: True is not a string"),
             ("calibrate", lambda c: c.update(dataset_tag=None), "config key dataset_tag: None is not a string"),
+            ("cross-eval", lambda m: m["models"][0].update(fixed_radius=math.inf),
+             "config key models[0].fixed_radius: must be finite, got inf"),
+            ("cross-eval", lambda m: m.update(baseline_fixed_radius=math.inf),
+             "config key baseline_fixed_radius: must be finite, got inf"),
+            ("calibrate", lambda c: c.update(bin_width=math.inf), "config key bin_width: must be finite, got inf"),
+            ("calibrate", lambda c: c.update(r_values=[0.5, math.inf]),
+             "config key r_values[1]: must be finite, got inf"),
+            ("noise-report", lambda c: c.update(bin_width=math.inf), "config key bin_width: must be finite, got inf"),
         ],
         ids=[
             "model-no-train_dataset", "models-not-a-list", "test-set-no-dataset", "test-set-no-heatmaps",
@@ -507,7 +522,8 @@ class TestConfigAndFlags:
             "sample-r_max-below-r_min", "l_for_objective-zero", "r_values-descending", "r_values-negative",
             "r_values-empty", "mixed_n-zero", "rate_hz-zero", "rate_hz-infinite", "horizon_s-fractional-steps",
             "obs_std-zero", "process_accel_std-infinite", "train_dataset-number", "dataset-null", "calibration-list",
-            "test-set-heatmaps-number", "source-ground_truth-bool", "dataset_tag-null",
+            "test-set-heatmaps-number", "source-ground_truth-bool", "dataset_tag-null", "fixed_radius-infinite",
+            "baseline_fixed_radius-infinite", "bin_width-infinite", "r_values-infinite", "noise-bin_width-infinite",
         ],
     )
     def test_bad_manifest_entry_fails_naming_entry_and_key(self, tmp_path, caplog, command, edit, named):
@@ -643,6 +659,50 @@ class TestConfigAndFlags:
             main(argv)
         assert e.value.code == 0
         assert capsys.readouterr().out.startswith(("usage: heatpred", "heatpred "))
+
+
+class TestEntryPoint:
+    # the process entry, run in a subprocess beside cli.main run as the whole
+    # program; each prints the collector's freeze count when the process exits
+    ENTRIES = {
+        "run": "from heatpred.__main__ import run; run()",
+        "main": "from heatpred.cli import main; sys.exit(main())",
+    }
+
+    def _exit(self, tmp_path, entry: str, argv: list[str]) -> subprocess.CompletedProcess:
+        code = (
+            "import atexit, gc, sys; atexit.register(lambda: print('frozen', gc.get_freeze_count())); "
+            + self.ENTRIES[entry]
+        )
+        return subprocess.run(
+            [sys.executable, "-c", code, *argv], cwd=tmp_path, env=child_env(),
+            capture_output=True, text=True, timeout=120,
+        )
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [(["--version"], EXIT_OK), (["evaluate", "h.jsonl", "g.jsonl", "--out", "out"], EXIT_FAILURE)],
+        ids=["version", "missing-input"],
+    )
+    def test_heap_is_frozen_before_exit_with_the_same_code_and_output(self, tmp_path, argv, code):
+        runs = {}
+        for entry in self.ENTRIES:
+            proc = self._exit(tmp_path, entry, argv)
+            assert proc.returncode == code, proc.stderr
+            *out, frozen = proc.stdout.splitlines()
+            runs[entry] = (out, proc.stderr, int(frozen.removeprefix("frozen ")))
+        assert runs["run"][:2] == runs["main"][:2]
+        assert runs["main"][2] == 0 and runs["run"][2] > 0
+        assert not (tmp_path / "out").exists()
+
+    def test_script_target_is_the_entry(self):
+        tomllib = pytest.importorskip("tomllib")
+        with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as f:
+            target = tomllib.load(f)["project"]["scripts"]["heatpred"]
+        module, name = target.split(":")
+        entry = getattr(importlib.import_module(module), name)
+        assert callable(entry)
+        assert entry is heatpred.__main__.run
 
 
 class TestMissingInputFile:

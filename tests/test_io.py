@@ -1,3 +1,4 @@
+import gc
 import json
 import subprocess
 import sys
@@ -367,6 +368,59 @@ def test_json_reads_only_the_lines_that_fail(tmp_path, monkeypatch):
     failed = [str(r).split(": ", 1)[0] for r in read if isinstance(r, ValueError)]
     assert failed == [f"{path}:2", f"{path}:4", f"{path}:5 (sample s4)"]
     assert len(calls) == 3
+
+
+@pytest.fixture
+def collector():
+    """The cyclic garbage collector's on/off state, restored after the test."""
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+def _collector_lines(tmp_path):
+    """A JSONL file of: a good line, a line that orjson reads and ``parse``
+    rejects, so that json reads it again, a line no parser reads, and a good
+    line; and a ``parse`` that records whether the collector was on."""
+    path = tmp_path / "f.jsonl"
+    path.write_text('{"v": 0}\n{"w": 1}\n{"v": 2,\n{"v": 3}\n')
+    seen = []
+
+    def parse(d):
+        seen.append(gc.isenabled())
+        return d["v"]
+
+    return path, parse, seen
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["caller-enabled", "caller-disabled"])
+def test_collector_is_paused_while_a_line_is_parsed(tmp_path, collector, enabled):
+    (gc.enable if enabled else gc.disable)()
+    path, parse, seen = _collector_lines(tmp_path)
+    got = []
+    for r in read_jsonl(path, parse):
+        assert gc.isenabled() is enabled  # the consumer runs with the collector as it left it
+        got.append(_as_read(r))
+    assert got == [0, f"{path}:2: missing key 'v'", got[2], 3] and got[2].startswith(f"{path}:3: invalid JSON")
+    # the second line is parsed twice: as orjson reads it, then as json does
+    assert seen == [False, False, False, False]
+    assert gc.isenabled() is enabled
+
+
+def test_collector_is_restored_when_reading_stops_early(tmp_path, collector):
+    gc.enable()
+    path, parse, _ = _collector_lines(tmp_path)
+    reader = read_jsonl(path, parse)
+    assert next(reader) == 0
+    reader.close()
+    assert gc.isenabled()
+
+    def fail(d):
+        raise RuntimeError("not a bad record")
+
+    with pytest.raises(RuntimeError):
+        list(read_jsonl(path, fail))
+    assert gc.isenabled()
 
 
 def test_orjson_is_imported_on_first_read(tmp_path):
