@@ -3,7 +3,7 @@
 
 Writes one synthetic dataset of ``--n`` heatmaps with ``heatpred synth``
 (default scenario config, about 170 kB per heatmap line) unless ``--dir``
-already holds one, then times ``cli._read_sets`` over it and its ground truth
+already holds one, then times ``sets.read_sets`` over it and its ground truth
 twice per worker count: with work that does nothing, which leaves the JSON
 parse and ``heatmap_from_dict`` with its renormalization, and with ``calibrate``'s
 per-heatmap work (spread and radius sweep). Parse time per heatmap is the
@@ -25,7 +25,7 @@ import time
 from functools import partial
 from pathlib import Path
 
-from heatpred import cli
+from heatpred import cli, sets
 from heatpred.calibration import RadiusSweepConfig
 from heatpred.io import read_json, write_json
 
@@ -40,9 +40,9 @@ def parse_only(sid, h, gt):
     return None
 
 
-def read(sets, work, workers):
-    """The rows of the one set in ``sets``; a set that fails raises."""
-    return cli._raised(cli._read_sets(sets, work, {"workers": workers})[0])
+def read(paths, work, workers):
+    """The rows of the one set in ``paths``; a set that fails raises."""
+    return cli._raised(sets.read_sets(paths, work, workers)[0][0])
 
 
 def best_of(fn, repeats):
@@ -68,14 +68,14 @@ def main():
         if not hp.exists():
             # in another process, so that this one times the read with a small heap
             heatpred(["synth", "--n", str(args.n), "--seed", str(args.seed), "--out", str(data)])
-        sets = [(hp, gp)]
+        paths = [(hp, gp)]
         sweep = partial(cli._sweep, k=6, sweep=RadiusSweepConfig())
-        n = len(cli._load_ground_truth(gp))
+        n = len(sets._load_ground_truth(gp))
         print(f"{n} heatmaps, {hp.stat().st_size / 1e6:.1f} MB (best of {args.repeats})")
         print(f"{'workers':>7} {'parse s':>9} {'ms/heatmap':>11} {'sweep s':>9} {'ms/heatmap':>11}")
         for w in WORKERS:
-            parse_s = best_of(lambda: read(sets, parse_only, w), args.repeats)
-            total_s = best_of(lambda: read(sets, sweep, w), args.repeats)
+            parse_s = best_of(lambda: read(paths, parse_only, w), args.repeats)
+            total_s = best_of(lambda: read(paths, sweep, w), args.repeats)
             sweep_s = total_s - parse_s
             print(f"{w:>7} {parse_s:>9.3f} {parse_s / n * 1e3:>11.2f} {sweep_s:>9.3f} {sweep_s / n * 1e3:>11.2f}")
 

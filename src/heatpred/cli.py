@@ -34,18 +34,10 @@ from .calibration import (
     optimal_radius,
     spread_bins,
 )
-from .heatmap import (
-    CLIPPED_WARNING,
-    NORMALIZATION_TOL,
-    Heatmap,
-    heatmap_from_dict,
-    uncertainty,
-)
+from .heatmap import CLIPPED_WARNING, Heatmap, uncertainty
 from .io import (
     config_hash,
-    finite,
     integer,
-    jsonl_ranges,
     number,
     numbers,
     read_json,
@@ -66,7 +58,6 @@ from .metrics import (
     write_records_csv,
 )
 from .noise import KalmanConfig, sample_noise
-from .pool import RANGES_PER_WORKER, map_ordered
 from .sampling import (
     AdaptiveRadius,
     FixedRadius,
@@ -74,6 +65,7 @@ from .sampling import (
     prediction_to_dict,
     sample_with_uncertainty,
 )
+from .sets import read_sets
 from .synth import ScenarioConfig, generate_dataset
 from .trajectory import (
     StandardizationConfig,
@@ -254,121 +246,8 @@ def _default_workers() -> int:
         return os.cpu_count() or 1
 
 
-def _ground_truth_row(d: dict) -> tuple[str, tuple[float, float]]:
-    gt = numbers(d["gt"], "gt", 2, item=finite)
-    return string(d["sample_id"], "sample_id"), gt
-
-
-def _load_ground_truth(path: Path) -> dict[str, tuple[float, float]]:
-    """The ground truth by sample id; the first bad line raises."""
-    gts: dict[str, tuple[float, float]] = {}
-    for r in io.read_jsonl(path, _ground_truth_row):
-        sid, gt = _raised(r)
-        if sid in gts:
-            raise ValueError(f"{path}: duplicate sample id {sid}")
-        gts[sid] = gt
-    if not gts:
-        raise ValueError(f"{path}: no ground truth entries")
-    return gts
-
-
-def _read_range(state, task) -> tuple[list[tuple[str, float, object]], str | None]:
-    """Run ``work(sid, heatmap, ground truth)`` on each heatmap line that starts in one byte range.
-
-    ``state`` is ``(sets, work)``, with the (heatmap path, ground truth by
-    sample id or None) of every set; ``task`` is ``(set index, start, end)``.
-    Returns ``(rows, None)`` with one (sample id, stored mass, result) row
-    per line, in file order, or, at the first line that fails,
-    ``([], its error message)``. With ground truth ``gts`` None every heatmap
-    gets ``gt`` None; otherwise a heatmap whose id has no ground truth gets
-    no work and the result None, and the parent's id match fails.
-    """
-    sets, work = state
-    i, start, end = task
-    path, gts = sets[i]
-
-    def row(d: dict) -> tuple[str, float, object]:
-        sid, h = heatmap_from_dict(d)
-        if gts is None:
-            return sid, h.mass, work(sid, h, None)
-        gt = gts.get(sid)
-        return sid, h.mass, None if gt is None else work(sid, h, gt)
-
-    rows = []
-    for r in io.read_jsonl(path, row, start, end):
-        if isinstance(r, ValueError):
-            return [], str(r)
-        rows.append(r)
-    return rows, None
-
-
-def _read_sets(sets: list[tuple[Path, Path | None]], work, run: dict) -> list:
-    """``work(sid, heatmap, ground truth)`` on every heatmap of each (heatmaps,
-    ground truth or None) set, in one pool of ``run["workers"]`` workers.
-
-    Per set, the (sample id, result) rows sorted by id, or the ValueError the
-    set failed with. A set fails on, in this order: its first failing
-    heatmap line by file position, no heatmaps, duplicate ids, its ground
-    truth, and ids without a match on the other side. The run record's
-    ``input_mass[str(heatmaps)]`` gets, before the ground truth is checked,
-    the largest |mass - 1| before renormalization and how many heatmaps were
-    further than ``NORMALIZATION_TOL`` from unit mass.
-
-    Workers read their byte ranges themselves, and each set's path, ground
-    truth and ``work`` reach them once, as the pool's state; a task is only
-    ``(set index, start, end)``. So no heatmap crosses a process boundary,
-    and the ground truth does not cross it once per range. The worker count
-    changes only how the files are split, and every check is
-    order-independent, so results do not depend on it.
-    """
-    workers = run["workers"]
-    run["input_mass"] = masses = {}
-    gts, gt_errors = [], {}
-    for i, (_, gp) in enumerate(sets):
-        try:
-            gts.append(None if gp is None else _load_ground_truth(gp))
-        except ValueError as e:
-            gts.append({})
-            gt_errors[i] = e
-    parts = workers * RANGES_PER_WORKER if workers > 1 else 1
-    ranges = [jsonl_ranges(hp, parts) for hp, _ in sets]
-    state = ([(hp, g) for (hp, _), g in zip(sets, gts)], work)
-    tasks = [(i, a, b) for i, rs in enumerate(ranges) for a, b in rs]
-    results = iter(list(map_ordered(_read_range, tasks, workers, state)))
-    out = []
-    for i, ((hp, gp), g, rs) in enumerate(zip(sets, gts, ranges)):
-        done = [next(results) for _ in rs]
-        failures = [failure for _, failure in done if failure is not None]
-        rows = [row for range_rows, _ in done for row in range_rows]
-        try:
-            if failures:
-                raise ValueError(failures[0])
-            if not rows:
-                raise ValueError(f"{hp}: no heatmaps")
-            if len({sid for sid, _, _ in rows}) != len(rows):
-                raise ValueError(f"{hp}: duplicate sample ids")
-            errors = [abs(mass - 1.0) for _, mass, _ in rows]
-            masses[str(hp)] = {
-                "max_abs_mass_error": max(errors),
-                "n_above_tol": sum(error > NORMALIZATION_TOL for error in errors),
-            }
-            if i in gt_errors:
-                raise gt_errors[i]
-            offenders = [] if g is None else sorted({sid for sid, _, _ in rows}.symmetric_difference(g))
-            if offenders:
-                raise ValueError(
-                    f"sample ids differ between {hp} and {gp} "
-                    f"({len(offenders)} offenders; first: {', '.join(offenders[:10])})"
-                )
-        except ValueError as e:
-            out.append(e)
-        else:
-            out.append(sorted(((sid, result) for sid, _, result in rows), key=lambda row: row[0]))
-    return out
-
-
 def _raised(result):
-    """``result``, unless it is the error :func:`_read_sets` gave for a set."""
+    """``result``, unless it is the error that :func:`read_sets` gave for a set or ``io.read_jsonl`` for a line."""
     if isinstance(result, Exception):
         raise result
     return result
@@ -484,7 +363,8 @@ def cmd_sample(args, run: dict) -> int:
     (heatmaps,) = _arg_paths(args, "heatmaps")
     out, _ = _out_dir(args, run, cfg)
     work = partial(_predict, cfg=sampling)
-    predictions = _raised(_read_sets([(heatmaps, None)], work, run)[0])
+    results, run["input_mass"] = read_sets([(heatmaps, None)], work, args.workers)
+    predictions = _raised(results[0])
     out_path = out / "predictions.jsonl"
     run["n"] = n = write_jsonl(out_path, (d for _, d in predictions))
     logger.info("sampled %d heatmaps -> %s", n, out_path)
@@ -502,7 +382,8 @@ def cmd_evaluate(args, run: dict) -> int:
     sets = [_arg_paths(args, "heatmaps", "ground_truth")]
     out, cfg_hash = _out_dir(args, run, cfg)
     work = partial(_score_rows, cfgs=[sampling], threshold=threshold)
-    records = [r for _, (r,) in _raised(_read_sets(sets, work, run)[0])]
+    results, run["input_mass"] = read_sets(sets, work, args.workers)
+    records = [r for _, (r,) in _raised(results[0])]
     rep = aggregate(records)
     write_records_csv(out / "records.csv", records, cfg_hash)
     write_json(out / "aggregate.json", {"config_hash": cfg_hash, **report_to_dict(rep)})
@@ -587,9 +468,11 @@ def cmd_calibrate(args, run: dict) -> int:
         if not args.heatmaps or not args.ground_truth:
             raise ValueError("calibrate needs HEATMAPS and GROUND_TRUTH (or mixed_sources config)")
         sets = [_arg_paths(args, "heatmaps", "ground_truth")]
-    out, cfg_hash = _out_dir(args, run, cfg)
+    # the seed picks the mixed_sources draws, so it is hashed with them
+    out, cfg_hash = _out_dir(args, run, {**cfg, "seed": args.seed or 0} if sources else cfg)
     # every heatmap of every source is swept, drawn into the mix or not
-    loaded = [_raised(r) for r in _read_sets(sets, partial(_sweep, k=k, sweep=sweep), run)]
+    results, run["input_mass"] = read_sets(sets, partial(_sweep, k=k, sweep=sweep), args.workers)
+    loaded = [_raised(r) for r in results]
     pairs = _mixed_draws(loaded, weights, n, args.seed or 0) if sources else loaded[0]
     spread_radius = [sr for _, sr in pairs]
     bins = spread_bins(spread_radius, bin_width)
@@ -671,7 +554,7 @@ def cmd_cross_eval(args, run: dict) -> int:
     cells: dict[str | None, dict[str, dict]] = {r: {} for r in tags}
     clamped: dict[str, dict[str, dict | None]] = {r: {} for r in row_tags}
     work = partial(_score_rows, cfgs=cfgs, threshold=threshold)
-    loaded = _read_sets([set_paths[col] for col in col_tags], work, run)
+    loaded, run["input_mass"] = read_sets([set_paths[col] for col in col_tags], work, args.workers)
     for col, results in zip(col_tags, loaded):
         if isinstance(results, Exception):
             logger.error("test set %s failed to load: %s", col, results)

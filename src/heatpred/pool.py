@@ -11,10 +11,6 @@ from typing import Callable, Iterator, Sequence
 # method (forkserver on Linux from Python 3.14), so they share the parent's heap.
 _CONTEXT = multiprocessing.get_context("fork" if "fork" in multiprocessing.get_all_start_methods() else None)
 
-# Tasks per worker: several, so that a worker whose tasks cost more does not
-# finish long after the others.
-RANGES_PER_WORKER = 4
-
 # The function and read-only state of the map this worker serves, set once
 # by the pool's initializer.
 _job: tuple[Callable, object] | None = None

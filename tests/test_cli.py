@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 import heatpred.__main__
 import heatpred.io
+import heatpred.sets
 from heatpred import cli
 from heatpred.calibration import RadiusSweepConfig
 from heatpred.cli import EXIT_FAILURE, EXIT_OK, EXIT_PARTIAL, main
@@ -909,6 +910,25 @@ class TestCalibrateCli:
         model = read_json(out1 / "model.json")
         assert model["bin_count"] >= 2
 
+    def test_seed_is_hashed_for_mixed_sources_only(self, tmp_path):
+        # the seed picks the mixed_sources draws, and nothing of a single-source run
+        hm, gt = write_pairs(tmp_path / "data", planted_calibration_dataset(20))
+        single, mixed = tmp_path / "single.json", tmp_path / "mixed.json"
+        write_json(single, {"bin_width": 10.0, "min_count": 1})
+        source = {"heatmaps": str(hm), "ground_truth": str(gt)}
+        write_json(mixed, {"bin_width": 10.0, "min_count": 1, "mixed_n": 30, "mixed_sources": [source, source]})
+        hashes = {}
+        for name, inputs in (("single", [str(hm), str(gt), "--config", str(single)]), ("mixed", ["--config", str(mixed)])):
+            for seed in ([], ["--seed", "0"], ["--seed", "5"], ["--seed", "6"]):
+                out = tmp_path / "-".join([name, *seed])
+                assert main(["calibrate", *inputs, *seed, "--out", str(out)]) == EXIT_OK
+                assert read_json(out / "model.json")["config_hash"] == read_json(out / "run_meta.json")["config_hash"]
+                hashes[name, tuple(seed)] = read_json(out / "model.json")["config_hash"]
+        assert len({h for (name, _), h in hashes.items() if name == "single"}) == 1
+        # no --seed draws as seed 0
+        assert hashes["mixed", ()] == hashes["mixed", ("--seed", "0")]
+        assert len({hashes["mixed", ("--seed", s)] for s in ("0", "5", "6")}) == 3
+
 
     def test_sweep_edge_share_in_run_meta(self, tmp_path):
         # planted optimal radii lie in 1.2..3.9; a sweep ending at 1.0 leaves
@@ -1298,11 +1318,11 @@ class TestWorkerCounts:
             taken.append(tasks)
             raise Taken
 
-        monkeypatch.setattr(cli, "map_ordered", take)
+        monkeypatch.setattr(heatpred.sets, "map_ordered", take)
         work = partial(cli._sweep, k=6, sweep=RadiusSweepConfig())
         for ground_truth in (gt, big):
             with pytest.raises(Taken):
-                cli._read_sets([(hm, ground_truth)], work, {"workers": 2})
+                heatpred.sets.read_sets([(hm, ground_truth)], work, 2)
         small, large = ([len(pickle.dumps(task)) for task in tasks] for tasks in taken)
         assert len(small) > 1
         assert small == large

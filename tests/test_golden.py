@@ -7,7 +7,8 @@ Each command runs in-process on small seeded inputs built here, at
 directory, so no output depends on where the test runs.
 
 A change that alters an output on purpose rewrites the table with
-``PYTHONPATH=src python tests/test_golden.py`` and names every changed file
+``PYTHONPATH=src python tests/test_golden.py``, which prints every run and
+file that differs from the table it replaces, and names every changed file
 and the reason in CHANGES.md. The pins hold for the Python and numpy
 versions recorded in the table, like the ``synth`` pins in test_synth.py.
 """
@@ -128,10 +129,32 @@ def test_outputs_match_the_golden_table(tmp_path, monkeypatch, workers):
     )
 
 
+def changes(old: dict, new: dict) -> list[str]:
+    """One line per run whose exit code, and per file whose size or sha256,
+    differs between tables ``old`` and ``new``; a missing entry reads None."""
+
+    def described(entry):
+        return None if entry is None else f"{entry['size']} bytes, sha256 {entry['sha256'][:12]}"
+
+    lines = []
+    for out in sorted(old.keys() | new.keys()):
+        was, now = old.get(out, {}), new.get(out, {})
+        if was.get("exit") != now.get("exit"):
+            lines.append(f"{out}: exit {was.get('exit')} -> {now.get('exit')}")
+        files_was, files_now = was.get("files", {}), now.get("files", {})
+        for name in sorted(files_was.keys() | files_now.keys()):
+            if files_was.get(name) != files_now.get(name):
+                lines.append(f"{out}/{name}: {described(files_was.get(name))} -> {described(files_now.get(name))}")
+    return lines
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         runs = run_all(workers=1)
+    replaced = json.loads(GOLDEN.read_text())["runs"] if GOLDEN.exists() else {}
     recorded = {"python": platform.python_version(), "numpy": np.__version__, "runs": runs}
     GOLDEN.write_text(json.dumps(recorded, indent=1, sort_keys=True) + "\n")
     print(f"wrote {GOLDEN} ({len(runs)} runs)", file=sys.stderr)
+    for line in changes(replaced, runs) or ["no run or file changed"]:
+        print(f"  {line}", file=sys.stderr)

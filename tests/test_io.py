@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from heatpred import cli
+from heatpred import sets
 from heatpred.heatmap import GridSpec, Heatmap, heatmap_from_dict, heatmap_to_json
 from heatpred.io import (
     boolean,
@@ -236,7 +236,7 @@ def _scene_record():
 # (good record, parser, the key of its id) of each kind of JSONL line
 _LINES = {
     "heatmap": (_heatmap_record, heatmap_from_dict, "sample_id"),
-    "ground-truth": (lambda: {"sample_id": "s1", "gt": [1.0, -2.5]}, cli._ground_truth_row, "sample_id"),
+    "ground-truth": (lambda: {"sample_id": "s1", "gt": [1.0, -2.5]}, sets._ground_truth_row, "sample_id"),
     "scene": (_scene_record, sample_from_dict, "id"),
 }
 
