@@ -99,11 +99,17 @@ def radius_sweep_errors(
     xs, ys = h.cell_centers()
     runs = kernels.nms_sweep(xs, ys, h.prob, sweep.r_values, k, scores=l < k)
     gx, gy = gt
+    # radii share most of their peaks; each peak's distance is computed once
+    dist: dict[int, float] = {}
     errs = np.empty(len(runs), dtype=np.float64)
     for i, (peaks, scores) in enumerate(runs):
         if scores is not None:
             peaks = peaks[np.argsort(-scores, kind="stable")][:l]
-        errs[i] = min(math.hypot(float(xs[p]) - gx, float(ys[p]) - gy) for p in peaks)
+        peaks = peaks.tolist()
+        for p in peaks:
+            if p not in dist:
+                dist[p] = math.hypot(float(xs[p]) - gx, float(ys[p]) - gy)
+        errs[i] = min(dist[p] for p in peaks)
     return errs
 
 

@@ -14,8 +14,10 @@ in ``tests/helpers.py`` pins it bit-for-bit:
 A cell is live exactly when it lies farther than ``r`` from every earlier
 peak, so the peaks do not need the suppressed mass: after one stable sort of
 the positive cells by descending probability, the next peak is the first
-cell in that order farther than ``r`` from every earlier peak. That sort is
-shared by every radius of a sweep (:func:`nms_sweep`).
+cell in that order farther than ``r`` from every earlier peak. That sort and
+the walk over it are shared by every radius of a sweep (:func:`nms_sweep`):
+all radii take their peaks in one walk over a radius x candidate matrix, and
+a single extraction (:func:`nms_kernel`) is its one-radius case.
 """
 
 from __future__ import annotations
@@ -25,11 +27,9 @@ import numpy as np
 # Name of the kernel implementation, recorded in benchmark reports.
 BACKEND = "python"
 
-# Sorted cells the peak walk looks at first; doubled while it runs out before
-# k peaks, so the walk stays short without touching every cell per peak.
+# Sorted cells the peak walk looks at first; doubled while a radius runs out
+# before k peaks, so the walk stays short without touching every cell per peak.
 PREFIX_CELLS = 256
-# Bound on the squared distances a sweep keeps for reuse across radii (8 B each).
-D2_CACHE_CELLS = 1 << 17
 
 
 def _sorted_prefix(probs, m, n_positive):
@@ -48,31 +48,36 @@ def _sorted_prefix(probs, m, n_positive):
     return cand[np.argsort(-probs[cand], kind="stable")]
 
 
-def _walk(px, py, d2_rows, r2, k):
-    """Ranks of the peaks among candidates sorted by descending probability.
+def _walk_all(px, py, r2_column, k):
+    """Ranks of the peaks among candidates sorted by descending probability,
+    one row per squared radius in the ``(rows, 1)`` array ``r2_column``.
 
-    ``d2_rows`` caches, per rank, the squared distances from that candidate
-    to all of them. Returns (ranks, exhausted): ``exhausted`` is true when
-    fewer than ``k`` peaks were found because no live candidate was left.
+    Every row walks its k - 1 steps at once over a row x candidate live
+    matrix: each row takes its first live candidate as its next peak, then
+    keeps alive only the candidates farther than its radius from that peak.
+    Returns a ``(rows, k)`` array of ranks. Rank 0 is every row's first peak
+    and is suppressed by it, so a later 0 marks a row that ran out of live
+    candidates: its peaks are the ranks before that 0.
     """
-    live = np.ones(px.size, dtype=bool)
-    ranks = []
-    i = 0
-    while True:
-        ranks.append(i)
-        if len(ranks) == k:
-            return ranks, False
-        d2 = d2_rows.get(i)
-        if d2 is None:
-            dx = px - px[i]
-            dy = py - py[i]
-            d2 = dx * dx + dy * dy
-            if (len(d2_rows) + 1) * px.size <= D2_CACHE_CELLS:
-                d2_rows[i] = d2
-        live &= d2 > r2
-        i = int(live.argmax())
-        if not live[i]:
-            return ranks, True
+    live = np.ones((r2_column.shape[0], px.size), dtype=bool)
+    ranks = np.zeros((r2_column.shape[0], k), dtype=np.intp)
+    d2 = np.empty(live.shape)
+    dy = np.empty(live.shape)
+    cur = ranks[:, 0]
+    for step in range(1, k):
+        # d2 = dx * dx + dy * dy, in place
+        np.subtract(px, px[cur][:, None], out=d2)
+        np.subtract(py, py[cur][:, None], out=dy)
+        d2 *= d2
+        dy *= dy
+        d2 += dy
+        live &= d2 > r2_column
+        # argmax is 0 on a row with no live candidate left, which stays so
+        cur = live.argmax(axis=1)
+        if not np.count_nonzero(cur):
+            break
+        ranks[:, step] = cur
+    return ranks
 
 
 def _kahan_scores(xs, ys, probs, peaks, r2):
@@ -96,38 +101,47 @@ def _kahan_scores(xs, ys, probs, peaks, r2):
 
 
 def nms_sweep(xs, ys, probs, radii, k, scores=True):
-    """Greedy peak extraction for every radius in ``radii`` from one sort.
+    """Greedy peak extraction for every radius in ``radii`` from one walk.
 
-    Returns one (array positions of the peaks, scores) pair per radius, each
-    equal to ``nms_kernel(xs, ys, probs, r, k)``; scores are None when
-    ``scores`` is false. ``probs`` is never mutated.
+    Every radius walks the same sorted prefix of candidates at once; only the
+    radii that ran out of live candidates before ``k`` peaks walk again, on a
+    prefix twice as long, and a longer prefix is sorted only for them.
+    ``radii`` may hold repeats and come in any order. Returns one (array
+    positions of the peaks, scores) pair per radius, each equal to
+    ``nms_kernel(xs, ys, probs, r, k)``; scores are None when ``scores`` is
+    false. ``probs`` is never mutated.
     """
     xs = np.ascontiguousarray(xs, dtype=np.float64)
     ys = np.ascontiguousarray(ys, dtype=np.float64)
     probs = np.asarray(probs, dtype=np.float64)
     k = int(k)
+    r2s = [float(r) * float(r) for r in radii]
     n_positive = int(np.count_nonzero(probs > 0.0))
-    order = _sorted_prefix(probs, min(PREFIX_CELLS, n_positive), n_positive)
-    px, py = xs[order], ys[order]
-    d2_rows: dict = {}
-    out = []
-    for r in radii:
-        r2 = float(r) * float(r)
-        ranks: list[int] = []
-        if n_positive and k >= 1:
-            ranks, exhausted = _walk(px, py, d2_rows, r2, k)
-            while exhausted and order.size < n_positive:
-                order = _sorted_prefix(probs, min(2 * order.size, n_positive), n_positive)
-                px, py = xs[order], ys[order]
-                d2_rows = {}
-                ranks, exhausted = _walk(px, py, d2_rows, r2, k)
-        peaks = order[ranks]
-        out.append((peaks, _kahan_scores(xs, ys, probs, peaks, r2) if scores else None))
-    return out
+    peaks = [np.zeros(0, dtype=np.intp)] * len(r2s)
+    todo = list(range(len(r2s))) if n_positive and k >= 1 else []
+    m = min(PREFIX_CELLS, n_positive)
+    while todo:
+        order = _sorted_prefix(probs, m, n_positive)
+        ranks = _walk_all(xs[order], ys[order], np.array([r2s[i] for i in todo])[:, None], k)
+        ran_out = []
+        for i, row, ranked in zip(todo, order[ranks], ranks.tolist()):
+            # every 0 after the first rank marks a step the row had run out
+            n = k - ranked[1:].count(0)
+            if n < k and m < n_positive:
+                ran_out.append(i)
+            else:
+                peaks[i] = row[:n]
+        todo = ran_out
+        m = min(2 * m, n_positive)
+    return [
+        (p, _kahan_scores(xs, ys, probs, p, r2) if scores else None)
+        for p, r2 in zip(peaks, r2s)
+    ]
 
 
 def nms_kernel(xs, ys, probs, r, k):
-    """Greedy peak extraction on index-sorted cell centres and probabilities.
+    """Greedy peak extraction on index-sorted cell centres and probabilities:
+    the one-radius case of :func:`nms_sweep`.
 
     ``probs`` is copied, never mutated. Returns (array positions of the
     peaks, scores) in emission order; stops after ``k`` peaks or when no

@@ -124,3 +124,96 @@ class TestSweepAgainstDenseOracle:
         for peaks, scores in kernels.nms_sweep(xs, ys, h.prob, DEFAULT_SWEEP, k):
             assert 1 <= len(peaks) <= len(h) < k
             assert len(scores) == len(peaks)
+
+
+def assert_sweep_matches(h, radii, k):
+    """Every radius of one sweep equals the dense oracle and its own one-radius call."""
+    xs, ys = h.cell_centers()
+    dense = dense_from_heatmap(h)
+    runs = kernels.nms_sweep(xs, ys, h.prob, radii, k)
+    assert len(runs) == len(radii)
+    for r, (peaks, scores) in zip(radii, runs):
+        assert 1 <= len(peaks) <= k
+        got = [(float(xs[p]), float(ys[p]), float(s)) for p, s in zip(peaks, scores)]
+        order = np.argsort(-scores, kind="stable")
+        assert [got[j] for j in order] == dense_nms_oracle(h.grid, dense, r, k), f"r={r}"
+        single = kernels.nms_kernel(xs, ys, h.prob, r, k)
+        assert np.array_equal(single[0], peaks) and np.array_equal(single[1], scores), f"r={r}"
+
+
+def record_calls(monkeypatch):
+    """Spy on the prefix sorts and the walks of a sweep: ("sort", m) and ("walk", rows)."""
+    calls = []
+    sort, walk = kernels._sorted_prefix, kernels._walk_all
+
+    def sort_spy(probs, m, n_positive):
+        calls.append(("sort", m))
+        return sort(probs, m, n_positive)
+
+    def walk_spy(px, py, r2_column, k):
+        calls.append(("walk", r2_column.shape[0]))
+        return walk(px, py, r2_column, k)
+
+    monkeypatch.setattr(kernels, "_sorted_prefix", sort_spy)
+    monkeypatch.setattr(kernels, "_walk_all", walk_spy)
+    return calls
+
+
+def spaced_heatmap(rng):
+    """More positive cells than the first prefix, each farther from the others
+    than the largest default radius: no radius ever runs out."""
+    grid = GridSpec(0.0, 0.0, 6.0, 20, 20)
+    return Heatmap(grid, np.arange(grid.n_cells), rng.random(grid.n_cells) + 1e-3)
+
+
+class TestSweepWalk:
+    @pytest.mark.parametrize("case", SWEEP_CASES)
+    def test_radii_out_of_order_and_repeated(self, rng, case):
+        h, k = sweep_case(case, rng)
+        assert_sweep_matches(h, [3.0, 0.5, 1.5, 0.5, 5.0, 0.1, 3.0, 0.8], k)
+
+    @pytest.mark.parametrize("case", SWEEP_CASES)
+    def test_k_1(self, rng, case):
+        h, _ = sweep_case(case, rng)
+        assert_sweep_matches(h, DEFAULT_SWEEP, 1)
+
+    def test_radii_split_between_prefixes(self, rng, monkeypatch):
+        h, k = sweep_case("prefix_doubles", rng)
+        calls = record_calls(monkeypatch)
+        assert_sweep_matches(h, DEFAULT_SWEEP, k)
+        # the first sweep call: some radii finish on the first prefix, the
+        # others walk again, and only they do
+        first = calls[: calls.index(("sort", kernels.PREFIX_CELLS), 1)]
+        walks = [rows for name, rows in first if name == "walk"]
+        assert walks[0] == len(DEFAULT_SWEEP)
+        assert 0 < walks[1] < walks[0]
+        assert walks == sorted(walks, reverse=True)
+
+    def test_one_sort_when_no_radius_runs_out(self, rng, monkeypatch):
+        h = spaced_heatmap(rng)
+        assert len(h) > kernels.PREFIX_CELLS
+        calls = record_calls(monkeypatch)
+        assert_sweep_matches(h, DEFAULT_SWEEP, 6)
+        # the sweep, then one nms_kernel call per radius
+        assert calls == [("sort", kernels.PREFIX_CELLS), ("walk", len(DEFAULT_SWEEP))] + [
+            ("sort", kernels.PREFIX_CELLS), ("walk", 1)
+        ] * len(DEFAULT_SWEEP)
+
+    @pytest.mark.parametrize("case", SWEEP_CASES)
+    def test_k_1_sorts_once(self, rng, monkeypatch, case):
+        h, _ = sweep_case(case, rng)
+        calls = record_calls(monkeypatch)
+        xs, ys = h.cell_centers()
+        kernels.nms_sweep(xs, ys, h.prob, DEFAULT_SWEEP, 1, scores=False)
+        assert calls == [("sort", min(kernels.PREFIX_CELLS, len(h))), ("walk", len(DEFAULT_SWEEP))]
+
+    def test_no_sort_after_the_last_walk(self, rng, monkeypatch):
+        h, k = sweep_case("prefix_doubles", rng)
+        calls = record_calls(monkeypatch)
+        xs, ys = h.cell_centers()
+        kernels.nms_sweep(xs, ys, h.prob, DEFAULT_SWEEP, k, scores=False)
+        assert len(calls) > 2 and calls[-1][0] == "walk"
+        # every sort is walked at once, and each prefix doubles the last
+        assert [name for name, _ in calls] == ["sort", "walk"] * (len(calls) // 2)
+        sizes = [m for name, m in calls if name == "sort"]
+        assert sizes == [kernels.PREFIX_CELLS * 2**i for i in range(len(sizes))]
