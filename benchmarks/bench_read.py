@@ -12,6 +12,8 @@ the whole read divided by the heatmap count, so they fall with the worker
 count when the read scales. Last, whole ``heatpred calibrate`` processes run
 at each worker count; their ``model.json``, ``binned_radii.csv`` and their
 ``run_meta.json`` apart from ``timestamp_utc`` and ``workers`` must not differ.
+First of all, an empty 8-task ``pool.map_ordered`` at 2 workers is timed:
+the pool's own cost to start and stop its workers, paid once per map.
 Each figure is the best of ``--repeats`` runs.
 
 Usage: python benchmarks/bench_read.py [--n N] [--seed S] [--repeats R] [--dir DIR]
@@ -28,6 +30,7 @@ from pathlib import Path
 from heatpred import cli, sets
 from heatpred.calibration import RadiusSweepConfig
 from heatpred.io import read_json, write_json
+from heatpred.pool import map_ordered
 
 WORKERS = (1, 2)
 
@@ -37,6 +40,10 @@ def heatpred(argv):
 
 
 def parse_only(sid, h, gt):
+    return None
+
+
+def nothing(state, task):
     return None
 
 
@@ -62,6 +69,8 @@ def main():
     parser.add_argument("--dir", default=None, help="keep the dataset here (default: a temporary directory)")
     args = parser.parse_args()
 
+    pool_s = best_of(lambda: list(map_ordered(nothing, range(8), 2)), args.repeats)
+    print(f"empty 8-task map at 2 workers: {pool_s * 1e3:.1f} ms")
     with tempfile.TemporaryDirectory() as tmp:
         data = Path(args.dir or tmp)
         hp, gp = data / "heatmaps.jsonl", data / "ground_truth.jsonl"

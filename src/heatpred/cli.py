@@ -82,6 +82,25 @@ EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_PARTIAL = 2
 
+# The primary outputs of each command, as glob patterns in its --out
+# directory. When a command fails after making that directory, main removes
+# them, so that no earlier run's output is left beside the failed run's
+# run_meta.json.
+OUTPUTS = {
+    "standardize": ("standardized.jsonl",),
+    "synth": ("heatmaps.jsonl", "ground_truth.jsonl", "manifest.json"),
+    "sample": ("predictions.jsonl",),
+    "evaluate": ("records.csv", "aggregate.json"),
+    "calibrate": ("model.json", "binned_radii.csv"),
+    "cross-eval": (
+        "cross_eval.json", "minfde[0-9]*.csv", "mr[0-9]*.csv", "improvement_minfde[0-9]*.csv", "report.md",
+        "matrices.svg",
+    ),
+    "analysis uncertainty-error": ("uncertainty_error.csv", "uncertainty_error.svg"),
+    "analysis noise-report": ("noise.csv", "noise_hist.json"),
+    "analysis speed-report": ("speed_hist.csv", "speed_hist.json"),
+}
+
 
 # ---------------------------------------------------------------------------
 # config plumbing
@@ -411,29 +430,29 @@ CALIBRATE_DEFAULTS = {
 }
 
 
-def _mixed_draws(loaded: list[list], weights: list[float], n: int, seed: int) -> list:
-    """Interleave several sources' results, drawing each sample's source at random.
+def _mixed_draws(counts: list[int], weights: list[float], n: int, seed: int) -> list[tuple[int, int]]:
+    """The (source, position in its sorted ids) of each of ``n`` samples drawn
+    from sources of ``counts`` samples, or of the draws made before every
+    source ran out.
 
     Draw ``i`` picks a source with the configured weights using a substream
-    keyed by (seed, i), then consumes that source's next unread sample, so
+    keyed by (seed, i), then takes that source's next undrawn sample, so
     the composition is reproducible regardless of chunking.
     """
     total_w = sum(weights)
     probs = [w / total_w for w in weights]
-    cursors = [0] * len(loaded)
+    cursors = [0] * len(counts)
     out = []
     for i in range(n):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, i)))
-        order = list(rng.permutation(len(loaded)))
-        choice = int(rng.choice(len(loaded), p=probs))
+        order = list(rng.permutation(len(counts)))
+        choice = int(rng.choice(len(counts), p=probs))
         # fall back to any source with samples left, in the drawn order
-        for cand in [choice] + order:
-            if cursors[cand] < len(loaded[cand]):
-                out.append(loaded[cand][cursors[cand]])
-                cursors[cand] += 1
-                break
-        else:
-            raise ValueError(f"mixed sources exhausted after {i} of {n} draws")
+        cand = next((c for c in [choice] + order if cursors[c] < counts[c]), None)
+        if cand is None:
+            break
+        out.append((cand, cursors[cand]))
+        cursors[cand] += 1
     return out
 
 
@@ -470,26 +489,33 @@ def cmd_calibrate(args, run: dict) -> int:
         sets = [_arg_paths(args, "heatmaps", "ground_truth")]
     # the seed picks the mixed_sources draws, so it is hashed with them
     out, cfg_hash = _out_dir(args, run, {**cfg, "seed": args.seed or 0} if sources else cfg)
-    # every heatmap of every source is swept, drawn into the mix or not
-    results, run["input_mass"] = read_sets(sets, partial(_sweep, k=k, sweep=sweep), args.workers)
+    draws: list[tuple[int, int]] = []
+
+    def drawn_ids(gts: list[dict]) -> list[set[str]]:
+        # the draws need only each source's count, which its ground truth
+        # gives, so only the heatmaps drawn into the mix are swept
+        draws.extend(_mixed_draws([len(g) for g in gts], weights, n, args.seed or 0))
+        ids = [sorted(g) for g in gts]
+        drawn = [set() for _ in gts]
+        for s, c in draws:
+            drawn[s].add(ids[s][c])
+        return drawn
+
+    work = partial(_sweep, k=k, sweep=sweep)
+    results, run["input_mass"] = read_sets(sets, work, args.workers, drawn_ids if sources else None)
     loaded = [_raised(r) for r in results]
-    pairs = _mixed_draws(loaded, weights, n, args.seed or 0) if sources else loaded[0]
-    spread_radius = [sr for _, sr in pairs]
+    if sources and len(draws) < n:
+        raise ValueError(f"mixed sources exhausted after {len(draws)} of {n} draws")
+    spread_radius = [loaded[s][c][1] for s, c in draws] if sources else [sr for _, sr in loaded[0]]
     bins = spread_bins(spread_radius, bin_width)
     # optima on the first or last sweep radius suggest the sweep is too narrow
     n_edge = sum(1 for _, r in spread_radius if r in (sweep.r_values[0], sweep.r_values[-1]))
     run.update(
-        n=len(pairs), sweep_edge_count=n_edge, sweep_edge_share=n_edge / len(pairs),
+        n=len(spread_radius), sweep_edge_count=n_edge, sweep_edge_share=n_edge / len(spread_radius),
         # spread bins the fit leaves out for holding fewer than min_count pairs
         dropped_bins=[[center, count] for center, _, count in bins if count < min_count],
     )
-    try:
-        model, kept = fit_bins(bins, min_count, tag)
-    except ValueError:
-        # an earlier run's fit in ``out`` would not match this run_meta.json
-        for name in ("model.json", "binned_radii.csv"):
-            (out / name).unlink(missing_ok=True)
-        raise
+    model, kept = fit_bins(bins, min_count, tag)
     write_json(out / "model.json", {**model_to_dict(model), "config_hash": cfg_hash})
     write_csv(out / "binned_radii.csv", ["bin_center", "mean_optimal_radius", "count"], kept, cfg_hash)
     logger.info(
@@ -845,6 +871,10 @@ def main(argv=None) -> int:
             return args.func(args, run)
         except Exception as e:
             run.update(status="failed", error=str(e))
+            if "config_hash" in run:
+                for pattern in OUTPUTS[run["command"]]:
+                    for path in Path(args.out).glob(pattern):
+                        path.unlink()
             raise
         finally:
             if "config_hash" in run:  # _out_dir has made the output directory

@@ -64,9 +64,15 @@ def _read_range(state, task) -> tuple[list[tuple[str, float, object]], str | Non
     return rows, None
 
 
-def read_sets(sets: list[tuple[Path, Path | None]], work, workers: int) -> tuple[list, dict]:
+def read_sets(sets: list[tuple[Path, Path | None]], work, workers: int, select=None) -> tuple[list, dict]:
     """``work(sid, heatmap, ground truth)`` on every heatmap of each (heatmaps,
     ground truth or None) set, in one pool of ``workers`` workers.
+
+    ``select``, when given, is called with the ground truth by sample id of
+    every set ({} for a set whose ground truth failed to load) before any
+    heatmap is read, and returns the ids of each set whose heatmaps get
+    ``work``. The other heatmaps are still parsed and checked, and get the
+    result None.
 
     Returns the results and the input mass table. Per set, the results hold
     the (sample id, result) rows sorted by id, or the ValueError the set
@@ -95,7 +101,9 @@ def read_sets(sets: list[tuple[Path, Path | None]], work, workers: int) -> tuple
             gt_errors[i] = e
     parts = workers * RANGES_PER_WORKER if workers > 1 else 1
     ranges = [jsonl_ranges(hp, parts) for hp, _ in sets]
-    state = ([(hp, g) for (hp, _), g in zip(sets, gts)], work)
+    # a heatmap whose id the workers find no ground truth for gets no work
+    kept = gts if select is None else [{sid: g[sid] for sid in ids} for g, ids in zip(gts, select(gts))]
+    state = ([(hp, g) for (hp, _), g in zip(sets, kept)], work)
     tasks = [(i, a, b) for i, rs in enumerate(ranges) for a, b in rs]
     results = iter(list(map_ordered(_read_range, tasks, workers, state)))
     out = []

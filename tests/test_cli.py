@@ -144,12 +144,11 @@ class TestStandardize:
         meta = read_json(out / "run_meta.json")
         assert (meta["n_ok"], meta["n_failed"]) == (3, 1)
 
-    def test_failure_part_way_leaves_an_earlier_output(self, tmp_path, monkeypatch):
+    def test_failure_part_way_leaves_no_earlier_output(self, tmp_path, monkeypatch):
         scenes = tmp_path / "scenes.jsonl"
         write_scenes(scenes, [straight_sample(5.0, sample_id=f"ok{i}") for i in range(3)])
         out = tmp_path / "out"
         assert main(["standardize", str(scenes), "--out", str(out)]) == EXIT_OK
-        earlier = (out / "standardized.jsonl").read_bytes()
         written = []
 
         def fail_on_second(sample):
@@ -162,8 +161,7 @@ class TestStandardize:
         with pytest.raises(WriteFailed):
             main(["standardize", str(scenes), "--out", str(out)])
         assert written
-        assert (out / "standardized.jsonl").read_bytes() == earlier
-        assert sorted(p.name for p in out.iterdir()) == ["run_meta.json", "standardized.jsonl"]
+        assert [p.name for p in out.iterdir()] == ["run_meta.json"]
 
     def test_empty_file_fails(self, tmp_path, caplog):
         scenes = tmp_path / "scenes.jsonl"
@@ -929,6 +927,39 @@ class TestCalibrateCli:
         assert hashes["mixed", ()] == hashes["mixed", ("--seed", "0")]
         assert len({hashes["mixed", ("--seed", s)] for s in ("0", "5", "6")}) == 3
 
+    def test_mixed_sources_sweep_only_the_drawn_heatmaps(self, tmp_path, monkeypatch, caplog):
+        grid = GridSpec(origin_x=-10.0, origin_y=-10.0, resolution=0.5, width=41, height=41)
+        region = ((-4.0, 4.0), (-4.0, 4.0))
+        sources = [
+            generate_dataset(ScenarioConfig(seed=seed, mean_region=region, grid=grid), 30, tmp_path / f"s{seed}")
+            for seed in (1, 2)
+        ]
+        swept = Counter()
+        sweep = cli._sweep
+
+        def spy(sid, h, gt, **kw):
+            swept[sid, gt] += 1
+            return sweep(sid, h, gt, **kw)
+
+        monkeypatch.setattr(cli, "_sweep", spy)
+        cfg = tmp_path / "mixed.json"
+        entries = [{"heatmaps": str(p["heatmaps"]), "ground_truth": str(p["ground_truth"])} for p in sources]
+        write_json(cfg, {"bin_width": 0.5, "min_count": 1, "mixed_n": 20, "mixed_sources": entries})
+        argv = ["calibrate", "--config", str(cfg), "--seed", "3", "--workers", "1"]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == EXIT_OK
+        gts = [heatpred.sets._load_ground_truth(p["ground_truth"]) for p in sources]
+        ids = [sorted(g) for g in gts]
+        draws = cli._mixed_draws([30, 30], [1.0, 1.0], 20, 3)
+        assert len(draws) == 20 and {s for s, _ in draws} == {0, 1}
+        assert swept == Counter((ids[s][c], gts[s][ids[s][c]]) for s, c in draws)
+        # every heatmap is still read: input_mass covers both files
+        assert len(read_json(tmp_path / "out" / "run_meta.json")["input_mass"]) == 2
+
+        write_json(cfg, {"bin_width": 0.5, "min_count": 1, "mixed_n": 61, "mixed_sources": entries})
+        assert main(argv + ["--out", str(tmp_path / "exhausted")]) == EXIT_FAILURE
+        error = failed_run_meta(tmp_path / "exhausted", caplog)["error"]
+        assert error == "mixed sources exhausted after 60 of 61 draws"
+
 
     def test_sweep_edge_share_in_run_meta(self, tmp_path):
         # planted optimal radii lie in 1.2..3.9; a sweep ending at 1.0 leaves
@@ -1213,6 +1244,23 @@ def _argv(command, hm, gt, tmp_path):
         })
         return ["cross-eval", str(manifest)]
     return [command, str(hm), str(gt)]
+
+
+@pytest.mark.parametrize("command", ["sample", "evaluate", "calibrate", "cross-eval"])
+def test_failed_run_leaves_no_earlier_output(tmp_path, caplog, command):
+    hm, gt = write_pairs(tmp_path / "d", planted_calibration_dataset(20))
+    cfg = tmp_path / "cal.json"
+    write_json(cfg, {"bin_width": 10.0, "min_count": 1})
+    argv = _argv(command, hm, gt, tmp_path) + (["--config", str(cfg)] if command == "calibrate" else [])
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == EXIT_OK
+    assert len(list(out.iterdir())) > 1
+    # the same run again, on a heatmap file of one line cut short
+    hm.write_text(hm.read_text()[:100] + "\n")
+    assert main(argv + ["--out", str(out)]) == EXIT_FAILURE
+    assert [p.name for p in out.iterdir()] == ["run_meta.json"]
+    assert failed_run_meta(out, caplog)
+    assert f"{hm}:1: invalid JSON" in caplog.text
 
 
 class TestWorkerCounts:

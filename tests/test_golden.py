@@ -19,12 +19,13 @@ import os
 import platform
 import sys
 import tempfile
+from fnmatch import fnmatchcase
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from heatpred.cli import main
+from heatpred.cli import OUTPUTS, main
 from heatpred.io import write_json, write_jsonl
 
 GOLDEN = Path(__file__).with_name("golden.json")
@@ -127,6 +128,19 @@ def test_outputs_match_the_golden_table(tmp_path, monkeypatch, workers):
         f"outputs differ from golden.json: {sorted(changed)}; recorded with Python {golden['python']} and numpy "
         f"{golden['numpy']}, running Python {platform.python_version()} and numpy {np.__version__}"
     )
+
+
+def test_each_command_declares_the_files_it_writes():
+    # a failed run removes its command's primary outputs by these patterns
+    pinned = json.loads(GOLDEN.read_text())["runs"]
+    commands = set()
+    for out, argv, _ in RUNS:
+        command = " ".join(argv[:2]) if argv[0] == "analysis" else argv[0]
+        commands.add(command)
+        names, patterns = pinned[out]["files"], OUTPUTS[command]
+        assert all(any(fnmatchcase(name, p) for p in patterns) for name in names), out
+        assert all(any(fnmatchcase(name, p) for name in names) for p in patterns), out
+    assert commands == set(OUTPUTS)
 
 
 def changes(old: dict, new: dict) -> list[str]:

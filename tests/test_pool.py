@@ -1,14 +1,40 @@
 """The process pool forks its workers, so they see the parent's module state
-as it is when the map starts, and the map's state without pickling it."""
+as it is when the map starts, and the map's state without pickling it; each
+worker sends its outcomes back in task order and is reaped however the map
+ends."""
 
-import multiprocessing
+import os
+import signal
 import sys
+import threading
+import time
 
 import pytest
 
 from heatpred.pool import map_ordered
 
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="the platform cannot fork")
+
 SET_AT_RUN_TIME = None
+
+
+class TimedOut(Exception):
+    pass
+
+
+@pytest.fixture
+def deadline():
+    """Fail the test, instead of hanging, once it has run for 20 s: the
+    exception is raised again every second, until the test has unwound."""
+
+    def expire(signum, frame):
+        raise TimedOut("the map did not end within 20 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 20, 1)
+    yield
+    signal.setitimer(signal.ITIMER_REAL, 0)
+    signal.signal(signal.SIGALRM, previous)
 
 
 def read_global(state, task):
@@ -25,8 +51,105 @@ def test_forked_workers_see_state_set_at_run_time(monkeypatch):
     assert list(map_ordered(read_global, [0, 1, 2], workers=2)) == [(i, "set by the parent") for i in range(3)]
 
 
-@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="the platform cannot fork")
+@needs_fork
 @pytest.mark.parametrize("workers", [1, 2])
 def test_state_reaches_workers_unpickled(workers):
     # a lambda cannot be pickled, so forked workers must inherit it
     assert list(map_ordered(apply_state, [1, 2, 3], workers, state=lambda task: task * 10)) == [10, 20, 30]
+
+
+class TwoArgError(Exception):
+    """Pickles, but cannot be rebuilt from its pickle: its one stored arg is not two."""
+
+    def __init__(self, a, b):
+        super().__init__(f"{a} and {b}")
+
+
+RAISED = {
+    "picklable": (ValueError("task 3 is bad"), ValueError, "task 3 is bad"),
+    "unpicklable": (ValueError(lambda: 3), RuntimeError, r"task 3: ValueError\(<function"),
+    "not rebuildable": (TwoArgError(1, 2), RuntimeError, r"task 3: TwoArgError\('1 and 2'\) cannot be pickled"),
+}
+
+
+def raise_at_3(error, task):
+    if task == 3:
+        raise error
+    return task * 2
+
+
+@needs_fork
+@pytest.mark.parametrize("case", sorted(RAISED))
+def test_exception_surfaces_at_its_task(deadline, case):
+    error, kind, message = RAISED[case]
+    results = map_ordered(raise_at_3, range(6), 2, state=error)
+    assert [next(results) for _ in range(3)] == [0, 2, 4]
+    with pytest.raises(kind, match=message):
+        next(results)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def exit_at_2(state, task):
+    if task == 2:
+        os._exit(3)
+    return task
+
+
+@needs_fork
+def test_worker_that_dies_names_its_task(deadline):
+    results = map_ordered(exit_at_2, range(6), 2)
+    assert [next(results) for _ in range(2)] == [0, 1]
+    with pytest.raises(RuntimeError, match="the worker of task 2 ended before it sent the task's result"):
+        next(results)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def sleep_after_0(state, task):
+    if task:
+        time.sleep(30)
+    return task
+
+
+@needs_fork
+def test_close_stops_and_reaps_the_workers(deadline):
+    results = map_ordered(sleep_after_0, range(4), 2)
+    assert next(results) == 0
+    t0 = time.perf_counter()
+    results.close()
+    assert time.perf_counter() - t0 < 5
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def block(state, task):
+    return bytes([task]) * state
+
+
+@needs_fork
+def test_results_larger_than_a_pipe_buffer(deadline):
+    size = 256 * 1024
+    results = list(map_ordered(block, range(64), 2, state=size))
+    assert results == [bytes([i]) * size for i in range(64)]
+
+
+def pid(state, task):
+    return task, os.getpid()
+
+
+@needs_fork
+def test_more_workers_than_tasks(deadline):
+    results = list(map_ordered(pid, range(3), 8))
+    assert [task for task, _ in results] == [0, 1, 2]
+    pids = {p for _, p in results}
+    assert len(pids) == 3 and os.getpid() not in pids
+
+
+def test_no_thread_outlives_or_serves_the_map(deadline):
+    before = threading.active_count()
+    results = map_ordered(pid, range(8), 2)
+    next(results)
+    assert threading.active_count() == before
+    assert len(list(results)) == 7
+    assert threading.active_count() == before
