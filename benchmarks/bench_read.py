@@ -12,8 +12,11 @@ the whole read divided by the heatmap count, so they fall with the worker
 count when the read scales. Last, whole ``heatpred calibrate`` processes run
 at each worker count; their ``model.json``, ``binned_radii.csv`` and their
 ``run_meta.json`` apart from ``timestamp_utc`` and ``workers`` must not differ.
-First of all, an empty 8-task ``pool.map_ordered`` at 2 workers is timed:
-the pool's own cost to start and stop its workers, paid once per map.
+First of all, two ``pool.map_ordered`` maps at 2 workers are timed: an empty
+8-task map, the pool's own cost to start and stop its workers, paid once per
+map; and a 16-task map in which every fourth task sleeps 20 ms, whose time is
+the makespan of unequal tasks (80 ms of sleep, 40 ms when the workers share
+it evenly).
 Each figure is the best of ``--repeats`` runs.
 
 Usage: python benchmarks/bench_read.py [--n N] [--seed S] [--repeats R] [--dir DIR]
@@ -47,6 +50,11 @@ def nothing(state, task):
     return None
 
 
+def sleep_every_fourth(state, task):
+    if task % 4 == 0:
+        time.sleep(0.02)
+
+
 def read(paths, work, workers):
     """The rows of the one set in ``paths``; a set that fails raises."""
     return cli._raised(sets.read_sets(paths, work, workers)[0][0])
@@ -71,6 +79,8 @@ def main():
 
     pool_s = best_of(lambda: list(map_ordered(nothing, range(8), 2)), args.repeats)
     print(f"empty 8-task map at 2 workers: {pool_s * 1e3:.1f} ms")
+    unequal_s = best_of(lambda: list(map_ordered(sleep_every_fourth, range(16), 2)), args.repeats)
+    print(f"16-task map at 2 workers, every fourth task sleeping 20 ms: {unequal_s * 1e3:.1f} ms")
     with tempfile.TemporaryDirectory() as tmp:
         data = Path(args.dir or tmp)
         hp, gp = data / "heatmaps.jsonl", data / "ground_truth.jsonl"

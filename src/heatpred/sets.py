@@ -9,8 +9,9 @@ from .heatmap import NORMALIZATION_TOL, heatmap_from_dict
 from .io import finite, jsonl_ranges, numbers, read_jsonl, string
 from .pool import map_ordered
 
-# Byte ranges per worker: several, so that a worker whose ranges cost more
-# does not finish long after the others.
+# Byte ranges per worker: several, since free workers claim the next range,
+# and small ranges bound how long the last range claimed can run on after
+# the others are done.
 RANGES_PER_WORKER = 4
 
 

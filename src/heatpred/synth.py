@@ -151,7 +151,8 @@ def scenario_id(index: int) -> str:
 
 
 # Scenarios per index range. Scenario cost varies a lot with the sigmas and
-# the mode count, so many small ranges keep the workers finishing together.
+# the mode count; free workers claim the next range, so small ranges bound
+# how long the last range claimed can run on after the others are done.
 SCENARIOS_PER_RANGE = 2
 
 

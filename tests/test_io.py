@@ -156,7 +156,7 @@ def test_import_loads_only_that_module(module):
 
 def test_cli_import_loads_no_process_machinery():
     # the pool forks and pipes by hand, so no start-up pays for these
-    heavy = ("multiprocessing", "concurrent.futures", "socket", "selectors", "subprocess", "queue")
+    heavy = ("multiprocessing", "concurrent.futures", "socket", "select", "selectors", "subprocess", "queue")
     code = f"import sys, heatpred.cli; print(*[m for m in {heavy!r} if m in sys.modules])"
     loaded = subprocess.run(
         [sys.executable, "-c", code], env=child_env(), check=True, capture_output=True, text=True, timeout=60,

@@ -1,7 +1,7 @@
 """The process pool forks its workers, so they see the parent's module state
-as it is when the map starts, and the map's state without pickling it; each
-worker sends its outcomes back in task order and is reaped however the map
-ends."""
+as it is when the map starts, and the map's state without pickling it; a
+free worker claims the next task, results come back in task order, and every
+worker is reaped however the map ends."""
 
 import os
 import signal
@@ -11,6 +11,7 @@ import time
 
 import pytest
 
+from heatpred import pool
 from heatpred.pool import map_ordered
 
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="the platform cannot fork")
@@ -90,15 +91,49 @@ def test_exception_surfaces_at_its_task(deadline, case):
         os.waitpid(-1, os.WNOHANG)
 
 
-def exit_at_2(state, task):
+def exit_at_2(sleep_s, task):
+    time.sleep(sleep_s)
     if task == 2:
         os._exit(3)
     return task
 
 
 @needs_fork
-def test_worker_that_dies_names_its_task(deadline):
-    results = map_ordered(exit_at_2, range(6), 2)
+@pytest.mark.parametrize("size, sleep_s", [(6, 0), (400, 0.01)], ids=["6 tasks", "400 sleeping tasks"])
+def test_worker_that_dies_names_its_task(deadline, size, sleep_s):
+    t0 = time.perf_counter()
+    results = map_ordered(exit_at_2, range(size), 2, state=sleep_s)
+    assert [next(results) for _ in range(2)] == [0, 1]
+    with pytest.raises(RuntimeError, match="the worker of task 2 ended before it sent the task's result"):
+        next(results)
+    assert time.perf_counter() - t0 < 2
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def square(state, task):
+    return task * task
+
+
+class ExitBeforeAnnouncing2:
+    """Stands in for ``pool.CLAIM``: the worker that takes task 2 ends
+    before it announces the task."""
+
+    size, unpack = pool.CLAIM.size, pool.CLAIM.unpack
+
+    def __init__(self, claim):
+        self.claim = claim
+
+    def pack(self, task, worker):
+        if task == 2:
+            os._exit(3)
+        return self.claim.pack(task, worker)
+
+
+@needs_fork
+def test_worker_that_dies_before_announcing_names_its_task(deadline, monkeypatch):
+    monkeypatch.setattr(pool, "CLAIM", ExitBeforeAnnouncing2(pool.CLAIM))
+    results = map_ordered(square, range(6), 2)
     assert [next(results) for _ in range(2)] == [0, 1]
     with pytest.raises(RuntimeError, match="the worker of task 2 ended before it sent the task's result"):
         next(results)
@@ -138,12 +173,39 @@ def pid(state, task):
     return task, os.getpid()
 
 
+def pid_once_all_checked_in(checkins, task):
+    """Check this process in under ``checkins``, then hold the task until 3
+    processes have, so that each of 3 tasks must run in its own process."""
+    (checkins / str(os.getpid())).touch()
+    while len(os.listdir(checkins)) < 3:
+        time.sleep(0.01)
+    return task, os.getpid()
+
+
 @needs_fork
-def test_more_workers_than_tasks(deadline):
-    results = list(map_ordered(pid, range(3), 8))
+def test_more_workers_than_tasks(deadline, tmp_path):
+    results = list(map_ordered(pid_once_all_checked_in, range(3), 8, state=tmp_path))
     assert [task for task, _ in results] == [0, 1, 2]
     pids = {p for _, p in results}
     assert len(pids) == 3 and os.getpid() not in pids
+
+
+def slow_task_0(state, task):
+    if task == 0:
+        time.sleep(0.5)
+    return os.getpid()
+
+
+@needs_fork
+def test_idle_worker_takes_the_remaining_tasks(deadline):
+    slow, *rest = map_ordered(slow_task_0, range(10), 2)
+    assert len(set(rest)) == 1 and slow not in rest
+
+
+@needs_fork
+def test_more_tasks_than_the_claims_pipe_buffers(deadline):
+    # 20,000 claim records of 16 bytes are more than a 64 KiB pipe holds
+    assert list(map_ordered(square, range(20_000), 2)) == [i * i for i in range(20_000)]
 
 
 def test_no_thread_outlives_or_serves_the_map(deadline):
