@@ -191,19 +191,22 @@ def _resolve_path(base_dir: Path | None, path: str) -> Path:
 
 
 def _existing(path: Path, given_as: str) -> Path:
-    """``path``, an input file that must exist; ``given_as`` names the argument or config key that gave it."""
+    """``path``, an input file that must exist and be a regular file; ``given_as``
+    names the argument or config key that gave it."""
     if not path.exists():
         raise ValueError(f"{given_as}: missing file {path}")
+    if not path.is_file():
+        raise ValueError(f"{given_as}: not a file: {path}")
     return path
 
 
 def _arg_paths(args, *names: str) -> tuple[Path, ...]:
-    """The input files of positional arguments ``names``, each of which must exist."""
+    """The input files of positional arguments ``names``, each of which must be a file."""
     return tuple(_existing(Path(getattr(args, name)), f"argument {name}") for name in names)
 
 
 def _set_paths(base_dir: Path | None, entry: dict, where: str) -> tuple[Path, Path]:
-    """The (heatmaps, ground truth) paths of a ``mixed_sources`` or ``test_sets`` entry, which must exist."""
+    """The (heatmaps, ground truth) paths of a ``mixed_sources`` or ``test_sets`` entry, which must be files."""
     return tuple(
         _existing(_resolve_path(base_dir, _string(entry, key, where)), f"config key {where}.{key}")
         for key in ("heatmaps", "ground_truth")
@@ -308,7 +311,10 @@ def _out_dir(args, run: dict, cfg) -> tuple[Path, str]:
     record; from then on :func:`main` writes the record there when the run
     ends. Returns the directory and the hash."""
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise ValueError(f"argument --out: cannot make directory {out}: {e.strerror}") from None
     run["config_hash"] = cfg_hash = config_hash(cfg)
     return out, cfg_hash
 

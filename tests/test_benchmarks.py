@@ -1,5 +1,5 @@
-"""The micro-benchmark scripts and the perfbench tracer run to the end, so a
-library or CLI name they use that is renamed or removed fails here instead of
+"""The micro-benchmark script and the perfbench tracer run to the end, so a
+library or CLI name either uses that is renamed or removed fails here instead of
 breaking them silently."""
 
 import json
@@ -7,30 +7,22 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 from helpers import child_env
 
 ROOT = Path(__file__).resolve().parents[1]
-BENCHMARKS = ROOT / "benchmarks"
 TRACER = ROOT / "perfbench" / "tracer.py"
 
 
-@pytest.mark.parametrize(
-    "script, args",
-    [
-        ("bench_nms.py", ["--repeats", "1"]),
-        ("bench_write.py", ["--n", "4", "--repeats", "1"]),
-        # fewer heatmaps are too sparse for the script's calibrate config
-        ("bench_read.py", ["--n", "40", "--repeats", "1"]),
-    ],
-)
-def test_script_exits_0(script, args):
+def test_micro_exits_0():
+    # fewer heatmaps are too sparse for the read section's calibrate config
+    args = ["--repeats", "1", "--scenarios", "4", "--heatmaps", "40"]
     r = subprocess.run(
-        [sys.executable, str(BENCHMARKS / script), *args],
+        [sys.executable, str(ROOT / "benchmarks" / "micro.py"), *args],
         env=child_env(), capture_output=True, text=True, timeout=300,
     )
     assert r.returncode == 0, r.stderr
+    for section in ("pool", "kernel", "heatmap", "read"):
+        assert f"== {section} " in r.stdout
 
 
 def _traced(trace_dir: Path, *argv: str) -> set[str]:

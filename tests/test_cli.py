@@ -705,8 +705,17 @@ class TestEntryPoint:
 
 
 class TestMissingInputFile:
-    """A missing input file fails with exit 1, naming the argument or the
-    config entry and key that gave it, before the output directory is made."""
+    """A missing input file, or an input path that is not a file, fails with
+    exit 1, naming the argument or the config entry and key that gave it,
+    before the output directory is made."""
+
+    @staticmethod
+    def _bad_paths(tmp_path, name):
+        """A missing path ``name`` and a directory, both in ``tmp_path``, each
+        with the words its error gives before the path."""
+        directory = tmp_path / "a_dir"
+        directory.mkdir()
+        return [(tmp_path / name, "missing file"), (directory, "not a file:")]
 
     @pytest.mark.parametrize(
         "command, missing",
@@ -715,48 +724,54 @@ class TestMissingInputFile:
     )
     def test_positional_path(self, tmp_path, caplog, command, missing):
         paths = dict(zip(("heatmaps", "ground_truth"), write_pairs(tmp_path / "d", point_mass_pairs(4))))
-        paths[missing] = tmp_path / "nope.jsonl"
         names = ["heatmaps"] if command == "sample" else ["heatmaps", "ground_truth"]
         out = tmp_path / "out"
-        assert main([command, *(str(paths[n]) for n in names), "--out", str(out)]) == EXIT_FAILURE
-        assert f"argument {missing}: missing file {paths[missing]}" in caplog.text
-        assert not out.exists()
+        for bad, problem in self._bad_paths(tmp_path, "nope.jsonl"):
+            caplog.clear()
+            paths[missing] = bad
+            assert main([command, *(str(paths[n]) for n in names), "--out", str(out)]) == EXIT_FAILURE
+            assert f"argument {missing}: {problem} {bad}" in caplog.text
+            assert not out.exists()
 
     @pytest.mark.parametrize(
         "argv", [["standardize"], ["analysis", "uncertainty-error"], ["analysis", "noise-report"]], ids="-".join
     )
     def test_input_of_standardize_and_analysis(self, tmp_path, caplog, argv):
-        missing, out = tmp_path / "nope", tmp_path / "out"
-        assert main([*argv, str(missing), "--out", str(out)]) == EXIT_FAILURE
-        assert f"argument input: missing file {missing}" in caplog.text
-        assert not out.exists()
+        out = tmp_path / "out"
+        for bad, problem in self._bad_paths(tmp_path, "nope"):
+            caplog.clear()
+            assert main([*argv, str(bad), "--out", str(out)]) == EXIT_FAILURE
+            assert f"argument input: {problem} {bad}" in caplog.text
+            assert not out.exists()
 
     @pytest.mark.parametrize("key", ["heatmaps", "ground_truth"])
     def test_mixed_source(self, tmp_path, caplog, key):
         hm, gt = write_pairs(tmp_path, point_mass_pairs(4))
-        source = {"heatmaps": hm.name, "ground_truth": gt.name, key: "nope.jsonl"}
-        cfg = tmp_path / "c.json"
-        sources = [{"heatmaps": hm.name, "ground_truth": gt.name}, source]
-        write_json(cfg, {"min_count": 1, "mixed_n": 4, "mixed_sources": sources})
-        out = tmp_path / "out"
-        assert main(["calibrate", "--config", str(cfg), "--out", str(out)]) == EXIT_FAILURE
-        assert f"config key mixed_sources[1].{key}: missing file {tmp_path / 'nope.jsonl'}" in caplog.text
-        assert not out.exists()
+        cfg, out = tmp_path / "c.json", tmp_path / "out"
+        for bad, problem in self._bad_paths(tmp_path, "nope.jsonl"):
+            caplog.clear()
+            source = {"heatmaps": hm.name, "ground_truth": gt.name, key: bad.name}
+            sources = [{"heatmaps": hm.name, "ground_truth": gt.name}, source]
+            write_json(cfg, {"min_count": 1, "mixed_n": 4, "mixed_sources": sources})
+            assert main(["calibrate", "--config", str(cfg), "--out", str(out)]) == EXIT_FAILURE
+            assert f"config key mixed_sources[1].{key}: {problem} {bad}" in caplog.text
+            assert not out.exists()
 
     def test_cross_eval_test_set(self, tmp_path, caplog):
         hm, gt = write_pairs(tmp_path, point_mass_pairs(4))
-        manifest = tmp_path / "manifest.json"
-        write_json(manifest, {
-            "models": [{"train_dataset": "m0", "fixed_radius": 1.0}],
-            "test_sets": [
-                {"dataset": "good", "heatmaps": hm.name, "ground_truth": gt.name},
-                {"dataset": "bad", "heatmaps": hm.name, "ground_truth": "nope.jsonl"},
-            ],
-        })
-        out = tmp_path / "out"
-        assert main(["cross-eval", str(manifest), "--out", str(out)]) == EXIT_FAILURE
-        assert f"config key test_sets[1].ground_truth: missing file {tmp_path / 'nope.jsonl'}" in caplog.text
-        assert not out.exists()
+        manifest, out = tmp_path / "manifest.json", tmp_path / "out"
+        for bad, problem in self._bad_paths(tmp_path, "nope.jsonl"):
+            caplog.clear()
+            write_json(manifest, {
+                "models": [{"train_dataset": "m0", "fixed_radius": 1.0}],
+                "test_sets": [
+                    {"dataset": "good", "heatmaps": hm.name, "ground_truth": gt.name},
+                    {"dataset": "bad", "heatmaps": hm.name, "ground_truth": bad.name},
+                ],
+            })
+            assert main(["cross-eval", str(manifest), "--out", str(out)]) == EXIT_FAILURE
+            assert f"config key test_sets[1].ground_truth: {problem} {bad}" in caplog.text
+            assert not out.exists()
 
     @pytest.mark.parametrize(
         "given_as",
@@ -764,24 +779,34 @@ class TestMissingInputFile:
     )
     def test_config_manifest_and_model(self, tmp_path, caplog, given_as):
         hm, gt = write_pairs(tmp_path, point_mass_pairs(4))
-        missing, out = tmp_path / "nope.json", tmp_path / "out"
-        write_json(tmp_path / "adaptive.json", {"radius": {"adaptive": missing.name}})
-        write_json(tmp_path / "manifest.json", {
-            "models": [
-                {"train_dataset": "m0", "fixed_radius": 1.0},
-                {"train_dataset": "m1", "calibration": missing.name},
-            ],
-            "test_sets": [{"dataset": "t0", "heatmaps": hm.name, "ground_truth": gt.name}],
-        })
-        argv = {
-            "argument --config": ["evaluate", str(hm), str(gt), "--config", str(missing)],
-            "argument manifest": ["cross-eval", str(missing)],
-            "config key radius.adaptive": ["evaluate", str(hm), str(gt), "--config", str(tmp_path / "adaptive.json")],
-            "config key models[1].calibration": ["cross-eval", str(tmp_path / "manifest.json")],
-        }[given_as]
-        assert main([*argv, "--out", str(out)]) == EXIT_FAILURE
-        assert f"{given_as}: missing file {missing}" in caplog.text
-        assert not out.exists()
+        out = tmp_path / "out"
+        for bad, problem in self._bad_paths(tmp_path, "nope.json"):
+            caplog.clear()
+            write_json(tmp_path / "adaptive.json", {"radius": {"adaptive": bad.name}})
+            write_json(tmp_path / "manifest.json", {
+                "models": [
+                    {"train_dataset": "m0", "fixed_radius": 1.0},
+                    {"train_dataset": "m1", "calibration": bad.name},
+                ],
+                "test_sets": [{"dataset": "t0", "heatmaps": hm.name, "ground_truth": gt.name}],
+            })
+            argv = {
+                "argument --config": ["evaluate", str(hm), str(gt), "--config", str(bad)],
+                "argument manifest": ["cross-eval", str(bad)],
+                "config key radius.adaptive": ["evaluate", str(hm), str(gt), "--config", str(tmp_path / "adaptive.json")],
+                "config key models[1].calibration": ["cross-eval", str(tmp_path / "manifest.json")],
+            }[given_as]
+            assert main([*argv, "--out", str(out)]) == EXIT_FAILURE
+            assert f"{given_as}: {problem} {bad}" in caplog.text
+            assert not out.exists()
+
+    def test_out_that_is_a_file(self, tmp_path, caplog):
+        hm, gt = write_pairs(tmp_path / "d", point_mass_pairs(4))
+        out = tmp_path / "out"
+        out.write_text("kept")
+        assert main(["evaluate", str(hm), str(gt), "--out", str(out)]) == EXIT_FAILURE
+        assert f"argument --out: cannot make directory {out}" in caplog.text
+        assert out.read_text() == "kept"
 
 
 class TestRunMeta:
@@ -1295,8 +1320,9 @@ class TestWorkerCounts:
             out = tmp_path / f"w{workers}"
             assert main(argv + ["--out", str(out), "--workers", str(workers)]) == EXIT_OK
             meta = read_json(out / "run_meta.json")
-            assert meta["workers"] == workers
-            seen[workers] = ([(out / name).read_bytes() for name in primary], meta["input_mass"])
+            assert meta.pop("workers") == workers
+            del meta["timestamp_utc"]
+            seen[workers] = ([(out / name).read_bytes() for name in primary], meta)
         assert seen[1] == seen[2] == seen[3]
 
     @pytest.mark.parametrize("command", ["sample", "evaluate", "calibrate", "cross-eval"])
