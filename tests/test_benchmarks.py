@@ -7,22 +7,38 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from helpers import child_env
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "perfbench" / "tracer.py"
 
 
-def test_micro_exits_0():
+@pytest.fixture(scope="module")
+def micro_run():
     # fewer heatmaps are too sparse for the read section's calibrate config
     args = ["--repeats", "1", "--scenarios", "4", "--heatmaps", "40"]
-    r = subprocess.run(
+    return subprocess.run(
         [sys.executable, str(ROOT / "benchmarks" / "micro.py"), *args],
         env=child_env(), capture_output=True, text=True, timeout=300,
     )
-    assert r.returncode == 0, r.stderr
-    for section in ("pool", "kernel", "heatmap", "read"):
-        assert f"== {section} " in r.stdout
+
+
+# One run of micro.py; each case checks the sections that took over the
+# script it is named after, from the three micro.py replaced.
+@pytest.mark.parametrize(
+    "sections",
+    [
+        pytest.param(["kernel"], id="bench_nms.py-args0"),
+        pytest.param(["heatmap"], id="bench_write.py-args1"),
+        pytest.param(["pool", "read"], id="bench_read.py-args2"),
+    ],
+)
+def test_script_exits_0(micro_run, sections):
+    assert micro_run.returncode == 0, micro_run.stderr
+    for section in sections:
+        assert f"== {section} " in micro_run.stdout
 
 
 def _traced(trace_dir: Path, *argv: str) -> set[str]:
