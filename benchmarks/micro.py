@@ -8,9 +8,9 @@ pool     ``pool.map_ordered`` at 2 workers: an empty 8-task map, the cost to
          which every fourth task sleeps 20 ms, the makespan of unequal tasks
          (80 ms of sleep, 40 ms when the workers share it evenly).
 kernel   One k=6 extraction with scores (``kernels.nms_kernel``) and the
-         50-radius sweep calibration runs per heatmap (``kernels.nms_sweep``,
-         no scores), on uniform-random heatmaps of several sizes and on the
-         first four rendered mixtures, whose large radii need longer prefixes.
+         50-radius sweep calibration runs per heatmap (``kernels.nms_sweep``),
+         on uniform-random heatmaps of several sizes and on the first four
+         rendered mixtures, whose large radii need longer prefixes.
 heatmap  Summed over ``--scenarios`` scenarios: ``render_mixture``,
          ``uncertainty``, the line encoder ``heatmap_to_json``, its probability
          text ``_prob_text`` and the encoder's time above that text.
@@ -80,7 +80,7 @@ def kernel(args, cfg):
     for name, h in heatmaps:
         xs, ys = h.cell_centers()
         single, _ = best_of(lambda: kernels.nms_kernel(xs, ys, h.prob, 1.5, 6), args.repeats)
-        sweep, _ = best_of(lambda: kernels.nms_sweep(xs, ys, h.prob, radii, 6, scores=False), args.repeats)
+        sweep, _ = best_of(lambda: kernels.nms_sweep(xs, ys, h.prob, radii, 6), args.repeats)
         print(f"{name:<14} {len(h):>7} {single * 1e3:>11.3f} ms {sweep * 1e3:>13.2f} ms")
 
 

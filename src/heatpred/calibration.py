@@ -62,10 +62,9 @@ def _default_r_values() -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class RadiusSweepConfig:
-    """Radius grid searched per sample and the rank used for the objective."""
+    """Radius grid searched per sample."""
 
     r_values: tuple[float, ...] = field(default_factory=_default_r_values)
-    l_for_objective: int = 6
 
     def __post_init__(self):
         rv = tuple(float(r) for r in self.r_values)
@@ -79,32 +78,27 @@ class RadiusSweepConfig:
                 raise ValueError(f"r_values[{i}]: must be finite, got {r!r}")
             if i and not r > rv[i - 1]:
                 raise ValueError(f"r_values[{i}]: radii must be strictly ascending, got {r!r} after {rv[i - 1]!r}")
-        if self.l_for_objective < 1:
-            raise ValueError(f"l_for_objective: must be at least 1, got {self.l_for_objective!r}")
         object.__setattr__(self, "r_values", rv)
 
 
 def radius_sweep_errors(
     h: Heatmap, gt: tuple[float, float], k: int, sweep: RadiusSweepConfig
 ) -> np.ndarray:
-    """minFDE at ``l_for_objective`` for every radius in the sweep grid.
+    """minFDE_k, the error ``evaluate`` reports, for every radius in the sweep grid.
 
-    Bit-equal to ``min_fde(nms_sample(h, k, r), gt, l)`` for each radius, from
-    one kernel sweep that sorts the cells once. When ``l >= k`` the error is a
-    minimum over all peaks, so their scores (and order) are not computed.
+    Bit-equal to ``min_fde(nms_sample(h, k, r), gt, k)`` for each radius, from
+    one kernel sweep that sorts the cells once. The error is a minimum over
+    all the peaks of a radius, so their scores (and order) are not computed.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    l = sweep.l_for_objective
     xs, ys = h.cell_centers()
-    runs = kernels.nms_sweep(xs, ys, h.prob, sweep.r_values, k, scores=l < k)
+    runs = kernels.nms_sweep(xs, ys, h.prob, sweep.r_values, k)
     gx, gy = gt
     # radii share most of their peaks; each peak's distance is computed once
     dist: dict[int, float] = {}
     errs = np.empty(len(runs), dtype=np.float64)
-    for i, (peaks, scores) in enumerate(runs):
-        if scores is not None:
-            peaks = peaks[np.argsort(-scores, kind="stable")][:l]
+    for i, peaks in enumerate(runs):
         peaks = peaks.tolist()
         for p in peaks:
             if p not in dist:

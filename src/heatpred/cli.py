@@ -426,7 +426,6 @@ def cmd_evaluate(args, run: dict) -> int:
 
 CALIBRATE_DEFAULTS = {
     "k": SamplingConfig.k,
-    "l_for_objective": RadiusSweepConfig.l_for_objective,
     "r_values": None,  # RadiusSweepConfig's grid
     "bin_width": BIN_WIDTH,
     "min_count": MIN_COUNT,
@@ -473,15 +472,12 @@ def _source_weight(i: int, src: dict) -> float:
 def cmd_calibrate(args, run: dict) -> int:
     cfg_raw, base = _load_config(args.config)
     cfg = _merge(CALIBRATE_DEFAULTS, cfg_raw)
-    k = _int(cfg["k"], "k", at_least=1)
+    k = _checked(SamplingConfig, k=_int(cfg["k"], "k")).k
     bin_width = _positive(cfg["bin_width"], "bin_width")
     min_count = _int(cfg["min_count"], "min_count")
     tag = string(cfg["dataset_tag"], "config key dataset_tag")
-    sweep = _checked(
-        RadiusSweepConfig,
-        **({} if cfg["r_values"] is None else {"r_values": numbers(cfg["r_values"], "config key r_values")}),
-        l_for_objective=_int(cfg["l_for_objective"], "l_for_objective"),
-    )
+    r_values = {} if cfg["r_values"] is None else {"r_values": numbers(cfg["r_values"], "config key r_values")}
+    sweep = _checked(RadiusSweepConfig, **r_values)
     sources = _objects(cfg, "mixed_sources")
     if sources:
         n = _int(cfg["mixed_n"], "mixed_n", at_least=1)

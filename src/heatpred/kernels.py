@@ -16,8 +16,10 @@ peak, so the peaks do not need the suppressed mass: after one stable sort of
 the positive cells by descending probability, the next peak is the first
 cell in that order farther than ``r`` from every earlier peak. That sort and
 the walk over it are shared by every radius of a sweep (:func:`nms_sweep`):
-all radii take their peaks in one walk over a radius x candidate matrix, and
-a single extraction (:func:`nms_kernel`) is its one-radius case.
+all radii take their peaks in one walk over a radius x candidate matrix. A
+sweep returns peaks only: calibration rates each radius by the nearest of
+all its peaks, which needs no scores. A single extraction
+(:func:`nms_kernel`) is its one-radius case plus the scores of its peaks.
 """
 
 from __future__ import annotations
@@ -100,16 +102,15 @@ def _kahan_scores(xs, ys, probs, peaks, r2):
     return np.asarray(scores, dtype=np.float64)
 
 
-def nms_sweep(xs, ys, probs, radii, k, scores=True):
+def nms_sweep(xs, ys, probs, radii, k):
     """Greedy peak extraction for every radius in ``radii`` from one walk.
 
     Every radius walks the same sorted prefix of candidates at once; only the
     radii that ran out of live candidates before ``k`` peaks walk again, on a
     prefix twice as long, and a longer prefix is sorted only for them.
-    ``radii`` may hold repeats and come in any order. Returns one (array
-    positions of the peaks, scores) pair per radius, each equal to
-    ``nms_kernel(xs, ys, probs, r, k)``; scores are None when ``scores`` is
-    false. ``probs`` is never mutated.
+    ``radii`` may hold repeats and come in any order. Returns one array of
+    peak positions per radius, in emission order, each equal to the peaks of
+    ``nms_kernel(xs, ys, probs, r, k)``. ``probs`` is never mutated.
     """
     xs = np.ascontiguousarray(xs, dtype=np.float64)
     ys = np.ascontiguousarray(ys, dtype=np.float64)
@@ -133,18 +134,18 @@ def nms_sweep(xs, ys, probs, radii, k, scores=True):
                 peaks[i] = row[:n]
         todo = ran_out
         m = min(2 * m, n_positive)
-    return [
-        (p, _kahan_scores(xs, ys, probs, p, r2) if scores else None)
-        for p, r2 in zip(peaks, r2s)
-    ]
+    return peaks
 
 
 def nms_kernel(xs, ys, probs, r, k):
     """Greedy peak extraction on index-sorted cell centres and probabilities:
-    the one-radius case of :func:`nms_sweep`.
+    the one-radius case of :func:`nms_sweep`, with the scores of its peaks.
 
     ``probs`` is copied, never mutated. Returns (array positions of the
     peaks, scores) in emission order; stops after ``k`` peaks or when no
     live mass remains.
     """
-    return nms_sweep(xs, ys, probs, (r,), k)[0]
+    xs = np.ascontiguousarray(xs, dtype=np.float64)
+    ys = np.ascontiguousarray(ys, dtype=np.float64)
+    peaks = nms_sweep(xs, ys, probs, (r,), k)[0]
+    return peaks, _kahan_scores(xs, ys, probs, peaks, float(r) * float(r))

@@ -52,6 +52,12 @@ class AdaptiveRadius:
     model: "CalibrationModel"
 
 
+# Largest endpoint count a config may ask for. The datasets the method is
+# scored on use k of 5 to 10; the bound keeps the kernel's (radii, k) rank
+# array and a records row small.
+K_MAX = 1000
+
+
 @dataclass(frozen=True)
 class SamplingConfig:
     k: int = 6
@@ -63,6 +69,8 @@ class SamplingConfig:
         # each message starts with the field it rejects
         if self.k < 1:
             raise ValueError(f"k: must be at least 1, got {self.k!r}")
+        if self.k > K_MAX:
+            raise ValueError(f"k: must be at most {K_MAX}, got {self.k!r}")
         if not self.r_min > 0:
             raise ValueError(f"r_min: must be positive, got {self.r_min!r}")
         if not math.isfinite(self.r_min):  # an infinite r_min would clamp every adaptive radius to it

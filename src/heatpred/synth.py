@@ -156,15 +156,14 @@ def scenario_id(index: int) -> str:
 SCENARIOS_PER_RANGE = 2
 
 
-def _encode_range(state: tuple[ScenarioConfig, Path], task: tuple[int, int]) -> tuple[int, str, str | None]:
+def _encode_range(state: tuple[ScenarioConfig, Path], task: tuple[int, int]) -> tuple[int, str]:
     """Write the heatmap lines of the scenarios of one index range, one by one,
     to the range's file in the staging directory.
 
     ``state`` is the config and the staging directory, ``task`` the range's
-    ``(start, stop)``. Returns ``(clipped, ground-truth lines, None)``, where
+    ``(start, stop)``. Returns ``(clipped, ground-truth lines)``, where
     ``clipped`` counts the scenarios with a mode whose truncation disc the
-    grid cuts; or, at the first scenario that fails, ``(0, "", error)``
-    naming it.
+    grid cuts. The first scenario that fails raises a ValueError naming it.
     """
     cfg, staging = state
     start, stop = task
@@ -177,12 +176,12 @@ def _encode_range(state: tuple[ScenarioConfig, Path], task: tuple[int, int]) -> 
             try:
                 h, gt, _ = sample_scenario(cfg, i)
             except ValueError as e:
-                return 0, "", f"{sid}: {e}"
+                raise ValueError(f"{sid}: {e}") from None
             clipped += any(str(w.message) == CLIPPED_WARNING for w in caught)
             caught.clear()
             hf.write(heatmap_to_json(h, sid) + "\n")
             gt_lines.append(canonical_dumps({"sample_id": sid, "gt": [gt[0], gt[1]]}) + "\n")
-    return clipped, "".join(gt_lines), None
+    return clipped, "".join(gt_lines)
 
 
 def generate_dataset(
@@ -223,9 +222,7 @@ def generate_dataset(
             staging = Path(tmp)
             # closing shuts the pool down before the directory is removed
             with closing(map_ordered(_encode_range, tasks, workers, (cfg, staging))) as results:
-                for (start, _), (range_clipped, gt_lines, error) in zip(tasks, results):
-                    if error is not None:
-                        raise ValueError(error)
+                for (start, _), (range_clipped, gt_lines) in zip(tasks, results):
                     part = staging / f"{start}.part"
                     with open(part, "rb") as src:
                         shutil.copyfileobj(src, hf.buffer)

@@ -73,15 +73,15 @@ class TestOptimalRadius:
 class TestSweepMatchesPerRadiusSampling:
     """``radius_sweep_errors`` equals one ``nms_sample`` + ``min_fde`` per radius, bit for bit."""
 
-    @pytest.mark.parametrize("l", [6, 3, 1])
+    @pytest.mark.parametrize("k", [1, 3, 6, 8])
     @pytest.mark.parametrize("case", SWEEP_CASES)
-    def test_bit_equal_to_per_radius_loop(self, rng, case, l):
-        h, k = sweep_case(case, rng)
+    def test_bit_equal_to_per_radius_loop(self, rng, case, k):
+        h, _ = sweep_case(case, rng)
         # radii below the 0.5 grid resolution, then up past the prefix-doubling range
         radii = (0.05, 0.2, 0.45) + RadiusSweepConfig().r_values[4:]
-        sweep = RadiusSweepConfig(r_values=radii, l_for_objective=l)
+        sweep = RadiusSweepConfig(r_values=radii)
         for gt in [(0.3, -1.7), tuple(rng.uniform(-8, 8, 2))]:
-            expected = [min_fde(nms_sample(h, k, r), gt, l) for r in sweep.r_values]
+            expected = [min_fde(nms_sample(h, k, r), gt, k) for r in sweep.r_values]
             got = radius_sweep_errors(h, gt, k, sweep)
             assert got.tolist() == expected
 

@@ -20,11 +20,12 @@ import heatpred.__main__
 import heatpred.io
 import heatpred.sets
 from heatpred import cli
-from heatpred.calibration import RadiusSweepConfig
+from heatpred.calibration import RadiusSweepConfig, spread_bins
 from heatpred.cli import EXIT_FAILURE, EXIT_OK, EXIT_PARTIAL, main
 from heatpred.heatmap import CLIPPED_WARNING, GridSpec, Heatmap, heatmap_to_dict, uncertainty
 from heatpred.io import read_json, write_json, write_jsonl
-from heatpred.metrics import EvalRecord, write_records_csv
+from heatpred.metrics import EvalRecord, min_fde, write_records_csv
+from heatpred.sampling import nms_sample
 from heatpred.synth import ScenarioConfig, generate_dataset, sample_scenario
 from heatpred.trajectory import sample_to_dict
 from helpers import child_env, planted_calibration_dataset, straight_sample
@@ -478,8 +479,7 @@ class TestConfigAndFlags:
             ("sample", lambda c: c.update(k=0), "config key k: must be at least 1, got 0"),
             ("sample", lambda c: c.update(r_min=5, r_max=1),
              "config key r_max: must be at least r_min (5.0), got 1.0"),
-            ("calibrate", lambda c: c.update(l_for_objective=0),
-             "config key l_for_objective: must be at least 1, got 0"),
+            ("calibrate", lambda c: c.update(l_for_objective=0), "unknown config keys: l_for_objective"),
             ("calibrate", lambda c: c.update(r_values=[0.5, 0.2]),
              "config key r_values[1]: radii must be strictly ascending, got 0.2 after 0.5"),
             ("calibrate", lambda c: c.update(r_values=[-1, 0.2]), "config key r_values[0]: must be positive, got -1.0"),
@@ -512,6 +512,12 @@ class TestConfigAndFlags:
             ("calibrate", lambda c: c.update(r_values=[0.5, math.inf]),
              "config key r_values[1]: must be finite, got inf"),
             ("noise-report", lambda c: c.update(bin_width=math.inf), "config key bin_width: must be finite, got inf"),
+            ("sample", lambda c: c.update(k=10**12), "config key k: must be at most 1000, got 1000000000000"),
+            ("evaluate", lambda c: c.update(k=10**12), "config key k: must be at most 1000, got 1000000000000"),
+            ("calibrate", lambda c: c.update(k=10**12), "config key k: must be at most 1000, got 1000000000000"),
+            ("cross-eval", lambda m: m.update(sampling={"k": 10**12}),
+             "config key k: must be at most 1000, got 1000000000000"),
+            ("calibrate", lambda c: c.update(k=0), "config key k: must be at least 1, got 0"),
         ],
         ids=[
             "model-no-train_dataset", "models-not-a-list", "test-set-no-dataset", "test-set-no-heatmaps",
@@ -523,6 +529,8 @@ class TestConfigAndFlags:
             "obs_std-zero", "process_accel_std-infinite", "train_dataset-number", "dataset-null", "calibration-list",
             "test-set-heatmaps-number", "source-ground_truth-bool", "dataset_tag-null", "fixed_radius-infinite",
             "baseline_fixed_radius-infinite", "bin_width-infinite", "r_values-infinite", "noise-bin_width-infinite",
+            "sample-k-above-bound", "evaluate-k-above-bound", "calibrate-k-above-bound", "sampling-k-above-bound",
+            "calibrate-k-zero",
         ],
     )
     def test_bad_manifest_entry_fails_naming_entry_and_key(self, tmp_path, caplog, command, edit, named):
@@ -544,6 +552,7 @@ class TestConfigAndFlags:
             "cross-eval": ["cross-eval", str(path)],
             "calibrate": ["calibrate", "--config", str(path)],
             "sample": ["sample", str(hm), "--config", str(path)],
+            "evaluate": ["evaluate", str(hm), str(gt), "--config", str(path)],
             "standardize": ["standardize", str(hm), "--config", str(path)],
             "noise-report": ["analysis", "noise-report", str(hm), "--config", str(path)],
         }[command]
@@ -874,6 +883,28 @@ class TestCalibrateCli:
         for r in recs:
             expect = min(max(model["a"] * float(r["uncertainty"]) + model["b"], 0.1), 10.0)
             assert float(r["radius_used"]) == pytest.approx(expect, abs=1e-12)
+
+    def test_fit_goes_through_min_fde_k_optima(self, tmp_path):
+        # the sweep scores each radius by the minFDE_k that evaluate reports,
+        # at the configured k, not at the default 6
+        n, k, bin_width = 24, 8, 4.0
+        cfg = ScenarioConfig(seed=3)
+        generate_dataset(cfg, n, tmp_path / "data")
+        radii = RadiusSweepConfig().r_values
+        pairs = []
+        for i in range(n):
+            h, gt, _ = sample_scenario(cfg, i)
+            errs = [min_fde(nms_sample(h, k, r), gt, k) for r in radii]
+            # the first of equal errors: ties go to the smallest radius
+            pairs.append((uncertainty(h).spread, radii[errs.index(min(errs))]))
+        write_json(tmp_path / "cal.json", {"k": k, "bin_width": bin_width, "min_count": 1})
+        out = tmp_path / "out"
+        data = [str(tmp_path / "data" / name) for name in ("heatmaps.jsonl", "ground_truth.jsonl")]
+        assert main(["calibrate", *data, "--config", str(tmp_path / "cal.json"), "--out", str(out)]) == EXIT_OK
+        rows = read_csv_rows(out / "binned_radii.csv")
+        expected = spread_bins(pairs, bin_width)
+        assert len(expected) >= 2
+        assert [(float(r["bin_center"]), float(r["mean_optimal_radius"]), int(r["count"])) for r in rows] == expected
 
     def test_constant_spread_reports_insufficient_bins(self, tmp_path, caplog):
         pairs = point_mass_pairs(8)

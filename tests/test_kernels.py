@@ -85,23 +85,13 @@ class TestSweepAgainstDenseOracle:
         dense = dense_from_heatmap(h)
         runs = kernels.nms_sweep(xs, ys, h.prob, DEFAULT_SWEEP, k)
         assert len(runs) == len(DEFAULT_SWEEP)
-        for r, (peaks, scores) in zip(DEFAULT_SWEEP, runs):
+        for r, peaks in zip(DEFAULT_SWEEP, runs):
+            single, scores = kernels.nms_kernel(xs, ys, h.prob, r, k)
+            assert np.array_equal(single, peaks), f"r={r}"
             got = [(float(xs[p]), float(ys[p]), float(s)) for p, s in zip(peaks, scores)]
             order = np.argsort(-scores, kind="stable")
             got = [got[j] for j in order]
             assert got == dense_nms_oracle(h.grid, dense, r, k), f"r={r}"
-            single = kernels.nms_kernel(xs, ys, h.prob, r, k)
-            assert np.array_equal(single[0], peaks) and np.array_equal(single[1], scores)
-
-    @pytest.mark.parametrize("case", SWEEP_CASES)
-    def test_peaks_without_scores_are_the_same(self, rng, case):
-        h, k = sweep_case(case, rng)
-        xs, ys = h.cell_centers()
-        with_scores = kernels.nms_sweep(xs, ys, h.prob, DEFAULT_SWEEP, k)
-        without = kernels.nms_sweep(xs, ys, h.prob, DEFAULT_SWEEP, k, scores=False)
-        for (p1, _), (p2, s2) in zip(with_scores, without):
-            assert np.array_equal(p1, p2)
-            assert s2 is None
 
     def test_prefix_case_really_doubles(self, rng, monkeypatch):
         sizes = []
@@ -114,16 +104,16 @@ class TestSweepAgainstDenseOracle:
         monkeypatch.setattr(kernels, "_sorted_prefix", spy)
         h, k = sweep_case("prefix_doubles", rng)
         xs, ys = h.cell_centers()
-        kernels.nms_sweep(xs, ys, h.prob, DEFAULT_SWEEP, k, scores=False)
+        kernels.nms_sweep(xs, ys, h.prob, DEFAULT_SWEEP, k)
         assert sizes[0] == kernels.PREFIX_CELLS
         assert len(sizes) > 1 and sizes == sorted(sizes)
 
     def test_fewer_positive_cells_than_k(self, rng):
         h, k = sweep_case("fewer_cells_than_k", rng)
         xs, ys = h.cell_centers()
-        for peaks, scores in kernels.nms_sweep(xs, ys, h.prob, DEFAULT_SWEEP, k):
+        for r, peaks in zip(DEFAULT_SWEEP, kernels.nms_sweep(xs, ys, h.prob, DEFAULT_SWEEP, k)):
             assert 1 <= len(peaks) <= len(h) < k
-            assert len(scores) == len(peaks)
+            assert len(kernels.nms_kernel(xs, ys, h.prob, r, k)[1]) == len(peaks)
 
 
 def assert_sweep_matches(h, radii, k):
@@ -132,13 +122,13 @@ def assert_sweep_matches(h, radii, k):
     dense = dense_from_heatmap(h)
     runs = kernels.nms_sweep(xs, ys, h.prob, radii, k)
     assert len(runs) == len(radii)
-    for r, (peaks, scores) in zip(radii, runs):
+    for r, peaks in zip(radii, runs):
         assert 1 <= len(peaks) <= k
+        single, scores = kernels.nms_kernel(xs, ys, h.prob, r, k)
+        assert np.array_equal(single, peaks), f"r={r}"
         got = [(float(xs[p]), float(ys[p]), float(s)) for p, s in zip(peaks, scores)]
         order = np.argsort(-scores, kind="stable")
         assert [got[j] for j in order] == dense_nms_oracle(h.grid, dense, r, k), f"r={r}"
-        single = kernels.nms_kernel(xs, ys, h.prob, r, k)
-        assert np.array_equal(single[0], peaks) and np.array_equal(single[1], scores), f"r={r}"
 
 
 def record_calls(monkeypatch):
@@ -204,14 +194,14 @@ class TestSweepWalk:
         h, _ = sweep_case(case, rng)
         calls = record_calls(monkeypatch)
         xs, ys = h.cell_centers()
-        kernels.nms_sweep(xs, ys, h.prob, DEFAULT_SWEEP, 1, scores=False)
+        kernels.nms_sweep(xs, ys, h.prob, DEFAULT_SWEEP, 1)
         assert calls == [("sort", min(kernels.PREFIX_CELLS, len(h))), ("walk", len(DEFAULT_SWEEP))]
 
     def test_no_sort_after_the_last_walk(self, rng, monkeypatch):
         h, k = sweep_case("prefix_doubles", rng)
         calls = record_calls(monkeypatch)
         xs, ys = h.cell_centers()
-        kernels.nms_sweep(xs, ys, h.prob, DEFAULT_SWEEP, k, scores=False)
+        kernels.nms_sweep(xs, ys, h.prob, DEFAULT_SWEEP, k)
         assert len(calls) > 2 and calls[-1][0] == "walk"
         # every sort is walked at once, and each prefix doubles the last
         assert [name for name, _ in calls] == ["sort", "walk"] * (len(calls) // 2)

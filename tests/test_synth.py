@@ -135,7 +135,8 @@ class TestGenerateDataset:
         cfg = ScenarioConfig()
         for start in range(0, 10, SCENARIOS_PER_RANGE):
             result = _encode_range((cfg, tmp_path), (start, start + SCENARIOS_PER_RANGE))
-            assert result[2] is None
+            clipped, gt_lines = result
+            assert clipped == 0 and gt_lines.count("\n") == SCENARIOS_PER_RANGE
             assert len(pickle.dumps(result)) < 1024
             assert (tmp_path / f"{start}.part").stat().st_size > 10_000
 
