@@ -119,16 +119,17 @@ def read(args, cfg):
             # in another process, so that this one times the read with a small heap
             heatpred("synth", "--n", str(args.heatmaps), "--seed", str(args.seed), "--out", str(data))
 
-        def rows(work, workers):
-            (result,), _ = read_sets([(hp, gp)], work, workers)
-            if isinstance(result, Exception):
-                raise result
-            return result
+        def results(work, workers):
+            """The set's results, in sample-id order; only their count is used."""
+            (set_results,), _ = read_sets([(hp, gp)], work, workers)
+            if isinstance(set_results, Exception):
+                raise set_results
+            return set_results
 
         print(f"{'workers':>7} {'parse s':>9} {'ms/heatmap':>11} {'sweep s':>9} {'ms/heatmap':>11}")
         for w in (1, 2):
-            parse_s, parsed = best_of(lambda: rows(nothing, w), args.repeats)
-            sweep_s = best_of(lambda: rows(spread_and_radius, w), args.repeats)[0] - parse_s
+            parse_s, parsed = best_of(lambda: results(nothing, w), args.repeats)
+            sweep_s = best_of(lambda: results(spread_and_radius, w), args.repeats)[0] - parse_s
             n = len(parsed)
             print(f"{w:>7} {parse_s:>9.3f} {parse_s / n * 1e3:>11.2f} {sweep_s:>9.3f} {sweep_s / n * 1e3:>11.2f}")
         print(f"over {n} heatmaps, {hp.stat().st_size / 1e6:.1f} MB")

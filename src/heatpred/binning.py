@@ -17,7 +17,12 @@ MIN_COUNT = 100
 
 
 def floor_bin(value: float, bin_width: float) -> int:
-    return int(math.floor(value / bin_width))
+    """The index of the floor bin of ``value``; a bin width so small that
+    the index overflows raises a ValueError naming ``bin_width``."""
+    index = value / bin_width
+    if not math.isfinite(index):
+        raise ValueError(f"bin_width: {bin_width!r} is too small to bin the value {value!r}")
+    return int(math.floor(index))
 
 
 def floor_histogram(values: Sequence[float], bin_width: float) -> list[tuple[float, int, float]]:

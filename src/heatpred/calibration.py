@@ -198,6 +198,33 @@ def fit_bins(
     return model, kept
 
 
+def mixed_draws(ids: Sequence[Iterable[str]], weights: Sequence[float], n: int, seed: int) -> list[set[str]]:
+    """The ids drawn from each source for a mix of ``n`` samples, or the ids
+    drawn before every source ran out.
+
+    ``ids`` holds each source's sample ids, distinct within the source, such
+    as the keys of its ground truth; ``weights`` holds the sources' weights.
+    Draw ``i`` picks a source with those weights, using a substream keyed by
+    (seed, i), and takes that source's next undrawn id in sorted order. When
+    the picked source has none left, the draw falls back to the first source
+    with ids left, in a permutation drawn from the same substream. So the mix
+    is a function of the sources' ids, the weights, ``n`` and ``seed`` alone.
+    """
+    pools = [sorted(s) for s in ids]
+    total_w = sum(weights)
+    probs = [w / total_w for w in weights]
+    drawn: list[set[str]] = [set() for _ in pools]
+    for i in range(n):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, i)))
+        order = list(rng.permutation(len(pools)))
+        choice = int(rng.choice(len(pools), p=probs))
+        source = next((s for s in [choice] + order if len(drawn[s]) < len(pools[s])), None)
+        if source is None:
+            break
+        drawn[source].add(pools[source][len(drawn[source])])
+    return drawn
+
+
 def learned_uncertainty_loss(log_variance: float, error: float) -> tuple[float, float]:
     """Log-variance regression loss error*exp(-s) + s and its d/ds gradient.
 

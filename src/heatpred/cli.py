@@ -20,8 +20,6 @@ from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
 
-import numpy as np
-
 # io.read_jsonl is called through the module, because perfbench/tracer.py
 # binds cli.read_jsonl to a wrapper that passes on only a path
 from . import __version__, io
@@ -29,6 +27,7 @@ from .calibration import (
     CalibrationModel,
     RadiusSweepConfig,
     fit_bins,
+    mixed_draws,
     model_from_dict,
     model_to_dict,
     optimal_radius,
@@ -159,12 +158,13 @@ def _float_config(cls, cfg: dict):
     return _checked(cls, **{f.name: _float(cfg[f.name], f.name) for f in fields(cls)})
 
 
-def _objects(cfg: dict, key: str) -> list[dict]:
-    """The list of JSON objects under config key ``key``; absent or null gives []."""
+def _objects(cfg: dict, key: str, keys: tuple[str, ...]) -> list[dict]:
+    """The list of JSON objects under config key ``key``, each of which may
+    hold only ``keys``; absent or null gives []."""
     entries = [] if cfg.get(key) is None else cfg[key]
     if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
         raise ValueError(f"config key {key}: must be a list of objects")
-    return entries
+    return [_known(e, keys, f"{key}[{i}]") for i, e in enumerate(entries)]
 
 
 def _string(entry: dict, key: str, where: str) -> str:
@@ -174,13 +174,17 @@ def _string(entry: dict, key: str, where: str) -> str:
     return string(entry[key], f"config key {where}.{key}")
 
 
-def _merge(defaults: dict, overrides: dict) -> dict:
-    unknown = set(overrides) - set(defaults)
+def _known(obj: dict, keys, where: str | None = None) -> dict:
+    """``obj``, the config object ``where`` (the top level when None), which may hold no key but ``keys``."""
+    unknown = sorted(set(obj) - set(keys))
     if unknown:
-        raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    merged = dict(defaults)
-    merged.update(overrides)
-    return merged
+        prefix = "" if where is None else f"{where}."
+        raise ValueError(f"unknown config keys: {', '.join(prefix + key for key in unknown)}")
+    return obj
+
+
+def _merge(defaults: dict, overrides: dict) -> dict:
+    return {**defaults, **_known(overrides, defaults)}
 
 
 def _resolve_path(base_dir: Path | None, path: str) -> Path:
@@ -238,7 +242,7 @@ def _sampling_config(
 ) -> tuple[SamplingConfig, float]:
     """The sampling config and the miss threshold of a merged SAMPLING_DEFAULTS
     config; ``model_key`` names the config key that gave an adaptive radius's model file."""
-    radius = cfg["radius"] if isinstance(cfg["radius"], dict) else {}
+    radius = _known(cfg["radius"], ("fixed", "adaptive"), "radius") if isinstance(cfg["radius"], dict) else {}
     if "fixed" in radius:
         mode = FixedRadius(_positive(radius["fixed"], "radius.fixed"))
     elif "adaptive" in radius:
@@ -253,7 +257,7 @@ def _sampling_config(
         r_min=_float(cfg["r_min"], "r_min"),
         r_max=_float(cfg["r_max"], "r_max"),
     )
-    return sampling, _float(cfg["miss_threshold"], "miss_threshold")
+    return sampling, _positive(cfg["miss_threshold"], "miss_threshold")
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +395,7 @@ def cmd_sample(args, run: dict) -> int:
     results, run["input_mass"] = read_sets([(heatmaps, None)], work, args.workers)
     predictions = _raised(results[0])
     out_path = out / "predictions.jsonl"
-    run["n"] = n = write_jsonl(out_path, (d for _, d in predictions))
+    run["n"] = n = write_jsonl(out_path, predictions)
     logger.info("sampled %d heatmaps -> %s", n, out_path)
     return EXIT_OK
 
@@ -408,7 +412,7 @@ def cmd_evaluate(args, run: dict) -> int:
     out, cfg_hash = _out_dir(args, run, cfg)
     work = partial(_score_rows, cfgs=[sampling], threshold=threshold)
     results, run["input_mass"] = read_sets(sets, work, args.workers)
-    records = [r for _, (r,) in _raised(results[0])]
+    records = [r for (r,) in _raised(results[0])]
     rep = aggregate(records)
     write_records_csv(out / "records.csv", records, cfg_hash)
     write_json(out / "aggregate.json", {"config_hash": cfg_hash, **report_to_dict(rep)})
@@ -435,32 +439,6 @@ CALIBRATE_DEFAULTS = {
 }
 
 
-def _mixed_draws(counts: list[int], weights: list[float], n: int, seed: int) -> list[tuple[int, int]]:
-    """The (source, position in its sorted ids) of each of ``n`` samples drawn
-    from sources of ``counts`` samples, or of the draws made before every
-    source ran out.
-
-    Draw ``i`` picks a source with the configured weights using a substream
-    keyed by (seed, i), then takes that source's next undrawn sample, so
-    the composition is reproducible regardless of chunking.
-    """
-    total_w = sum(weights)
-    probs = [w / total_w for w in weights]
-    cursors = [0] * len(counts)
-    out = []
-    for i in range(n):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, i)))
-        order = list(rng.permutation(len(counts)))
-        choice = int(rng.choice(len(counts), p=probs))
-        # fall back to any source with samples left, in the drawn order
-        cand = next((c for c in [choice] + order if cursors[c] < counts[c]), None)
-        if cand is None:
-            break
-        out.append((cand, cursors[cand]))
-        cursors[cand] += 1
-    return out
-
-
 def _source_weight(i: int, src: dict) -> float:
     where = f"mixed_sources[{i}]"
     w = _float(src.get("weight", 1.0), f"{where}.weight")
@@ -478,37 +456,30 @@ def cmd_calibrate(args, run: dict) -> int:
     tag = string(cfg["dataset_tag"], "config key dataset_tag")
     r_values = {} if cfg["r_values"] is None else {"r_values": numbers(cfg["r_values"], "config key r_values")}
     sweep = _checked(RadiusSweepConfig, **r_values)
-    sources = _objects(cfg, "mixed_sources")
+    sources = _objects(cfg, "mixed_sources", ("heatmaps", "ground_truth", "weight"))
     if sources:
+        if args.heatmaps is not None:
+            raise ValueError("calibrate takes HEATMAPS GROUND_TRUTH or config key mixed_sources, not both")
         n = _int(cfg["mixed_n"], "mixed_n", at_least=1)
         weights = [_source_weight(i, src) for i, src in enumerate(sources)]
         if sum(weights) == 0:
             raise ValueError("config key mixed_sources: weights must not all be 0")
         sets = [_set_paths(base, src, f"mixed_sources[{i}]") for i, src in enumerate(sources)]
+        # the draws need only each source's ids, which its ground truth
+        # gives, so only the heatmaps drawn into the mix are swept
+        select = partial(mixed_draws, weights=weights, n=n, seed=args.seed or 0)
     else:
         if not args.heatmaps or not args.ground_truth:
             raise ValueError("calibrate needs HEATMAPS and GROUND_TRUTH (or mixed_sources config)")
-        sets = [_arg_paths(args, "heatmaps", "ground_truth")]
+        sets, select = [_arg_paths(args, "heatmaps", "ground_truth")], None
     # the seed picks the mixed_sources draws, so it is hashed with them
     out, cfg_hash = _out_dir(args, run, {**cfg, "seed": args.seed or 0} if sources else cfg)
-    draws: list[tuple[int, int]] = []
-
-    def drawn_ids(gts: list[dict]) -> list[set[str]]:
-        # the draws need only each source's count, which its ground truth
-        # gives, so only the heatmaps drawn into the mix are swept
-        draws.extend(_mixed_draws([len(g) for g in gts], weights, n, args.seed or 0))
-        ids = [sorted(g) for g in gts]
-        drawn = [set() for _ in gts]
-        for s, c in draws:
-            drawn[s].add(ids[s][c])
-        return drawn
-
     work = partial(_sweep, k=k, sweep=sweep)
-    results, run["input_mass"] = read_sets(sets, work, args.workers, drawn_ids if sources else None)
-    loaded = [_raised(r) for r in results]
-    if sources and len(draws) < n:
-        raise ValueError(f"mixed sources exhausted after {len(draws)} of {n} draws")
-    spread_radius = [loaded[s][c][1] for s, c in draws] if sources else [sr for _, sr in loaded[0]]
+    results, run["input_mass"] = read_sets(sets, work, args.workers, select)
+    # the heatmaps left out of the mix have the result None
+    spread_radius = [sr for result in results for sr in _raised(result) if sr is not None]
+    if sources and len(spread_radius) < n:
+        raise ValueError(f"mixed sources exhausted after {len(spread_radius)} of {n} draws")
     bins = spread_bins(spread_radius, bin_width)
     # optima on the first or last sweep radius suggest the sweep is too narrow
     n_edge = sum(1 for _, r in spread_radius if r in (sweep.r_values[0], sweep.r_values[-1]))
@@ -550,8 +521,9 @@ def cmd_cross_eval(args, run: dict) -> int:
     manifest_path = _existing(Path(args.manifest), "argument manifest")
     manifest = _read_object(manifest_path)
     base = manifest_path.parent
-    models = _objects(manifest, "models")
-    test_sets = _objects(manifest, "test_sets")
+    _known(manifest, ("models", "test_sets", "sampling", "baseline_fixed_radius"))
+    models = _objects(manifest, "models", ("train_dataset", "calibration", "fixed_radius"))
+    test_sets = _objects(manifest, "test_sets", ("dataset", "heatmaps", "ground_truth"))
     if not models or not test_sets:
         raise ValueError("manifest needs non-empty models and test_sets")
     row_tags = [_string(m, "train_dataset", f"models[{i}]") for i, m in enumerate(models)]
@@ -589,7 +561,7 @@ def cmd_cross_eval(args, run: dict) -> int:
             for row in tags:
                 cells[row][col] = {"status": "failed", "error": str(results)}
             continue
-        for row, cfg, records in zip(tags, cfgs, zip(*(r for _, r in results))):
+        for row, cfg, records in zip(tags, cfgs, zip(*results)):
             rep = aggregate(records)
             cell = cells[row][col] = {
                 "status": "ok", "min_fde": rep.min_fde_l[-1], "mr": rep.mr_l[-1], "count": rep.count,

@@ -76,7 +76,8 @@ def read_sets(sets: list[tuple[Path, Path | None]], work, workers: int, select=N
     result None.
 
     Returns the results and the input mass table. Per set, the results hold
-    the (sample id, result) rows sorted by id, or the ValueError the set
+    the list of its heatmaps' results in sample-id order, without the ids
+    (``work`` returns an id if a caller needs it), or the ValueError the set
     failed with. A set fails on, in this order: its first failing heatmap
     line by file position, no heatmaps, duplicate ids, its ground truth, and
     ids without a match on the other side. The table holds, under
@@ -135,5 +136,5 @@ def read_sets(sets: list[tuple[Path, Path | None]], work, workers: int, select=N
         except ValueError as e:
             out.append(e)
         else:
-            out.append(sorted(((sid, result) for sid, _, result in rows), key=lambda row: row[0]))
+            out.append([result for _, _, result in sorted(rows, key=lambda row: row[0])])
     return out, masses

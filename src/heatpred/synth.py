@@ -13,6 +13,7 @@ do not change the data.
 
 from __future__ import annotations
 
+import math
 import shutil
 import tempfile
 import warnings
@@ -61,13 +62,18 @@ class ScenarioConfig:
             raise ValueError("n_modes_range: must be a non-empty range of counts >= 1")
         if self.sigma_range[0] <= 0 or self.sigma_range[1] < self.sigma_range[0]:
             raise ValueError("sigma_range: must be positive and non-empty")
+        _finite_range("sigma_range", self.sigma_range)
         if self.weight_floor < 0 or self.weight_floor * hi > 1:
             raise ValueError(f"weight_floor: must be in [0, 1 / {hi}], got {self.weight_floor!r}")
         (x0, x1), (y0, y1) = self.mean_region
         if x1 < x0 or y1 < y0:
             raise ValueError("mean_region: must be a non-empty rectangle")
+        for i, span in enumerate(self.mean_region):
+            _finite_range(f"mean_region[{i}]", span)
         if not self.truncate_sigmas >= 3.0:
             raise ValueError("truncate_sigmas: must be at least 3")
+        if not math.isfinite(self.truncate_sigmas):
+            raise ValueError(f"truncate_sigmas: must be finite, got {self.truncate_sigmas!r}")
 
     def to_dict(self) -> dict:
         return {
@@ -90,6 +96,13 @@ class ScenarioConfig:
             return cls(**values)
         except ValueError as e:
             raise ValueError(f"config key {e}") from None
+
+
+def _finite_range(where: str, bounds: tuple[float, float]) -> None:
+    """Refuse a (low, high) range, named ``where``, with a bound or a span that is not finite."""
+    lo, hi = bounds
+    if not math.isfinite(hi - lo):  # an infinite bound makes the difference infinite or NaN too
+        raise ValueError(f"{where}: bounds and span must be finite, got {list(bounds)!r}")
 
 
 def _grid(value, where: str) -> GridSpec:
@@ -175,7 +188,7 @@ def _encode_range(state: tuple[ScenarioConfig, Path], task: tuple[int, int]) -> 
             sid = scenario_id(i)
             try:
                 h, gt, _ = sample_scenario(cfg, i)
-            except ValueError as e:
+            except (ValueError, OverflowError) as e:
                 raise ValueError(f"{sid}: {e}") from None
             clipped += any(str(w.message) == CLIPPED_WARNING for w in caught)
             caught.clear()

@@ -12,6 +12,7 @@ from heatpred.calibration import (
     fit_bins,
     learned_uncertainty_loss,
     load_preset,
+    mixed_draws,
     model_from_dict,
     model_to_dict,
     optimal_radius,
@@ -279,3 +280,31 @@ class TestPresetsAndSerialization:
     def test_rejects_non_positive_intercept(self):
         with pytest.raises(ValueError):
             CalibrationModel(a=0.01, b=0.0)
+
+
+def _ids(tag: str, n: int) -> list[str]:
+    # listed out of sorted order: the draws take each source's ids sorted
+    return [f"{tag}-{i:03d}" for i in range(n)][::-1]
+
+
+def _prefix(tag: str, n: int) -> set[str]:
+    return {f"{tag}-{i:03d}" for i in range(n)}
+
+
+class TestMixedDraws:
+    """Pinned to the ids the (source, position) draws of the command line's
+    earlier ``_mixed_draws`` gave, mapped onto each source's sorted ids."""
+
+    @pytest.mark.parametrize(
+        "ids, weights, n, seed, drawn",
+        [
+            ([_ids("a", 30), _ids("b", 30)], [1.0, 1.0], 20, 3, [_prefix("a", 11), _prefix("b", 9)]),
+            ([_ids("a", 10), _ids("b", 10), _ids("c", 10)], [1.0, 0.0, 2.0], 12, 5,
+             [_prefix("a", 5), set(), _prefix("c", 7)]),
+            ([_ids("a", 8), _ids("a", 8)], [1.0, 1.0], 10, 1, [_prefix("a", 2), _prefix("a", 8)]),
+            ([_ids("a", 5), _ids("b", 4)], [1.0, 3.0], 20, 2, [_prefix("a", 5), _prefix("b", 4)]),
+        ],
+        ids=["two-sources", "weight-zero", "source-twice", "exhausted"],
+    )
+    def test_pinned_ids(self, ids, weights, n, seed, drawn):
+        assert mixed_draws(ids, weights, n, seed) == drawn

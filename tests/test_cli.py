@@ -20,7 +20,7 @@ import heatpred.__main__
 import heatpred.io
 import heatpred.sets
 from heatpred import cli
-from heatpred.calibration import RadiusSweepConfig, spread_bins
+from heatpred.calibration import RadiusSweepConfig, mixed_draws, spread_bins
 from heatpred.cli import EXIT_FAILURE, EXIT_OK, EXIT_PARTIAL, main
 from heatpred.heatmap import CLIPPED_WARNING, GridSpec, Heatmap, heatmap_to_dict, uncertainty
 from heatpred.io import read_json, write_json, write_jsonl
@@ -287,6 +287,21 @@ class TestSynthCli:
             assert (meta["command"], meta["n"], meta["workers"]) == ("synth", n, workers)
             assert "clipped_scenarios" not in meta
 
+    @pytest.mark.parametrize(
+        "cfg", [{"truncate_sigmas": 1e308}, {"sigma_range": [1e-320, 1e308]}], ids=["truncate_sigmas", "sigma_range"]
+    )
+    def test_overflowing_scenario_is_named(self, tmp_path, caplog, cfg):
+        write_json(tmp_path / "cfg.json", cfg)
+        for workers in (1, 2):
+            caplog.clear()
+            out = tmp_path / f"w{workers}"
+            argv = ["synth", "--n", "4", "--config", str(tmp_path / "cfg.json"), "--workers", str(workers)]
+            assert main(argv + ["--out", str(out)]) == EXIT_FAILURE
+            errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+            assert len(errors) == 1 and errors[0].startswith("synth-000000: ")
+            assert "Traceback" not in caplog.text
+            assert [p.name for p in out.iterdir()] == ["run_meta.json"]
+
     def test_clipped_scenarios_counted_once_per_run(self, tmp_path, caplog, capfd):
         # modes near the grid's edge: some truncation discs are cut, none is empty
         cfg = {**NARROW_SYNTH, "mean_region": [[0, 10], [-5, 5]], "seed": 2}
@@ -435,11 +450,16 @@ class TestConfigAndFlags:
             ('{"radius": {"fixed": 1e400}}', "config key radius.fixed: must be finite, got inf"),
             ('{"radius": {"fixed": Infinity}}', "config key radius.fixed: must be finite, got inf"),
             ('{"r_min": 1e400, "r_max": 1e400}', "config key r_min: must be finite, got inf"),
+            ('{"miss_threshold": -1}', "config key miss_threshold: must be positive, got -1.0"),
+            ('{"miss_threshold": 0}', "config key miss_threshold: must be positive, got 0.0"),
+            ('{"miss_threshold": 1e400}', "config key miss_threshold: must be finite, got inf"),
+            ('{"radius": {"fixed": 2.0, "adaptiv": "m.json"}}', "unknown config keys: radius.adaptiv"),
         ],
         ids=[
             "array", "string", "radius-number", "k-null", "k-bool", "k-fraction", "miss_threshold-string",
             "miss_threshold-nan", "k-zero", "r_max-below-r_min", "r_min-zero", "adaptive-number",
-            "fixed-1e400", "fixed-Infinity", "r_min-infinite",
+            "fixed-1e400", "fixed-Infinity", "r_min-infinite", "miss_threshold-negative", "miss_threshold-zero",
+            "miss_threshold-1e400", "radius-unknown-key",
         ],
     )
     def test_bad_config_fails_naming_file_or_key(self, tmp_path, caplog, text, named):
@@ -518,6 +538,12 @@ class TestConfigAndFlags:
             ("cross-eval", lambda m: m.update(sampling={"k": 10**12}),
              "config key k: must be at most 1000, got 1000000000000"),
             ("calibrate", lambda c: c.update(k=0), "config key k: must be at least 1, got 0"),
+            ("cross-eval", lambda m: m.update(baseline_fixed_raduis=3.0), "unknown config keys: baseline_fixed_raduis"),
+            ("cross-eval", lambda m: m["models"][0].update(fixed_radius=2.0, calibraton="x.json"),
+             "unknown config keys: models[0].calibraton"),
+            ("cross-eval", lambda m: m["test_sets"][0].update(datset="t1"), "unknown config keys: test_sets[0].datset"),
+            ("calibrate", lambda c: c["mixed_sources"][1].update(wieght=5),
+             "unknown config keys: mixed_sources[1].wieght"),
         ],
         ids=[
             "model-no-train_dataset", "models-not-a-list", "test-set-no-dataset", "test-set-no-heatmaps",
@@ -530,7 +556,8 @@ class TestConfigAndFlags:
             "test-set-heatmaps-number", "source-ground_truth-bool", "dataset_tag-null", "fixed_radius-infinite",
             "baseline_fixed_radius-infinite", "bin_width-infinite", "r_values-infinite", "noise-bin_width-infinite",
             "sample-k-above-bound", "evaluate-k-above-bound", "calibrate-k-above-bound", "sampling-k-above-bound",
-            "calibrate-k-zero",
+            "calibrate-k-zero", "manifest-unknown-key", "model-unknown-key", "test-set-unknown-key",
+            "source-unknown-key",
         ],
     )
     def test_bad_manifest_entry_fails_naming_entry_and_key(self, tmp_path, caplog, command, edit, named):
@@ -601,10 +628,14 @@ class TestConfigAndFlags:
             ({"n": 0}, [], "config key n: must be at least 1, got 0"),
             ({}, ["--n", "0"], "--n must be at least 1, got 0"),
             ({"n_modes_range": [2, 1]}, [], "config key n_modes_range: must be a non-empty range"),
+            ({"truncate_sigmas": math.inf}, [], "config key truncate_sigmas: must be finite, got inf"),
+            ({"sigma_range": [0.5, math.inf]}, [], "config key sigma_range: bounds and span must be finite"),
+            ({"mean_region": [[-1e308, 1e308], [-20, 20]]}, [],
+             "config key mean_region[0]: bounds and span must be finite"),
         ],
         ids=[
             "unknown-key", "grid-partial", "n_modes_range-number", "seed-string", "n-string", "n-zero", "n-flag-zero",
-            "n_modes_range-empty",
+            "n_modes_range-empty", "truncate_sigmas-infinite", "sigma_range-infinite", "mean_region-span-overflows",
         ],
     )
     def test_bad_synth_config_names_key(self, tmp_path, caplog, cfg, flags, named):
@@ -623,6 +654,27 @@ class TestConfigAndFlags:
         assert main(argv) == EXIT_FAILURE
         assert "config key bin_width: must be positive, got 0.0" in caplog.text
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["calibrate", "uncertainty-error", "speed-report"])
+    def test_bin_width_too_small_for_the_values_is_named(self, tmp_path, caplog, command):
+        cfg = {"bin_width": 1e-320, "min_count": 1}
+        if command == "calibrate":
+            argv = ["calibrate", *map(str, write_pairs(tmp_path / "d", planted_calibration_dataset(4)))]
+        elif command == "uncertainty-error":
+            path = tmp_path / "records.csv"
+            write_records_csv(path, [EvalRecord("r0", 2.5, 1.0, [1.0] * 6, [False] * 6)], "deadbeef")
+            argv = ["analysis", command, str(path)]
+        else:
+            del cfg["min_count"]  # not a key of speed-report
+            path = tmp_path / "scenes.jsonl"
+            write_scenes(path, [straight_sample(1.0)])
+            argv = ["analysis", command, str(path)]
+        write_json(tmp_path / "cfg.json", cfg)
+        out = tmp_path / "out"
+        assert main(argv + ["--config", str(tmp_path / "cfg.json"), "--out", str(out)]) == EXIT_FAILURE
+        assert "bin_width: 1e-320 is too small to bin the value" in caplog.text
+        assert "Traceback" not in caplog.text
+        assert [p.name for p in out.iterdir()] == ["run_meta.json"]
 
     def test_workers_below_one_rejected(self, tmp_path, caplog):
         hm, gt = write_pairs(tmp_path, point_mass_pairs(3))
@@ -1004,10 +1056,9 @@ class TestCalibrateCli:
         argv = ["calibrate", "--config", str(cfg), "--seed", "3", "--workers", "1"]
         assert main(argv + ["--out", str(tmp_path / "out")]) == EXIT_OK
         gts = [heatpred.sets._load_ground_truth(p["ground_truth"]) for p in sources]
-        ids = [sorted(g) for g in gts]
-        draws = cli._mixed_draws([30, 30], [1.0, 1.0], 20, 3)
-        assert len(draws) == 20 and {s for s, _ in draws} == {0, 1}
-        assert swept == Counter((ids[s][c], gts[s][ids[s][c]]) for s, c in draws)
+        drawn = mixed_draws(gts, [1.0, 1.0], 20, 3)
+        assert sum(map(len, drawn)) == 20 and all(drawn)
+        assert swept == Counter((sid, g[sid]) for g, ids in zip(gts, drawn) for sid in ids)
         # every heatmap is still read: input_mass covers both files
         assert len(read_json(tmp_path / "out" / "run_meta.json")["input_mass"]) == 2
 
@@ -1016,6 +1067,18 @@ class TestCalibrateCli:
         error = failed_run_meta(tmp_path / "exhausted", caplog)["error"]
         assert error == "mixed sources exhausted after 60 of 61 draws"
 
+
+    @pytest.mark.parametrize("given", ["missing", "real", "one"])
+    def test_positional_files_with_mixed_sources_refused(self, tmp_path, caplog, given):
+        hm, gt = write_pairs(tmp_path / "d", point_mass_pairs(4))
+        cfg = tmp_path / "mixed.json"
+        source = {"heatmaps": str(hm), "ground_truth": str(gt)}
+        write_json(cfg, {"min_count": 1, "mixed_n": 4, "mixed_sources": [source]})
+        files = {"missing": [tmp_path / "nope1.jsonl", tmp_path / "nope2.jsonl"], "real": [hm, gt], "one": [hm]}[given]
+        out = tmp_path / "out"
+        assert main(["calibrate", *map(str, files), "--config", str(cfg), "--out", str(out)]) == EXIT_FAILURE
+        assert "calibrate takes HEATMAPS GROUND_TRUTH or config key mixed_sources, not both" in caplog.text
+        assert not out.exists()
 
     def test_sweep_edge_share_in_run_meta(self, tmp_path):
         # planted optimal radii lie in 1.2..3.9; a sweep ending at 1.0 leaves

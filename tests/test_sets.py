@@ -11,7 +11,7 @@ from helpers import random_heatmap
 
 
 def spread(sid, h, gt):
-    return uncertainty(h).spread, gt
+    return sid, uncertainty(h).spread, gt
 
 
 def write_set(root, tag: str, n: int, rng: np.random.Generator):
@@ -48,8 +48,8 @@ def test_results_and_input_mass_do_not_depend_on_workers(tmp_path):
         assert other_masses == masses
 
     rows, failure = results
-    assert [sid for sid, _ in rows] == [f"a-{i:03d}" for i in range(12)]
-    assert [list(gt) for _, (_, gt) in rows] == [[0.25 * i, -0.5 * i] for i in range(12)]
+    assert [sid for sid, _, _ in rows] == [f"a-{i:03d}" for i in range(12)]
+    assert [list(gt) for _, _, gt in rows] == [[0.25 * i, -0.5 * i] for i in range(12)]
     assert isinstance(failure, ValueError)
     assert f"{bad[1]}:4 (sample b-003): gt: [1.0] is not a list of 2 values" in str(failure)
     # the failing set's mass is recorded before its ground truth is checked
